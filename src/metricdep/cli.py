@@ -317,7 +317,10 @@ def _read_config(path):
     with open(path, "rb") as handle:
         raw = handle.read()
     if str(path).endswith(".toml"):
-        import tomllib
+        try:
+            import tomllib
+        except ImportError:
+            raise InputError(f"{path}: TOML configs need Python 3.11 or newer; use a JSON config") from None
 
         try:
             return tomllib.loads(raw.decode())

@@ -365,6 +365,35 @@ def induced_kernel(metric, anchor=None) -> DistanceInducedKernel:
     return DistanceInducedKernel(metric, anchor)
 
 
+def feature_map(obj):
+    """The explicit finite-dimensional feature map phi of a kernel or
+    semimetric, or None when it has none.
+
+    phi takes points to an (n, m) array with k(x, y) = <phi(x), phi(y)> for
+    a kernel and d2(x, y) = ||phi(x) - phi(y)||^2 for a semimetric.  The
+    linear kernel and euclid2 have the coordinates; a kernel-induced
+    semimetric has its kernel's map; a distance-induced kernel with anchor w
+    has phi(x) - phi(w), phi the base semimetric's map.
+    """
+    if isinstance(obj, (LinearKernel, EuclideanSquared)):
+        return as_points
+    if isinstance(obj, KernelInducedSemimetric):
+        return feature_map(obj.base)
+    if isinstance(obj, DistanceInducedKernel):
+        phi = feature_map(obj.base)
+        if phi is None:
+            return None
+
+        def shifted(pts):
+            xs = obj.base.coerce(pts)
+            f, fw = phi(xs), phi(obj._anchor_row(xs))
+            _check_same_dim(f, fw)
+            return f - fw
+
+        return shifted
+    return None
+
+
 def gram_matrix(kernel, pts) -> np.ndarray:
     """Symmetric Gram matrix of a kernel on a point set.
 

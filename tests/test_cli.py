@@ -72,11 +72,15 @@ class TestCompute:
     def test_dimension_mismatch_exits_2(self, runner, tmp_path):
         path = tmp_path / "mismatch.csv"
         path.write_text("x_1,x_2,y_1\n0,0,0\n1,1,1\n")
-        result = runner.invoke(
-            main, ["compute", "--input", str(path), "--estimator", "mcov", "--metric", "euclid2"]
-        )
-        assert result.exit_code == 2
-        assert "dimension" in result.output
+        for args in (
+            ["mcov", "--metric", "euclid2"],
+            ["mcov", "--kernel", "gaussian"],
+            ["mcov-trace", "--kernel", "gaussian"],
+            ["mcov-trace", "--kernel", "linear"],
+        ):
+            result = runner.invoke(main, ["compute", "--input", str(path), "--estimator", *args])
+            assert result.exit_code == 2, args
+            assert "dimension" in result.output, args
 
     def test_bad_cell_names_row_and_column(self, runner, tmp_path):
         path = tmp_path / "bad.csv"
@@ -221,6 +225,17 @@ class TestScenario:
         assert result.exit_code == 0
         doc = json.loads(result.output)
         assert doc["scenario"] == "independent_normal" and doc["B"] == 5
+
+    def test_toml_config_without_tomllib_exits_2(self, runner, tmp_path, monkeypatch):
+        # Python 3.10 has no tomllib; the import then fails with ImportError
+        monkeypatch.setitem(sys.modules, "tomllib", None)
+        cfg = tmp_path / "cfg.toml"
+        cfg.write_text('scenario = "independent_normal"\n')
+        result = runner.invoke(main, ["scenario", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and "Python 3.11" in lines[0]
 
     def test_unknown_scenario_exits_2(self, runner):
         result = runner.invoke(main, ["scenario", "--scenario", "bogus", "--reps", "1", "--B", "1"])

@@ -1,0 +1,309 @@
+"""The two routes of the prepared-statistic core: the p x q cross-covariance
+route for kernels and semimetrics with explicit feature maps, and the n x n
+route for the rest.  Each is checked against explicit formulas, against the
+other, and for independence from the batch and block sizes."""
+
+import numpy as np
+import pytest
+from scipy.spatial.distance import cdist
+
+from metricdep import (
+    EuclideanSquared,
+    GaussianKernel,
+    InputError,
+    LinearKernel,
+    dcov_vstat,
+    gen_orthogonal_linear,
+    hsic_vstat,
+    induced_kernel,
+    induced_semimetric,
+    mcov_plugin,
+    mcov_trace,
+    parse_kernel,
+    parse_semimetric,
+    permutation_test,
+)
+from metricdep import estimators
+from metricdep.kernels import feature_map
+
+E2 = EuclideanSquared()
+LIN = LinearKernel()
+
+
+def _centred(k):
+    return k - k.mean(axis=0, keepdims=True) - k.mean(axis=1, keepdims=True) + k.mean()
+
+
+def _lin_gram(a, b, w=None):
+    if w is not None:
+        a, b = a - w, b - w
+    return a @ b.T
+
+
+def _sample(seed, n, p, q=None, dep=0.5):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    y = rng.standard_normal((n, q or p))
+    y[:, : min(p, q or p)] += dep * x[:, : min(p, q or p)]
+    return x, y
+
+
+def _rel(a, b):
+    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+class TestFeatureMap:
+    def test_specs_with_and_without_a_feature_map(self):
+        for spec in ("linear", "induced_kernel:base=euclid2", "induced_kernel:base=(induced_metric:base=(linear))"):
+            assert feature_map(parse_kernel(spec)) is not None, spec
+        assert feature_map(parse_semimetric("euclid2")) is not None
+        assert feature_map(parse_semimetric("induced_metric:base=(linear)")) is not None
+        for spec in ("gaussian:sigma=1", "matern:nu=1.5", "induced_kernel:base=(induced_metric:base=(gaussian:sigma=1))"):
+            assert feature_map(parse_kernel(spec)) is None, spec
+        assert feature_map(parse_semimetric("induced_metric:base=(gaussian:sigma=1)")) is None
+
+    def test_features_reproduce_the_gram_and_distance_matrices(self):
+        rng = np.random.default_rng(0)
+        pts = rng.standard_normal((12, 3))
+        w = rng.standard_normal(3)
+        for kernel in (LIN, induced_kernel(E2, w), induced_kernel(induced_semimetric(LIN), w)):
+            f = feature_map(kernel)(pts)
+            np.testing.assert_allclose(f @ f.T, kernel.pairwise(pts, pts), rtol=0, atol=1e-12)
+        for metric in (E2, induced_semimetric(LIN)):
+            f = feature_map(metric)(pts)
+            np.testing.assert_allclose(cdist(f, f, "sqeuclidean"), metric.pairwise(pts, pts), rtol=0, atol=1e-12)
+
+    def test_anchor_of_the_wrong_dimension_is_rejected(self):
+        x, y = _sample(1, 10, 2)
+        with pytest.raises(InputError, match="dimension mismatch"):
+            hsic_vstat(x, y, induced_kernel(E2, np.ones(3)))
+
+
+class TestFeatureRouteAgainstExplicitFormulas:
+    """The feature route against n x n formulas written out here."""
+
+    def test_trace_statistics(self):
+        for seed in range(5):
+            x, y = _sample(seed, 40, 3)
+            w = np.random.default_rng(100 + seed).standard_normal(3)
+            d = cdist(x, y, "sqeuclidean")
+            mcov = 0.5 * (d.mean() - np.diagonal(d).mean())
+            for metric in (E2, induced_semimetric(LIN)):
+                assert isinstance(estimators._prepare("mcov", x, y, metric=metric), estimators._CrossCov)
+                assert _rel(mcov_plugin(x, y, metric), mcov) <= 1e-10
+            for kernel, anchor in ((LIN, None), (induced_kernel(E2), np.zeros(3)), (induced_kernel(E2, w), w)):
+                k = _lin_gram(x, y, anchor)
+                assert isinstance(estimators._prepare("mcov_trace", x, y, kernel=kernel), estimators._CrossCov)
+                assert _rel(mcov_trace(x, y, kernel), np.diagonal(k).mean() - k.mean()) <= 1e-10
+
+    @pytest.mark.parametrize("p,q", [(2, 2), (3, 1), (1, 4)])
+    def test_hsic_and_dcov(self, p, q):
+        for seed in range(5):
+            x, y = _sample(seed, 35, p, q)
+            rng = np.random.default_rng(200 + seed)
+            wx, wy = rng.standard_normal(p), rng.standard_normal(q)
+            for kx, ky, ax, ay in (
+                (LIN, None, None, None),
+                (induced_kernel(E2, wx), induced_kernel(E2, wy), wx, wy),
+                (induced_kernel(E2), LIN, None, None),
+            ):
+                expected = float((_centred(_lin_gram(x, x, ax)) * _centred(_lin_gram(y, y, ay))).sum()) / 35**2
+                assert isinstance(estimators._prepare("hsic", x, y, kernel=kx, kernel_y=ky), estimators._CrossCov)
+                assert _rel(hsic_vstat(x, y, kx, ky), expected) <= 1e-10
+            a, b = cdist(x, x, "sqeuclidean"), cdist(y, y, "sqeuclidean")
+            three_term = (a * b).mean() + a.mean() * b.mean() - 2.0 * (a.mean(axis=1) * b.mean(axis=1)).mean()
+            for mx, my in ((E2, None), (induced_semimetric(LIN), E2)):
+                assert isinstance(estimators._prepare("dcov", x, y, metric=mx, metric_y=my), estimators._CrossCov)
+                assert _rel(dcov_vstat(x, y, mx, my), three_term) <= 1e-10
+
+    def test_no_negative_type_check_on_the_feature_route(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("negative-type check ran")
+
+        monkeypatch.setattr("metricdep.kernels.validate_negative_type", fail)
+        x, y = _sample(3, 30, 2)
+        hsic_vstat(x, y, induced_kernel(E2))
+        permutation_test(x, y, "hsic", kernel=induced_kernel(E2), B=9, seed=1)
+        with pytest.raises(AssertionError, match="negative-type"):
+            hsic_vstat(x, y, induced_kernel(E2), GaussianKernel(1.0))
+
+
+class TestRouteChoiceByWidth:
+    """hsic and dcov take the feature route only while p q <= n, where a
+    re-pairing of C_pi costs no more than the n x n gather; the trace
+    statistics take it while B p <= 8 n for B re-pairings, and otherwise
+    the paired trace of the n x n matrix Xc Yc'."""
+
+    def test_trace_boundary_between_the_routes(self):
+        n, p = 20, 4
+        x, y = _sample(2, n, p)
+        for estimator, kw in (("mcov", dict(metric=E2)), ("mcov_trace", dict(kernel=LIN))):
+            for permutations, route in ((0, estimators._CrossCov), (40, estimators._CrossCov), (41, estimators._PairedTrace)):
+                prepared = estimators._prepare(estimator, x, y, permutations=permutations, **kw)
+                assert type(prepared) is route, (estimator, permutations)
+
+    @pytest.mark.parametrize("dep", [0.0, 0.4])
+    def test_both_trace_routes_agree(self, dep):
+        n, p = 25, 6
+        x, y = _sample(12, n, p, dep=dep)
+        d = cdist(x, y, "sqeuclidean")
+        expected = 0.5 * (d.mean() - np.diagonal(d).mean())
+        for estimator, kw in (("mcov", dict(metric=E2)), ("mcov_trace", dict(kernel=LIN))):
+            gathered = estimators._prepare(estimator, x, y, **kw)
+            paired = estimators._prepare(estimator, x, y, permutations=199, **kw)
+            assert isinstance(paired, estimators._PairedTrace)
+            assert _rel(paired.observed, expected) <= 1e-10
+            perms = np.vstack(list(estimators._permutation_batches(6, n, 199, 199)))
+            t_gathered, t_paired = gathered.permuted(perms), paired.permuted(perms)
+            np.testing.assert_allclose(t_paired, t_gathered, rtol=1e-10, atol=1e-12 * abs(expected))
+            exceed_paired = np.count_nonzero(np.abs(t_paired) >= abs(paired.observed))
+            assert exceed_paired == np.count_nonzero(np.abs(t_gathered) >= abs(gathered.observed))
+
+    def test_boundary_between_the_routes(self):
+        for p, q, n, feature in ((2, 5, 10, True), (3, 4, 11, False), (1, 12, 12, True), (4, 4, 15, False)):
+            x, y = _sample(p + q, n, p, q)
+            for estimator, kw in (("hsic", dict(kernel=LIN)), ("dcov", dict(metric=E2))):
+                prepared = estimators._prepare(estimator, x, y, **kw)
+                assert isinstance(prepared, estimators._CrossCov) is feature, (estimator, p, q, n)
+
+    def test_wide_data_against_explicit_formulas(self):
+        n, p, q = 20, 6, 5
+        for seed in range(3):
+            x, y = _sample(seed, n, p, q)
+            w = np.random.default_rng(300 + seed).standard_normal(q)
+            expected = float((_centred(x @ x.T) * _centred(_lin_gram(y, y, w))).sum()) / n**2
+            kx, ky = LIN, induced_kernel(E2, w)
+            assert isinstance(estimators._prepare("hsic", x, y, kernel=kx, kernel_y=ky), estimators._CenteredInner)
+            assert _rel(hsic_vstat(x, y, kx, ky), expected) <= 1e-10
+            assert _rel(dcov_vstat(x, y, E2), 4.0 * float((_centred(x @ x.T) * _centred(y @ y.T)).sum()) / n**2) <= 1e-10
+            x, y = _sample(seed, n, p)
+            d = cdist(x, y, "sqeuclidean")
+            prepared = estimators._prepare("mcov", x, y, metric=E2)
+            assert isinstance(prepared, estimators._CrossCov)
+            assert _rel(prepared.observed, 0.5 * (d.mean() - np.diagonal(d).mean())) <= 1e-10
+
+    def test_wide_induced_kernel_is_checked_for_negative_type(self, monkeypatch):
+        from metricdep import kernels
+
+        calls = []
+        check = kernels.validate_negative_type
+        monkeypatch.setattr(kernels, "validate_negative_type", lambda *a, **k: calls.append(1) or check(*a, **k))
+        x, y = _sample(4, 12, 4)
+        hsic_vstat(x, y, induced_kernel(E2))
+        assert calls
+
+    def test_batch_memory_counts_what_a_re_pairing_allocates(self):
+        n, p, q = 30, 5, 6
+        x, y = _sample(5, n, p, q)
+        assert estimators._prepare("hsic", x, y, kernel=LIN).perm_bytes == 8 * (n * (1 + q) + p * q)
+        x, y = _sample(5, n, 40)
+        assert estimators._prepare("mcov", x, y, metric=E2).perm_bytes == 8 * n * (1 + 40)
+
+    @pytest.mark.parametrize("dep", [0.0, 0.4])
+    def test_both_routes_agree_on_wide_data(self, dep):
+        n = 15
+        x, y = _sample(11, n, 4, dep=dep)
+        nxn = estimators._prepare("hsic", x, y, kernel=LIN)
+        feature = estimators._CrossCov(x, y, trace=False)
+        assert isinstance(nxn, estimators._CenteredInner)
+        perms = np.vstack(list(estimators._permutation_batches(4, n, 99, 99)))
+        t_nxn, t_feature = nxn.permuted(perms), feature.permuted(perms)
+        np.testing.assert_allclose(t_nxn, t_feature, rtol=1e-10)
+        assert np.count_nonzero(t_nxn >= nxn.observed) == np.count_nonzero(t_feature >= feature.observed)
+
+
+CASES = [
+    ("mcov", dict(metric=E2)),
+    ("mcov", dict(metric=induced_semimetric(LIN))),
+    ("mcov_trace", dict(kernel=LIN)),
+    ("mcov_trace", dict(kernel=induced_kernel(E2, np.array([0.4, -1.3])))),
+    ("hsic", dict(kernel=LIN)),
+    ("hsic", dict(kernel=induced_kernel(E2, np.array([2.0, 0.5])))),
+    ("dcov", dict(metric=E2)),
+    ("dcov", dict(metric=induced_semimetric(LIN))),
+]
+
+
+def _nxn_only(monkeypatch):
+    monkeypatch.setattr(estimators, "feature_map", lambda obj: None)
+
+
+class TestRoutesAgree:
+    @pytest.mark.parametrize("estimator,kw", CASES)
+    @pytest.mark.parametrize("dep", [0.0, 0.3])
+    def test_same_p_value_on_both_routes(self, estimator, kw, dep, monkeypatch):
+        x, y = _sample(int(dep * 10), 60, 2, dep=dep)
+        feature = permutation_test(x, y, estimator, B=199, seed=5, **kw)
+        assert isinstance(estimators._prepare(estimator, x, y, **kw), estimators._CrossCov)
+        _nxn_only(monkeypatch)
+        assert not isinstance(estimators._prepare(estimator, x, y, **kw), estimators._CrossCov)
+        nxn = permutation_test(x, y, estimator, B=199, seed=5, **kw)
+        assert nxn.p_value == feature.p_value
+        assert _rel(nxn.statistic, feature.statistic) <= 1e-10
+
+
+class TestBatching:
+    @pytest.mark.parametrize(
+        "estimator,kw",
+        CASES[::2] + [("mcov_trace", dict(kernel=GaussianKernel())), ("hsic", dict(kernel=GaussianKernel()))],
+    )
+    def test_results_do_not_depend_on_batch_or_block_size(self, estimator, kw, monkeypatch):
+        x, y = _sample(7, 50, 2, dep=0.2)
+        reference = permutation_test(x, y, estimator, B=99, seed=3, **kw)
+        monkeypatch.setattr(estimators, "_BATCH_BYTES", 1)
+        assert permutation_test(x, y, estimator, B=99, seed=3, **kw) == reference
+        monkeypatch.setattr(estimators, "_BATCH_BYTES", 3 * 8 * 50 * 3)
+        assert permutation_test(x, y, estimator, B=99, seed=3, **kw) == reference
+        # a smaller row block sums the inner product in another order
+        monkeypatch.setattr(estimators, "_BLOCK_BYTES", 8 * 50 * 3)
+        blocked = permutation_test(x, y, estimator, B=99, seed=3, **kw)
+        assert blocked.p_value == reference.p_value
+        assert _rel(blocked.statistic, reference.statistic) <= 1e-12
+
+    def test_nxn_route_with_small_blocks(self, monkeypatch):
+        x, y = _sample(8, 40, 2, dep=0.3)
+        _nxn_only(monkeypatch)
+        reference = permutation_test(x, y, "dcov", metric=E2, B=99, seed=2)
+        monkeypatch.setattr(estimators, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(estimators, "_BATCH_BYTES", 1)
+        small = permutation_test(x, y, "dcov", metric=E2, B=99, seed=2)
+        assert small.p_value == reference.p_value
+        assert _rel(small.statistic, reference.statistic) <= 1e-12
+
+
+class TestPermutationStreams:
+    def test_permutation_b_is_the_philox_substream_seed_b(self):
+        for seed, n, batch in ((0, 2, 1), (17, 5, 3), (2**63 - 1, 100, 7), (123456789, 1000, 64)):
+            blocks = list(estimators._permutation_batches(seed, n, 20, batch))
+            assert all(block.shape[0] <= batch for block in blocks)
+            perms = np.vstack(blocks)
+            assert perms.shape == (20, n)
+            for b in (1, 2, 7, 20):
+                expected = np.random.Generator(np.random.Philox(key=[seed, b])).permutation(n)
+                np.testing.assert_array_equal(perms[b - 1], expected)
+
+
+class TestResultTypesAndTies:
+    @pytest.mark.parametrize("estimator,kw", CASES[::2] + [("hsic", dict(kernel=GaussianKernel(1.0)))])
+    def test_plain_python_floats(self, estimator, kw):
+        x, y = _sample(9, 20, 2)
+        result = permutation_test(x, y, estimator, B=19, seed=1, **kw)
+        assert type(result.p_value) is float
+        assert type(result.statistic) is float
+
+    @pytest.mark.parametrize("n", [50, 20])
+    def test_orthogonal_linear_mcov_ties_exactly(self, n):
+        # tr C_pi = 0 exactly for every re-pairing: each term multiplies an
+        # exact zero coordinate, so every permuted statistic ties and p = 1;
+        # at n = 20 the 99 re-pairings take the n x n route over Xc Yc',
+        # whose entries are exact zeros for the same reason
+        for seed in (0, 1, 7):
+            x, y = gen_orthogonal_linear(n, seed)
+            prepared = estimators._prepare("mcov", x, y, metric=E2, permutations=99)
+            assert isinstance(prepared, estimators._CrossCov) is (n == 50)
+            perms = np.vstack(list(estimators._permutation_batches(seed, n, 99, 99)))
+            assert prepared.observed == 0.0
+            assert np.all(prepared.permuted(perms) == 0.0)
+            for estimator, kw in (("mcov", dict(metric=E2)), ("mcov_trace", dict(kernel=LIN))):
+                result = permutation_test(x, y, estimator, B=99, seed=seed, **kw)
+                assert result.statistic == 0.0 and result.p_value == 1.0
