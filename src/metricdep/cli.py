@@ -26,7 +26,6 @@ import click
 from . import estimators, io, oracle, scenarios
 from .kernels import (
     InputError,
-    EuclideanSquared,
     GaussianKernel,
     induced_kernel,
     induced_semimetric,
@@ -59,20 +58,15 @@ def _emit(text, output):
 
 
 def _resolve_specs(estimator, kernel_spec, metric_spec, anchor_spec):
-    """Turn --kernel/--metric/--anchor strings into the objects the chosen
-    estimator needs, converting through the induced kernel/semimetric when
-    only the other side was given."""
-    kernel = parse_kernel(kernel_spec) if kernel_spec else None
-    metric = parse_semimetric(metric_spec) if metric_spec else None
-    anchor = parse_anchor(anchor_spec) if anchor_spec else None
-    if estimator in ("mcov", "dcov"):
-        if metric is None:
-            metric = induced_semimetric(kernel) if kernel is not None else EuclideanSquared()
-        label = metric.spec
-        return None, metric, label
-    if kernel is None:
-        kernel = induced_kernel(metric, anchor) if metric is not None else GaussianKernel()
-    return kernel, None, kernel.spec
+    """Parse --kernel/--metric/--anchor and resolve them for the estimator;
+    returns (kernel, metric, label) with label the spec that runs."""
+    kernel, metric = estimators.resolve_specs(
+        estimator,
+        parse_kernel(kernel_spec) if kernel_spec else None,
+        parse_semimetric(metric_spec) if metric_spec else None,
+        parse_anchor(anchor_spec) if anchor_spec else None,
+    )
+    return kernel, metric, (metric if kernel is None else kernel).spec
 
 
 def _load_sample(path):

@@ -27,7 +27,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import InputError, distance_matrix, feature_map, gram_matrix, resolve_bandwidth
+from .kernels import (
+    EuclideanSquared,
+    GaussianKernel,
+    InputError,
+    distance_matrix,
+    feature_map,
+    gram_matrix,
+    induced_kernel,
+    induced_semimetric,
+    resolve_bandwidth,
+)
 
 ESTIMATORS = ("mcov", "mcov_trace", "hsic", "dcov")
 
@@ -61,6 +71,23 @@ def _paired(x, y):
 def _dim(a):
     a = np.asarray(a)
     return 1 if a.ndim == 1 else a.shape[-1]
+
+
+def resolve_specs(estimator, kernel=None, metric=None, anchor=None):
+    """The (kernel, metric) pair an estimator runs on, exactly one not None.
+
+    mcov and dcov run on a semimetric: the given one, else the kernel's
+    induced semimetric, else euclid2.  mcov_trace and hsic run on a kernel:
+    the given one, else the semimetric's induced kernel at ``anchor``, else
+    a gaussian with the median-heuristic bandwidth.
+    """
+    if estimator in ("mcov", "dcov"):
+        if metric is None:
+            metric = induced_semimetric(kernel) if kernel is not None else EuclideanSquared()
+        return None, metric
+    if kernel is None:
+        kernel = induced_kernel(metric, anchor) if metric is not None else GaussianKernel()
+    return kernel, None
 
 
 def _resolve_sides(obj, obj_y, x, y):

@@ -17,6 +17,33 @@ from .kernels import InputError
 from .oracle import DiscreteJoint
 
 
+def _numeric_rows(path, rows, width, first_row, column, ragged=""):
+    """The csv rows as an (n, width) float array.
+
+    One vectorised conversion (NumPy parses each cell as ``float`` does);
+    only when it fails does the cell-by-cell pass run, to name the first
+    short or long row, or the row and ``column(c)`` of the first bad cell.
+    """
+    try:
+        out = np.array(rows, dtype=float)
+        if out.shape == (len(rows), width):
+            return out
+    except ValueError:
+        pass
+    out = np.empty((len(rows), width))
+    for r, row in enumerate(rows, start=first_row):
+        if len(row) != width:
+            raise InputError(f"{path}: row {r} has {len(row)} fields, expected {width}{ragged}")
+        for c, cell in enumerate(row):
+            try:
+                out[r - first_row, c] = float(cell)
+            except ValueError:
+                raise InputError(
+                    f"{path}: row {r}, column {column(c)}: could not parse {cell.strip()!r}"
+                ) from None
+    return out
+
+
 def read_paired_sample(path):
     """Read a paired sample from CSV with header x_1..x_p,y_1..y_q.
 
@@ -33,24 +60,9 @@ def read_paired_sample(path):
         raise InputError(
             f"{path}: header must name columns x_1..x_p then y_1..y_q, got {header}"
         )
-    data = []
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise InputError(
-                f"{path}: row {r} has {len(row)} fields, expected {len(header)}"
-            )
-        values = []
-        for c, cell in enumerate(row):
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise InputError(
-                    f"{path}: row {r}, column {header[c]!r}: could not parse {cell.strip()!r}"
-                ) from None
-        data.append(values)
-    if not data:
+    if len(rows) == 1:
         raise InputError(f"{path}: no data rows")
-    data = np.array(data)
+    data = _numeric_rows(path, rows[1:], len(header), 2, lambda c: repr(header[c]))
     return data[:, x_cols], data[:, y_cols]
 
 
@@ -61,20 +73,7 @@ def read_square_matrix(path):
     rows = [row for row in rows if row and any(cell.strip() for cell in row)]
     if not rows:
         raise InputError(f"{path}: empty file, expected a square numeric matrix")
-    width = len(rows[0])
-    out = np.empty((len(rows), width))
-    for r, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise InputError(
-                f"{path}: row {r} has {len(row)} fields, expected {width} (ragged matrix)"
-            )
-        for c, cell in enumerate(row, start=1):
-            try:
-                out[r - 1, c - 1] = float(cell)
-            except ValueError:
-                raise InputError(
-                    f"{path}: row {r}, column {c}: could not parse {cell.strip()!r}"
-                ) from None
+    out = _numeric_rows(path, rows, len(rows[0]), 1, lambda c: c + 1, " (ragged matrix)")
     if out.shape[0] != out.shape[1]:
         raise InputError(f"{path}: matrix is {out.shape[0]}x{out.shape[1]}, expected square")
     return out

@@ -271,23 +271,25 @@ class KernelInducedSemimetric:
 
 @dataclass(frozen=True, eq=False)
 class ExplicitSemimetric:
-    """A user-supplied square distance matrix; points are row indices."""
+    """A user-supplied square distance matrix; points are row indices.
+
+    The matrix must be of negative type.  Unlike the vector semimetrics it
+    is not so by construction, so :func:`validate_negative_type` runs here,
+    once, and an invalid matrix raises :class:`InputError`.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InputError(f"explicit distance matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InputError("explicit distance matrix must be finite")
-        scale = np.abs(m).max() if m.size else 0.0
-        if np.abs(m - m.T).max() > 1e-10 * (1.0 + scale):
-            raise InputError("explicit distance matrix must be symmetric")
-        if np.abs(np.diagonal(m)).max() > 1e-12 * (1.0 + scale):
-            raise InputError("explicit distance matrix must have a zero diagonal")
+        report = validate_negative_type(m)
         if m.min() < 0:
             raise InputError("explicit distance matrix must be nonnegative")
+        if not report.valid:
+            raise InputError(
+                "explicit distance matrix is not of negative type "
+                f"(worst eigenvalue {report.worst_eigenvalue:.6g})"
+            )
         m = 0.5 * (m + m.T)
         np.fill_diagonal(m, 0.0)
         object.__setattr__(self, "matrix", m)
@@ -397,21 +399,11 @@ def feature_map(obj):
 def gram_matrix(kernel, pts) -> np.ndarray:
     """Symmetric Gram matrix of a kernel on a point set.
 
-    For a distance-induced kernel the base distance matrix is validated for
-    negative type first, so an invalid user matrix fails loudly here rather
-    than producing an indefinite Gram.
+    No negative-type check runs here: vector semimetrics are of negative
+    type by construction, and an explicit matrix is checked when its
+    :class:`ExplicitSemimetric` is built.
     """
-    if isinstance(kernel, DistanceInducedKernel):
-        pts_c = kernel.base.coerce(pts)
-        report = validate_negative_type(distance_matrix(kernel.base, pts_c))
-        if not report.valid:
-            raise InputError(
-                "base semimetric is not of negative type on these points "
-                f"(worst eigenvalue {report.worst_eigenvalue:.6g})"
-            )
-        k = kernel.pairwise(pts_c, pts_c)
-    else:
-        k = kernel.pairwise(pts, pts)
+    k = kernel.pairwise(pts, pts)
     return 0.5 * (k + k.T)
 
 

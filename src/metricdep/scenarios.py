@@ -21,15 +21,13 @@ Two dependent constructions are provided:
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import ks_2samp
 
-from .estimators import ESTIMATORS, _check_seed, permutation_test
-from .kernels import EuclideanSquared, GaussianKernel, InputError, induced_semimetric
+from .estimators import ESTIMATORS, _check_seed, permutation_test, resolve_specs
+from .kernels import InputError
 
 MIXTURE_MEANS_X = ((-1.0, 1.0), (1.0, -1.0))
 MIXTURE_MEANS_Y = ((-1.0, -1.0), (1.0, 1.0))
@@ -41,12 +39,6 @@ def _rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.Generator(np.random.Philox(key=_check_seed(seed)))
-
-
-def _rep_rng(master_seed: int, rep: int) -> np.random.Generator:
-    # Counter-based substream: replication `rep` is identical under any
-    # execution schedule or worker count.
-    return np.random.Generator(np.random.Philox(key=[_check_seed(master_seed), rep]))
 
 
 def gen_orthogonal_linear(n: int, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -143,12 +135,11 @@ def norm_distribution_check(
     coupled = np.linalg.norm(x1 - y1, axis=1)
     repaired = np.linalg.norm(x2 - y3, axis=1)
     result = ks_2samp(coupled, repaired, method="asymp")
-    seed_out = seed if isinstance(seed, int) else -1
     return NormCheckResult(
         ks_statistic=float(result.statistic),
         p_value=float(result.pvalue),
         n=n,
-        seed=seed_out,
+        seed=-1 if isinstance(seed, np.random.Generator) else _check_seed(seed),
     )
 
 
@@ -206,26 +197,6 @@ class PowerReport:
         return [doc[k] for k in self.CSV_FIELDS]
 
 
-def thread_cap(default: int = 1) -> int:
-    """Worker cap for replication loops, from METRICDEP_THREADS if set."""
-    raw = os.environ.get("METRICDEP_THREADS", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return max(1, value)
-
-
-def _one_replication(scenario, estimator, n, sigma, alpha, B, master_seed, rep, metric, kernel):
-    rng = _rep_rng(master_seed, rep)
-    x, y = generate(scenario, n, rng, sigma)
-    test_seed = int(rng.integers(2**63))
-    result = permutation_test(
-        x, y, estimator, metric=metric, kernel=kernel, B=B, seed=test_seed
-    )
-    return result.p_value <= alpha
-
-
 def power_study(
     scenario: str,
     estimator: str,
@@ -238,17 +209,17 @@ def power_study(
     sigma: float = 0.5,
     kernel=None,
     metric=None,
-    workers: int | None = None,
 ) -> PowerReport:
     """Rejection rate of a permutation test across independent replications.
 
-    Each replication r draws fresh scenario data and a fresh test seed from a
-    counter-based substream of (seed, r), then runs the permutation test at
-    the given B; the report is the fraction of p-values <= alpha.  Unresolved
-    Gaussian bandwidths are frozen per replication by the median heuristic on
-    the pooled draw, before any permutation.  Results are identical for any
-    worker count (METRICDEP_THREADS caps the default).
+    Replication r draws fresh scenario data and a fresh test seed from the
+    counter-based Philox substream keyed by (seed, r), then runs the
+    permutation test at the given B; the report is the fraction of p-values
+    <= alpha.  Unresolved Gaussian bandwidths are frozen per replication by
+    the median heuristic on the pooled draw, before any permutation.
 
+    The kernel or semimetric that runs is chosen by
+    :func:`~metricdep.estimators.resolve_specs`, as for a single test:
     ``mcov`` with a kernel argument runs on the kernel's induced semimetric,
     which by the trace identity is the same statistic as ``mcov_trace``.
     """
@@ -261,31 +232,21 @@ def power_study(
     if estimator not in ESTIMATORS:
         raise InputError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
 
-    if estimator in ("mcov_trace", "hsic") and kernel is None:
-        kernel = GaussianKernel()
-    if estimator == "mcov" and metric is None:
-        metric = induced_semimetric(kernel) if kernel is not None else EuclideanSquared()
-    if estimator == "dcov" and metric is None:
-        metric = EuclideanSquared()
-
-    label = kernel.spec if estimator in ("mcov_trace", "hsic") else metric.spec
+    kernel, metric = resolve_specs(estimator, kernel, metric)
     seed = _check_seed(seed)
-
-    jobs = (
-        (scenario, estimator, n, sigma, alpha, B, seed, rep, metric, kernel)
-        for rep in range(reps)
-    )
-    workers = thread_cap() if workers is None else max(1, workers)
-    if workers == 1:
-        rejections = [_one_replication(*job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rejections = list(pool.map(lambda job: _one_replication(*job), jobs))
-    rate = float(np.mean(rejections))
+    rejections = 0
+    for rep in range(reps):
+        rng = np.random.Generator(np.random.Philox(key=[seed, rep]))
+        x, y = generate(scenario, n, rng, sigma)
+        result = permutation_test(
+            x, y, estimator, metric=metric, kernel=kernel, B=B, seed=int(rng.integers(2**63))
+        )
+        rejections += result.p_value <= alpha
+    rate = rejections / reps
     return PowerReport(
         scenario=scenario,
         estimator=estimator,
-        kernel_or_metric=label,
+        kernel_or_metric=(metric if kernel is None else kernel).spec,
         n=n,
         sigma=sigma,
         alpha=alpha,

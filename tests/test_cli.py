@@ -237,6 +237,20 @@ class TestScenario:
         lines = result.output.strip().splitlines()
         assert len(lines) == 1 and "Python 3.11" in lines[0]
 
+    @pytest.mark.parametrize("estimator", ["mcov", "mcov-trace", "hsic", "dcov"])
+    @pytest.mark.parametrize("spec", [["--kernel", "linear"], ["--metric", "euclid2"], []])
+    def test_resolves_specs_as_test_does(self, runner, toy_sample, estimator, spec):
+        common = ["--estimator", estimator, *spec, "--B", "1", "--seed", "0"]
+        tested = runner.invoke(main, ["test", "--input", toy_sample, *common])
+        studied = runner.invoke(
+            main, ["scenario", "--scenario", "independent_normal", "--n", "10", "--reps", "1", *common]
+        )
+        assert tested.exit_code == studied.exit_code == 0
+        label = json.loads(tested.output)["kernel_or_metric"]
+        assert json.loads(studied.output)["kernel_or_metric"] == label
+        if estimator == "hsic" and spec == ["--metric", "euclid2"]:
+            assert label == "induced_kernel:base=(euclid2),anchor=origin"
+
     def test_unknown_scenario_exits_2(self, runner):
         result = runner.invoke(main, ["scenario", "--scenario", "bogus", "--reps", "1", "--B", "1"])
         assert result.exit_code == 2

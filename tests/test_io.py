@@ -3,7 +3,6 @@ import pytest
 
 from metricdep import InputError
 from metricdep.io import read_paired_sample, read_square_matrix, render_json
-from metricdep.scenarios import thread_cap
 
 
 class TestPairedSampleCsv:
@@ -32,6 +31,17 @@ class TestPairedSampleCsv:
         with pytest.raises(InputError, match="row 3"):
             read_paired_sample(path)
 
+    def test_cells_parse_as_python_float(self, tmp_path):
+        cells = [[" 1.5", "-0.0 ", "1e400", "1_000"], [".5", "5.", "-Infinity", "0.1000000000000000055511151231257827"]]
+        rng = np.random.default_rng(0)
+        cells += [[repr(float(v)) for v in row] for row in rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-300, 300, (50, 4))]
+        path = tmp_path / "s.csv"
+        path.write_text("x_1,x_2,y_1,y_2\n" + "".join(",".join(row) + "\n" for row in cells))
+        x, y = read_paired_sample(path)
+        expected = np.array([[float(cell) for cell in row] for row in cells])
+        assert np.array_equal(np.hstack([x, y]), expected)
+        assert np.array_equal(np.signbit(x), np.signbit(expected[:, :2]))
+
 
 class TestSquareMatrixCsv:
     def test_reads_floats(self, tmp_path):
@@ -50,6 +60,17 @@ class TestSquareMatrixCsv:
         path.write_text("0,1\nx,0\n")
         with pytest.raises(InputError, match="row 2, column 1"):
             read_square_matrix(path)
+        path.write_text("0,1,2\n1,0,1\n2, 1e-3e,0\n")
+        with pytest.raises(InputError) as err:
+            read_square_matrix(path)
+        assert str(err.value) == f"{path}: row 3, column 2: could not parse '1e-3e'"
+
+    def test_ragged_row_named_before_a_later_bad_cell(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("0,1\n1\nx,0\n")
+        with pytest.raises(InputError) as err:
+            read_square_matrix(path)
+        assert str(err.value) == f"{path}: row 2 has 1 fields, expected 2 (ragged matrix)"
 
 
 class TestRenderJson:
@@ -65,15 +86,3 @@ class TestRenderJson:
     def test_sorted_keys_and_newline(self):
         text = render_json({"b": 1, "a": np.int64(2)})
         assert text == '{"a": 2, "b": 1}\n'
-
-
-class TestThreadCap:
-    def test_env_var_caps_workers(self, monkeypatch):
-        monkeypatch.setenv("METRICDEP_THREADS", "3")
-        assert thread_cap() == 3
-        monkeypatch.setenv("METRICDEP_THREADS", "0")
-        assert thread_cap() == 1
-        monkeypatch.setenv("METRICDEP_THREADS", "junk")
-        assert thread_cap() == 1
-        monkeypatch.delenv("METRICDEP_THREADS")
-        assert thread_cap() == 1

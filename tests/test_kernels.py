@@ -177,9 +177,9 @@ class TestGramMatrix:
         np.testing.assert_allclose(g_induced, g_shifted, rtol=0, atol=1e-12)
 
     def test_induced_kernel_gram_rejects_invalid_base(self):
-        bad = ExplicitSemimetric([[0.0, 1.0, 1.0], [1.0, 0.0, 9.0], [1.0, 9.0, 0.0]])
+        # the check runs once, when the explicit matrix enters
         with pytest.raises(InputError, match="negative type"):
-            gram_matrix(induced_kernel(bad, 0), np.arange(3))
+            ExplicitSemimetric([[0.0, 1.0, 1.0], [1.0, 0.0, 9.0], [1.0, 9.0, 0.0]])
 
 
 class TestDistanceMatrix:

@@ -124,8 +124,25 @@ class TestFeatureRouteAgainstExplicitFormulas:
         x, y = _sample(3, 30, 2)
         hsic_vstat(x, y, induced_kernel(E2))
         permutation_test(x, y, "hsic", kernel=induced_kernel(E2), B=9, seed=1)
-        with pytest.raises(AssertionError, match="negative-type"):
-            hsic_vstat(x, y, induced_kernel(E2), GaussianKernel(1.0))
+
+    def test_no_negative_type_check_on_the_n_by_n_route(self, monkeypatch):
+        # vector semimetrics are of negative type by construction; only an
+        # explicit matrix is checked, when it is built
+        def fail(*args, **kwargs):
+            raise AssertionError("negative-type check ran")
+
+        monkeypatch.setattr("metricdep.kernels.validate_negative_type", fail)
+        x, y = _sample(4, 12, 4)
+        wide = parse_kernel("induced_kernel:base=euclid2")
+        for kx, ky in (
+            (wide, None),
+            (parse_kernel("induced_kernel:base=(induced_metric:base=(gaussian:sigma=1))"), None),
+            (wide, GaussianKernel(1.0)),
+        ):
+            prepared = estimators._prepare("hsic", x, y, kernel=kx, kernel_y=ky)
+            assert isinstance(prepared, estimators._CenteredInner)
+            hsic_vstat(x, y, kx, ky)
+            permutation_test(x, y, "hsic", kernel=kx, kernel_y=ky, B=9, seed=1)
 
 
 class TestRouteChoiceByWidth:
@@ -181,16 +198,6 @@ class TestRouteChoiceByWidth:
             prepared = estimators._prepare("mcov", x, y, metric=E2)
             assert isinstance(prepared, estimators._CrossCov)
             assert _rel(prepared.observed, 0.5 * (d.mean() - np.diagonal(d).mean())) <= 1e-10
-
-    def test_wide_induced_kernel_is_checked_for_negative_type(self, monkeypatch):
-        from metricdep import kernels
-
-        calls = []
-        check = kernels.validate_negative_type
-        monkeypatch.setattr(kernels, "validate_negative_type", lambda *a, **k: calls.append(1) or check(*a, **k))
-        x, y = _sample(4, 12, 4)
-        hsic_vstat(x, y, induced_kernel(E2))
-        assert calls
 
     def test_batch_memory_counts_what_a_re_pairing_allocates(self):
         n, p, q = 30, 5, 6

@@ -105,6 +105,12 @@ class TestNormDistributionCheck:
         assert 0.0 <= res.p_value <= 1.0
         assert np.isfinite(res.ks_statistic)
 
+    def test_reports_any_integer_seed(self):
+        res = norm_distribution_check(50, seed=np.int64(3))
+        assert res == norm_distribution_check(50, seed=3)
+        assert type(res.seed) is int and res.seed == 3
+        assert norm_distribution_check(50, seed=np.random.default_rng(3)).seed == -1
+
 
 class TestIndependentNormal:
     def test_sides_are_independent_draws(self):
@@ -126,11 +132,25 @@ class TestPowerStudy:
         doc = report.to_dict()
         assert set(doc) == set(report.CSV_FIELDS)
 
-    def test_deterministic_and_schedule_independent(self):
+    def test_deterministic_and_schedule_independent(self, monkeypatch):
+        from metricdep import scenarios
+
         kwargs = dict(alpha=0.2, reps=6, B=29, seed=42)
-        a = power_study("independent_normal", "hsic", 30, workers=1, **kwargs)
-        b = power_study("independent_normal", "hsic", 30, workers=2, **kwargs)
+        generate, drawn = scenarios.generate, []
+
+        def recording_generate(*args):
+            drawn.append(generate(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(scenarios, "generate", recording_generate)
+        a = power_study("independent_normal", "hsic", 30, **kwargs)
+        b = power_study("independent_normal", "hsic", 30, **kwargs)
         assert a == b
+        assert len(drawn) == 12
+        for r, (x, y) in enumerate(drawn[:6]):
+            rng = np.random.Generator(np.random.Philox(key=[42, r]))
+            x_ref, y_ref = generate("independent_normal", 30, rng, 0.5)
+            assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
 
     def test_detects_strong_dependence_quickly(self):
         report = power_study(
