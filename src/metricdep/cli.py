@@ -26,9 +26,6 @@ import click
 from . import estimators, io, oracle, scenarios
 from .kernels import (
     InputError,
-    GaussianKernel,
-    induced_kernel,
-    induced_semimetric,
     parse_anchor,
     parse_kernel,
     parse_semimetric,
@@ -57,14 +54,21 @@ def _emit(text, output):
             handle.write(text)
 
 
+def _parse_specs(kernel_spec, metric_spec, anchor_spec=None):
+    """The kernel, semimetric and anchor of --kernel/--metric/--anchor, each
+    None when not given."""
+    return (
+        parse_kernel(kernel_spec) if kernel_spec else None,
+        parse_semimetric(metric_spec) if metric_spec else None,
+        parse_anchor(anchor_spec) if anchor_spec else None,
+    )
+
+
 def _resolve_specs(estimator, kernel_spec, metric_spec, anchor_spec):
     """Parse --kernel/--metric/--anchor and resolve them for the estimator;
     returns (kernel, metric, label) with label the spec that runs."""
     kernel, metric = estimators.resolve_specs(
-        estimator,
-        parse_kernel(kernel_spec) if kernel_spec else None,
-        parse_semimetric(metric_spec) if metric_spec else None,
-        parse_anchor(anchor_spec) if anchor_spec else None,
+        estimator, *_parse_specs(kernel_spec, metric_spec, anchor_spec)
     )
     return kernel, metric, (metric if kernel is None else kernel).spec
 
@@ -195,15 +199,10 @@ def oracle_command(input_path, kernel_spec, metric_spec, anchor_spec, decompose,
         _fail(err)
     same_space = joint.support_x.shape[1] == joint.support_y.shape[1]
     try:
-        kernel = parse_kernel(kernel_spec) if kernel_spec else None
-        metric = parse_semimetric(metric_spec) if metric_spec else None
-        anchor = parse_anchor(anchor_spec) if anchor_spec else None
-        if kernel is None and metric is None:
-            kernel = GaussianKernel()
-        if kernel is None:
-            kernel = induced_kernel(metric, anchor)
-        if metric is None:
-            metric = induced_semimetric(kernel)
+        # the kernel hsic runs on, and the given metric or its induced one
+        kernel, metric, anchor = _parse_specs(kernel_spec, metric_spec, anchor_spec)
+        kernel, _ = estimators.resolve_specs("hsic", kernel, metric, anchor)
+        _, metric = estimators.resolve_specs("dcov", kernel, metric)
         pool = (
             (joint.support_x, joint.support_y) if same_space else (joint.support_x,)
         )
@@ -285,8 +284,7 @@ def scenario_command(config_path, scenario_name, study, estimator, kernel_spec, 
             )
             _emit(io.render_json(result.__dict__), output)
             return
-        kernel = parse_kernel(settings["kernel"]) if settings["kernel"] else None
-        metric = parse_semimetric(settings["metric"]) if settings["metric"] else None
+        kernel, metric, _ = _parse_specs(settings["kernel"], settings["metric"])
         report = scenarios.power_study(
             settings["scenario"],
             _CLI_ESTIMATORS[settings["estimator"]],

@@ -60,20 +60,31 @@ def _check_same_dim(xs, ys, what="points"):
         )
 
 
+class _OnVectors:
+    """Point handling shared by the kernels and semimetrics on R^p."""
+
+    def one(self, x):
+        return _as_single(x)
+
+    def coerce(self, pts):
+        return as_points(pts)
+
+    def _pair(self, xs, ys):
+        xs, ys = self.coerce(xs), self.coerce(ys)
+        _check_same_dim(xs, ys)
+        return xs, ys
+
+
 # ---------------------------------------------------------------------------
 # kernels
 
 
 @dataclass(frozen=True)
-class LinearKernel:
+class LinearKernel(_OnVectors):
     """k(x, y) = <x, y>."""
 
-    def one(self, x):
-        return _as_single(x)
-
     def pairwise(self, xs, ys):
-        xs, ys = as_points(xs), as_points(ys)
-        _check_same_dim(xs, ys)
+        xs, ys = self._pair(xs, ys)
         return xs @ ys.T
 
     def self_diag(self, xs):
@@ -86,7 +97,7 @@ class LinearKernel:
 
 
 @dataclass(frozen=True)
-class GaussianKernel:
+class GaussianKernel(_OnVectors):
     """k(x, y) = exp(-||x - y||^2 / (2 sigma^2)).
 
     ``sigma=None`` marks an unresolved bandwidth: call
@@ -106,13 +117,9 @@ class GaussianKernel:
                 "gaussian bandwidth unresolved; use resolve_bandwidth(kernel, data)"
             )
 
-    def one(self, x):
-        return _as_single(x)
-
     def pairwise(self, xs, ys):
         self._check_resolved()
-        xs, ys = as_points(xs), as_points(ys)
-        _check_same_dim(xs, ys)
+        xs, ys = self._pair(xs, ys)
         sq = cdist(xs, ys, "sqeuclidean")
         return np.exp(sq / (-2.0 * self.sigma**2))
 
@@ -128,7 +135,7 @@ class GaussianKernel:
 
 
 @dataclass(frozen=True)
-class MaternKernel:
+class MaternKernel(_OnVectors):
     """Matern kernel with half-integer smoothness nu in {1/2, 3/2, 5/2}.
 
     Closed forms in r = ||x - y||:
@@ -146,12 +153,8 @@ class MaternKernel:
         if not self.ell > 0:
             raise InputError(f"matern lengthscale must be > 0, got {self.ell}")
 
-    def one(self, x):
-        return _as_single(x)
-
     def pairwise(self, xs, ys):
-        xs, ys = as_points(xs), as_points(ys)
-        _check_same_dim(xs, ys)
+        xs, ys = self._pair(xs, ys)
         r = cdist(xs, ys, "euclidean")
         if self.nu == 0.5:
             return np.exp(-r / self.ell)
@@ -218,18 +221,11 @@ class DistanceInducedKernel:
 
 
 @dataclass(frozen=True)
-class EuclideanSquared:
+class EuclideanSquared(_OnVectors):
     """d2(x, y) = ||x - y||^2, the canonical semimetric of negative type."""
 
-    def one(self, x):
-        return _as_single(x)
-
-    def coerce(self, pts):
-        return as_points(pts)
-
     def pairwise(self, xs, ys):
-        xs, ys = as_points(xs), as_points(ys)
-        _check_same_dim(xs, ys)
+        xs, ys = self._pair(xs, ys)
         return cdist(xs, ys, "sqeuclidean")
 
     @property
@@ -238,7 +234,7 @@ class EuclideanSquared:
 
 
 @dataclass(frozen=True, eq=False)
-class KernelInducedSemimetric:
+class KernelInducedSemimetric(_OnVectors):
     """d2(x, y) = k(x, x) + k(y, y) - 2 k(x, y) for a positive-definite k."""
 
     base: object
@@ -246,11 +242,8 @@ class KernelInducedSemimetric:
     def one(self, x):
         return self.base.one(x)
 
-    def coerce(self, pts):
-        return as_points(pts)
-
     def pairwise(self, xs, ys):
-        xs, ys = as_points(xs), as_points(ys)
+        xs, ys = self._pair(xs, ys)
         dx = self.base.self_diag(xs)
         dy = self.base.self_diag(ys)
         out = dx[:, None] + dy[None, :] - 2.0 * self.base.pairwise(xs, ys)
@@ -338,14 +331,18 @@ class ExplicitSemimetric:
 # operations
 
 
+def _at_pair(obj, x, y) -> float:
+    return float(obj.pairwise(obj.one(x), obj.one(y))[0, 0])
+
+
 def kernel_eval(kernel, x, y) -> float:
     """Evaluate k(x, y) for a single pair of points."""
-    return float(kernel.pairwise(kernel.one(x), kernel.one(y))[0, 0])
+    return _at_pair(kernel, x, y)
 
 
 def semimetric_eval(metric, x, y) -> float:
     """Evaluate d2(x, y) for a single pair of points."""
-    return float(metric.pairwise(metric.one(x), metric.one(y))[0, 0])
+    return _at_pair(metric, x, y)
 
 
 def induced_semimetric(kernel) -> KernelInducedSemimetric:
@@ -432,9 +429,11 @@ def validate_negative_type(d_matrix, tol: float = 1e-8) -> NegativeTypeResult:
     d = np.asarray(d_matrix, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise InputError(f"distance matrix must be square, got shape {d.shape}")
+    if d.size == 0:
+        raise InputError("distance matrix is empty")
     if not np.all(np.isfinite(d)):
         raise InputError("distance matrix must be finite")
-    scale = np.abs(d).max() if d.size else 0.0
+    scale = np.abs(d).max()
     if np.abs(d - d.T).max() > 1e-10 * (1.0 + scale):
         raise InputError("distance matrix must be symmetric")
     if np.abs(np.diagonal(d)).max() > 1e-12 * (1.0 + scale):

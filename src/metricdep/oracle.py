@@ -3,16 +3,21 @@ joint distributions, and their Mercer-basis decompositions.
 
 A joint law with m x m' support points admits closed finite-sum evaluation
 of every expectation in the dependence measures, so this module is the
-ground truth against which the sample estimators are checked.  The Mercer
-decompositions make the structural difference between the two measures
-computable: metric covariance is the single sum
+ground truth against which the sample estimators are checked.  Each measure
+is a form in the centred joint W = P - px py' (the population counterpart
+of H/n): metric covariance is the paired trace -<W, D>/2 of the cross
+distance matrix, and HSIC and distance covariance are the centred inner
+product <W' A W, B> of the two sides' Gram or distance matrices.
 
-    sum_j  lambda_j cov[e_j(X), e_j(Y)]
+The Mercer decompositions make the structural difference between the two
+measures computable.  With C = cov[e_i(X), e_j(Y)] over one eigenbasis,
+metric covariance is the single sum
 
-over one eigenbasis (signed terms, cancellation possible), while HSIC is
-the double sum
+    sum_j  lambda_j C_jj
 
-    sum_{i,j}  lambda_i lambda_j cov[e_i(X), e_j(Y)]^2
+(signed terms, cancellation possible), while HSIC is the double sum
+
+    sum_{i,j}  lambda_i lambda_j C_ij^2
 
 over all basis pairs (nonnegative terms, no cancellation).
 """
@@ -24,12 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (
-    InputError,
-    distance_matrix,
-    gram_matrix,
-    induced_semimetric,
-)
+from .kernels import InputError, as_points, distance_matrix, gram_matrix
 
 _EIG_CUTOFF = 1e-12  # relative to the largest eigenvalue
 
@@ -139,59 +139,54 @@ def product_joint(support_x, px, support_y, py) -> DiscreteJoint:
 # exact measures
 
 
+def _weights(joint: DiscreteJoint) -> np.ndarray:
+    """The centred joint W = P - px py'; its rows and columns sum to zero."""
+    return joint.probs - np.outer(joint.px, joint.py)
+
+
+def _centered_inner(w, mx, my) -> float:
+    """<W' Mx W, My> for square kernel or distance matrices Mx (on
+    support_x) and My (on support_y)."""
+    return float(((w.T @ mx @ w) * my).sum())
+
+
 def exact_mcov(joint: DiscreteJoint, metric) -> float:
     """Exact metric covariance of a finite-support joint:
 
         (1/4) sum_{ab, a'b'} P_ab P_a'b' [d2(x_a, y_b') + d2(x_a', y_b) - 2 d2(x_a, y_b)]
 
-    which the marginal factorization reduces to
-    0.5 * (px' D py - sum(P * D)) at O(m m') cost.
+    which is the paired trace -<W, D>/2 of the cross distance matrix
+    D_ab = d2(x_a, y_b).
     """
     d = metric.pairwise(joint.support_x, joint.support_y)
-    return 0.5 * (float(joint.px @ d @ joint.py) - float((joint.probs * d).sum()))
-
-
-def _three_term(mx, my, probs, px, py):
-    """E E'[Mx My] + E[Mx] E[My] - 2 E_{XY}[E'Mx E'My] for square kernels or
-    distance matrices Mx (on support_x) and My (on support_y)."""
-    t1 = float(((probs.T @ mx @ probs) * my).sum())
-    t2 = float(px @ mx @ px) * float(py @ my @ py)
-    t3 = float((mx @ px) @ probs @ (my @ py))
-    return t1 + t2 - 2.0 * t3
+    return -0.5 * float((_weights(joint) * d).sum())
 
 
 def exact_dcov(joint: DiscreteJoint, metric_x, metric_y=None) -> float:
-    """Exact distance covariance: the three-term expression evaluated as a
-    finite sum over the support."""
+    """Exact distance covariance, the centred inner product <W' Dx W, Dy>
+    of the two sides' distance matrices; expanding W gives the three-term
+    form E E'[dx dy] + E[dx] E[dy] - 2 E[E'dx E''dy]."""
     if metric_y is None:
         metric_y = metric_x
     dx = distance_matrix(metric_x, joint.support_x)
     dy = distance_matrix(metric_y, joint.support_y)
-    return _three_term(dx, dy, joint.probs, joint.px, joint.py)
+    return _centered_inner(_weights(joint), dx, dy)
 
 
 def exact_hsic(joint: DiscreteJoint, kernel, kernel_y=None) -> float:
-    """Exact HSIC: squared Hilbert-Schmidt norm of the population
-    cross-covariance operator.
+    """Exact HSIC, the squared Hilbert-Schmidt norm of the population
+    cross-covariance operator: <W' K W, L> for the two sides' Gram
+    matrices, clipped at zero.
 
-    Computed two independent ways and cross-checked: as the quadratic form
-    sum((W' K W) * L) with W = P - px py', and as the three-term expansion
-    in the kernels.  Disagreement beyond roundoff means a numerical problem
-    and raises.
+    With the induced kernels K = (dx(., w) 1' + 1 dx(., w)' - Dx)/2 the
+    anchor terms vanish against W's zero row and column sums, so
+    W' K W = -W' Dx W / 2 and dcov = 4 hsic.
     """
     if kernel_y is None:
         kernel_y = kernel
     kx = gram_matrix(kernel, joint.support_x)
     ly = gram_matrix(kernel_y, joint.support_y)
-    w = joint.probs - np.outer(joint.px, joint.py)
-    hs_norm = float(((w.T @ kx @ w) * ly).sum())
-    expanded = _three_term(kx, ly, joint.probs, joint.px, joint.py)
-    scale = 1.0 + abs(hs_norm)
-    if abs(hs_norm - expanded) > 1e-9 * scale:
-        raise RuntimeError(
-            f"HSIC cross-check failed: {hs_norm!r} (HS norm) vs {expanded!r} (three-term)"
-        )
-    return max(hs_norm, 0.0)
+    return max(_centered_inner(_weights(joint), kx, ly), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +271,16 @@ def _union_support(joint: DiscreteJoint):
 
 
 @dataclass(frozen=True, eq=False)
-class McovDecomposition:
-    """Metric covariance split along one Mercer basis: terms
-    lambda_j cov[e_j(X), e_j(Y)] are signed and may cancel."""
+class MercerDecomposition:
+    """A measure split along a Mercer basis: ``total`` is the sum of
+    ``terms``, built from the basis cross-covariances ``covariances``.
+
+    For metric covariance (``McovDecomposition``) the covariances are
+    cov[e_j(X), e_j(Y)] and the terms lambda_j cov[e_j(X), e_j(Y)] are
+    signed and may cancel; for HSIC (``HsicDecomposition``) they are the
+    matrix cov[e_i(X), e_j(Y)] and the terms
+    lambda_i lambda_j cov[e_i(X), e_j(Y)]^2 are all nonnegative.
+    """
 
     total: float
     eigenvalues: np.ndarray
@@ -287,61 +289,53 @@ class McovDecomposition:
     system: MercerSystem
 
 
-@dataclass(frozen=True, eq=False)
-class HsicDecomposition:
-    """HSIC split over all Mercer basis pairs: terms
-    lambda_i lambda_j cov[e_i(X), e_j(Y)]^2 are all nonnegative."""
-
-    total: float
-    eigenvalues: np.ndarray
-    covariances: np.ndarray
-    terms: np.ndarray
-    system: MercerSystem
+McovDecomposition = HsicDecomposition = MercerDecomposition
 
 
-def _basis_on_supports(joint, kernel):
+def _basis_cross_covariance(joint, kernel):
+    """The kernel's Mercer system on the union support under
+    mu = (px + py)/2, and C = Ex' W Ey with Ex, Ey its eigenfunctions on
+    the two supports, so that C_ij = cov[e_i(X), e_j(Y)]."""
     union, ix, iy, mu = _union_support(joint)
     if mu.min() <= 0:
         raise InputError(
             "a support point has zero marginal probability; drop it before decomposing"
         )
     system = mercer_basis(kernel, union, mu)
-    return system, system.functions[ix], system.functions[iy]
+    e = system.functions
+    return system, e[ix].T @ _weights(joint) @ e[iy]
+
+
+def _decomposition(system, covariances, terms):
+    return MercerDecomposition(
+        total=float(terms.sum()),
+        eigenvalues=system.eigenvalues,
+        covariances=covariances,
+        terms=terms,
+        system=system,
+    )
 
 
 def mercer_mcov_decomposition(joint: DiscreteJoint, kernel) -> McovDecomposition:
     """Decompose metric covariance (with the kernel's induced semimetric)
-    into per-eigenfunction covariance terms.
+    into the single sum of terms lambda_j C_jj over the diagonal of the
+    basis cross-covariance C.
 
     The reference measure is mu = (px + py)/2 on the union support, which is
     positive wherever the law puts mass, so the decomposition total equals
     the exact metric covariance.
     """
-    system, ex, ey = _basis_on_supports(joint, kernel)
-    cross = np.einsum("ab,aj,bj->j", joint.probs, ex, ey)
-    covs = cross - (joint.px @ ex) * (joint.py @ ey)
-    terms = system.eigenvalues * covs
-    return McovDecomposition(
-        total=float(terms.sum()),
-        eigenvalues=system.eigenvalues,
-        covariances=covs,
-        terms=terms,
-        system=system,
-    )
+    system, c = _basis_cross_covariance(joint, kernel)
+    covs = np.diag(c).copy()
+    return _decomposition(system, covs, system.eigenvalues * covs)
 
 
 def mercer_hsic_decomposition(joint: DiscreteJoint, kernel) -> HsicDecomposition:
-    """Decompose HSIC (same kernel on both sides) over all basis pairs."""
-    system, ex, ey = _basis_on_supports(joint, kernel)
-    covs = ex.T @ (joint.probs @ ey) - np.outer(joint.px @ ex, joint.py @ ey)
-    terms = np.outer(system.eigenvalues, system.eigenvalues) * covs**2
-    return HsicDecomposition(
-        total=float(terms.sum()),
-        eigenvalues=system.eigenvalues,
-        covariances=covs,
-        terms=terms,
-        system=system,
-    )
+    """Decompose HSIC (same kernel on both sides) into the double sum of
+    terms lambda_i lambda_j C_ij^2 over all basis pairs."""
+    system, c = _basis_cross_covariance(joint, kernel)
+    lam = system.eigenvalues
+    return _decomposition(system, c, np.outer(lam, lam) * c**2)
 
 
 def cancellation_joint() -> DiscreteJoint:
@@ -369,8 +363,6 @@ def empirical_joint(x, y) -> DiscreteJoint:
     also the memory-friendly route to V-statistics at very large n when the
     data take few distinct values.
     """
-    from .kernels import as_points
-
     x, y = as_points(x), as_points(y)
     if x.shape[0] != y.shape[0]:
         raise InputError("paired sample sides differ in length")

@@ -180,6 +180,35 @@ class TestOracle:
         assert terms.min() < -0.05 and terms.max() > 0.05
         assert abs(terms.sum()) < 1e-10
 
+    @pytest.mark.parametrize(
+        "flags, kernel, metric",
+        [
+            ([], "gaussian:sigma=1.0", "induced_metric:base=(gaussian:sigma=1.0)"),
+            (["--kernel", "linear"], "linear", "induced_metric:base=(linear)"),
+            (["--metric", "euclid2"], "induced_kernel:base=(euclid2),anchor=origin", "euclid2"),
+            (
+                ["--metric", "euclid2", "--anchor", "(0.5;1)"],
+                "induced_kernel:base=(euclid2),anchor=(0.5;1.0)",
+                "euclid2",
+            ),
+            (["--kernel", "linear", "--metric", "euclid2"], "linear", "euclid2"),
+        ],
+    )
+    def test_resolved_specs(self, runner, tmp_path, flags, kernel, metric):
+        # the pooled support's median distance is 1, so the gaussian default has sigma = 1
+        doc = {
+            "support_x": [[0.0, 0.0], [1.0, 0.0]],
+            "support_y": [[0.0, 0.0], [0.0, 1.0]],
+            "P": [[0.4, 0.1], [0.1, 0.4]],
+        }
+        path = tmp_path / "joint.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["oracle", "--input", str(path), *flags])
+        assert result.exit_code == 0
+        out = json.loads(result.output)
+        assert (out["kernel"], out["metric"]) == (kernel, metric)
+        assert sorted(out) == ["dcov", "hsic", "kernel", "mcov", "metric"]
+
 
 class TestScenario:
     def test_minimal_power_run(self, runner):

@@ -262,6 +262,11 @@ class TestValidateNegativeType:
         with pytest.raises(InputError):
             validate_negative_type([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]])
 
+    @pytest.mark.parametrize("entry", [validate_negative_type, ExplicitSemimetric])
+    def test_empty_matrix_is_an_input_error(self, entry):
+        with pytest.raises(InputError, match="^distance matrix is empty$"):
+            entry(np.zeros((0, 0)))
+
 
 class TestBandwidth:
     def test_median_heuristic_hand_value(self):

@@ -1,5 +1,10 @@
 """Property tests: every statistic, on either route, is invariant under a
-joint relabelling of the pairs and under a common translation of the data."""
+joint relabelling of the pairs and under a common translation of the data;
+the exact oracle matches the expectation definitions written out as sums
+over the support, its Mercer sums total the exact measures, and on an
+empirical law it matches the estimators on both routes."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,16 +13,26 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from metricdep import (  # noqa: E402
+    DiscreteJoint,
     EuclideanSquared,
     GaussianKernel,
     LinearKernel,
     MaternKernel,
     dcov_vstat,
+    empirical_joint,
+    estimators,
+    exact_dcov,
+    exact_hsic,
+    exact_mcov,
     hsic_vstat,
     induced_kernel,
     induced_semimetric,
+    kernel_eval,
     mcov_plugin,
     mcov_trace,
+    mercer_hsic_decomposition,
+    mercer_mcov_decomposition,
+    semimetric_eval,
 )
 
 STATISTICS = [
@@ -52,3 +67,119 @@ def test_invariant_under_joint_permutation_and_translation(seed, n, p, shift, wh
     assert abs(statistic(x[perm], y[perm]) - value) <= tol, name
     s = np.asarray(shift[:p])
     assert abs(statistic(x + s, y + s) - value) <= tol, name
+
+
+# ---------------------------------------------------------------------------
+# the exact oracle
+
+
+def _joint(seed, m, m2, p, q, shared=False):
+    """A random joint with m x m2 support points in R^p x R^q, every
+    marginal probability positive; with ``shared`` (p == q) the supports
+    share points."""
+    rng = np.random.default_rng(seed)
+    sx = rng.standard_normal((m, p))
+    sy = rng.standard_normal((m2, q))
+    if shared:
+        sy[: min(m, m2) - 1] = sx[: min(m, m2) - 1]
+    probs = rng.dirichlet(np.ones(m * m2)).reshape(m, m2) + 0.01
+    return DiscreteJoint(sx, sy, probs / probs.sum())
+
+
+def _matrix(evaluate, obj, us, vs):
+    return np.array([[evaluate(obj, u, v) for v in vs] for u in us])
+
+
+def _three_term(probs, a, b):
+    """E E'[a b] + E[a] E[b] - 2 E[E'a E''b] over the support, with (X, Y),
+    (X', Y') and (X'', Y'') independent draws of the joint and a, b the
+    square kernel or distance matrices of the two sides."""
+    px, py = probs.sum(axis=1), probs.sum(axis=0)
+    t1 = np.einsum("ab,cd,ac,bd->", probs, probs, a, b)
+    t2 = np.einsum("ab,cd,ac->", probs, probs, a) * np.einsum("ab,cd,bd->", probs, probs, b)
+    t3 = np.einsum("ab,c,d,ac,bd->", probs, px, py, a, b)
+    return t1 + t2 - 2.0 * t3
+
+
+def _close(value, reference):
+    return abs(value - reference) <= 1e-10 * (1.0 + abs(reference))
+
+
+KERNELS = [
+    ("gaussian", lambda p: GaussianKernel(0.9)),
+    ("linear", lambda p: LinearKernel()),
+    ("matern", lambda p: MaternKernel(1.5, 1.3)),
+    ("induced euclid2", lambda p: induced_kernel(EuclideanSquared(), np.linspace(-1.0, 1.0, p))),
+]
+
+_support_sizes = dict(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 5), m2=st.integers(1, 5), p=st.integers(1, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.integers(1, 3), which=st.sampled_from(range(len(KERNELS))), **_support_sizes)
+def test_exact_measures_match_the_expectation_definitions(seed, m, m2, p, q, which):
+    name, make = KERNELS[which]
+    j = _joint(seed, m, m2, p, q)
+    kx, ky = make(p), make(q)
+    mx, my = induced_semimetric(kx), induced_semimetric(ky)
+    sx, sy = j.support_x, j.support_y
+
+    hsic = _three_term(j.probs, _matrix(kernel_eval, kx, sx, sx), _matrix(kernel_eval, ky, sy, sy))
+    assert _close(exact_hsic(j, kx, ky), max(hsic, 0.0)), name
+    dx, dy = _matrix(semimetric_eval, mx, sx, sx), _matrix(semimetric_eval, my, sy, sy)
+    assert _close(exact_dcov(j, mx, my), _three_term(j.probs, dx, dy)), name
+    assert _close(exact_dcov(j, mx, my), 4.0 * exact_hsic(j, kx, ky)), name
+    if p == q:
+        d = _matrix(semimetric_eval, mx, sx, sy)
+        pp = np.einsum("ab,cd->abcd", j.probs, j.probs)
+        mcov = 0.25 * (
+            np.einsum("abcd,ad->", pp, d) + np.einsum("abcd,cb->", pp, d) - 2.0 * np.einsum("abcd,ab->", pp, d)
+        )
+        assert _close(exact_mcov(j, mx), mcov), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(shared=st.booleans(), which=st.sampled_from(range(len(KERNELS))), **_support_sizes)
+def test_mercer_sums_total_the_exact_measures(seed, m, m2, p, which, shared):
+    name, make = KERNELS[which]
+    kernel = make(p)
+    j = _joint(seed, m, m2, p, p, shared)
+    single = mercer_mcov_decomposition(j, kernel)
+    assert _close(single.total, exact_mcov(j, induced_semimetric(kernel))), name
+    np.testing.assert_array_equal(single.terms, single.eigenvalues * single.covariances)
+    double = mercer_hsic_decomposition(j, kernel)
+    assert _close(double.total, exact_hsic(j, kernel)), name
+    assert double.terms.min() >= 0.0, name
+    np.testing.assert_array_equal(np.diag(double.covariances), single.covariances)
+
+
+# estimator, spec maker, exact value of the empirical joint; each spec has a
+# feature map, so the statistic has both routes
+ROUTED = [
+    ("mcov", lambda p: {"metric": EuclideanSquared()}, lambda j, s: exact_mcov(j, s["metric"])),
+    ("mcov_trace", lambda p: {"kernel": LinearKernel()}, lambda j, s: exact_mcov(j, induced_semimetric(s["kernel"]))),
+    ("hsic", lambda p: {"kernel": LinearKernel()}, lambda j, s: exact_hsic(j, s["kernel"])),
+    (
+        "hsic",
+        lambda p: {"kernel": induced_kernel(EuclideanSquared(), np.full(p, 0.5))},
+        lambda j, s: exact_hsic(j, s["kernel"]),
+    ),
+    ("dcov", lambda p: {"metric": EuclideanSquared()}, lambda j, s: exact_dcov(j, s["metric"])),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(9, 40), which=st.sampled_from(range(len(ROUTED))), **_support_sizes)
+def test_empirical_joint_matches_the_estimator_on_both_routes(seed, m, m2, p, n, which):
+    estimator, make, exact = ROUTED[which]
+    spec = make(p)
+    x, y = _joint(seed, m, m2, p, p).sample(n, seed=seed)
+    target = exact(empirical_joint(x, y), spec)
+
+    feature = estimators._prepare(estimator, x, y, **spec)
+    assert isinstance(feature, estimators._CrossCov)
+    with mock.patch.object(estimators, "feature_map", lambda obj: None):
+        nxn = estimators._prepare(estimator, x, y, **spec)
+    assert not isinstance(nxn, estimators._CrossCov)
+    assert _close(feature.observed, target), estimator
+    assert _close(nxn.observed, target), estimator
