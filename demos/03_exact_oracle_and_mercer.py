@@ -61,15 +61,21 @@ print("  mcov (euclid2)          =", exact_mcov(joint, e2))
 print("  mcov (gaussian-induced) =", exact_mcov(joint, induced_semimetric(kernel)))
 print("  hsic (gaussian)         =", exact_hsic(joint, kernel))
 
-# the single sum loses the dependence to cancellation...
+# all the dependence sits in the eigenspace E of the repeated eigenvalue, where
+# the basis is the eigensolver's free choice; the sums over E do not depend on it
 dm = mercer_mcov_decomposition(joint, kernel)
-print("\n  mcov terms  lambda_j * cov[e_j(X), e_j(Y)]:")
-for lam, cov, term in zip(dm.eigenvalues, dm.covariances, dm.terms):
-    print(f"    lambda = {lam:.6f}   cov = {cov:+.6f}   term = {term:+.6f}")
-print("  total =", dm.total)
-
-# ...while the double sum of squares cannot cancel
 dh = mercer_hsic_decomposition(joint, kernel)
-print("\n  hsic terms are squares; the largest few:")
-flat = np.sort(dh.terms.ravel())[::-1][:3]
-print("   ", flat, " total =", dh.total)
+print("\n  eigenvalues:", dm.eigenvalues)
+e = np.nonzero(np.isclose(dm.eigenvalues, dm.eigenvalues[1], rtol=1e-9, atol=0.0))[0]
+c_e = dh.covariances[np.ix_(e, e)]
+print(f"  E = eigenvalue {dm.eigenvalues[1]:.6f}, repeated {e.size} times")
+print(f"  cross-covariance block C_E: trace = {np.trace(c_e):+.1e}, Frobenius norm = {np.linalg.norm(c_e):.6f}")
+
+# ...so the single sum gets lambda * tr C_E = 0 from E...
+print("  mcov terms lambda_j * cov[e_j(X), e_j(Y)] summed over E =", dm.terms[e].sum())
+print("  mcov total =", dm.total)
+
+# ...while the double sum gets lambda^2 * ||C_E||^2 > 0, all of HSIC
+print("  hsic terms lambda_i lambda_j cov[e_i(X), e_j(Y)]^2 summed over E x E =",
+      dh.terms[np.ix_(e, e)].sum())
+print("  hsic total =", dh.total)

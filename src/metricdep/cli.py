@@ -20,25 +20,20 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import click
 
 from . import estimators, io, oracle, scenarios
 from .kernels import (
     InputError,
-    parse_anchor,
     parse_kernel,
     parse_semimetric,
     resolve_bandwidth,
     validate_negative_type,
 )
 
-_CLI_ESTIMATORS = {
-    "mcov": "mcov",
-    "mcov-trace": "mcov_trace",
-    "hsic": "hsic",
-    "dcov": "dcov",
-}
+_ESTIMATOR_CHOICE = click.Choice(sorted(name.replace("_", "-") for name in estimators.ESTIMATORS))
 
 
 def _fail(message, code=2):
@@ -54,21 +49,19 @@ def _emit(text, output):
             handle.write(text)
 
 
-def _parse_specs(kernel_spec, metric_spec, anchor_spec=None):
-    """The kernel, semimetric and anchor of --kernel/--metric/--anchor, each
-    None when not given."""
+def _parse_specs(kernel_spec, metric_spec):
+    """The kernel and semimetric of --kernel/--metric, each None when not given."""
     return (
         parse_kernel(kernel_spec) if kernel_spec else None,
         parse_semimetric(metric_spec) if metric_spec else None,
-        parse_anchor(anchor_spec) if anchor_spec else None,
     )
 
 
 def _resolve_specs(estimator, kernel_spec, metric_spec, anchor_spec):
-    """Parse --kernel/--metric/--anchor and resolve them for the estimator;
-    returns (kernel, metric, label) with label the spec that runs."""
+    """Parse --kernel/--metric and resolve them, with --anchor, for the
+    estimator; returns (kernel, metric, label) with label the spec that runs."""
     kernel, metric = estimators.resolve_specs(
-        estimator, *_parse_specs(kernel_spec, metric_spec, anchor_spec)
+        estimator, *_parse_specs(kernel_spec, metric_spec), anchor_spec
     )
     return kernel, metric, (metric if kernel is None else kernel).spec
 
@@ -76,9 +69,7 @@ def _resolve_specs(estimator, kernel_spec, metric_spec, anchor_spec):
 def _load_sample(path):
     try:
         return io.read_paired_sample(path)
-    except OSError as err:
-        _fail(err)
-    except InputError as err:
+    except (OSError, InputError) as err:
         _fail(err)
 
 
@@ -96,14 +87,14 @@ def main():
 
 _estimator_option = click.option(
     "--estimator",
-    type=click.Choice(sorted(_CLI_ESTIMATORS)),
+    type=_ESTIMATOR_CHOICE,
     required=True,
     help="Which statistic to compute.",
 )
-_kernel_option = click.option("--kernel", "kernel_spec", default=None, help="Kernel spec string.")
-_metric_option = click.option("--metric", "metric_spec", default=None, help="Semimetric spec string.")
+_kernel_option = click.option("--kernel", default=None, help="Kernel spec string.")
+_metric_option = click.option("--metric", default=None, help="Semimetric spec string.")
 _anchor_option = click.option(
-    "--anchor", "anchor_spec", default=None, help="Anchor for induced kernels: origin or (v1;v2;...)."
+    "--anchor", default=None, help="Anchor for induced kernels: origin or (v1;v2;...)."
 )
 _output_option = click.option("--output", default=None, type=click.Path(), help="Write the document here instead of stdout.")
 
@@ -115,20 +106,20 @@ _output_option = click.option("--output", default=None, type=click.Path(), help=
 @_metric_option
 @_anchor_option
 @_output_option
-def compute(input_path, estimator, kernel_spec, metric_spec, anchor_spec, output):
+def compute(input_path, estimator, kernel, metric, anchor, output):
     """Compute one dependence statistic from a paired-sample CSV."""
     x, y = _load_sample(input_path)
-    name = _CLI_ESTIMATORS[estimator]
+    name = estimator.replace("-", "_")
+    # looked up at call time, so a patched module attribute is the one called
+    statistic = {
+        "mcov": estimators.mcov_plugin,
+        "mcov_trace": estimators.mcov_trace,
+        "hsic": estimators.hsic_vstat,
+        "dcov": estimators.dcov_vstat,
+    }[name]
     try:
-        kernel, metric, label = _resolve_specs(name, kernel_spec, metric_spec, anchor_spec)
-        if name == "mcov":
-            value = estimators.mcov_plugin(x, y, metric)
-        elif name == "mcov_trace":
-            value = estimators.mcov_trace(x, y, kernel)
-        elif name == "hsic":
-            value = estimators.hsic_vstat(x, y, kernel)
-        else:
-            value = estimators.dcov_vstat(x, y, metric)
+        kernel, metric, label = _resolve_specs(name, kernel, metric, anchor)
+        value = statistic(x, y, metric if kernel is None else kernel)
     except InputError as err:
         _fail(err)
     doc = {
@@ -155,12 +146,12 @@ def compute(input_path, estimator, kernel_spec, metric_spec, anchor_spec, output
     help="Default: two-sided for mcov/mcov-trace, greater for hsic/dcov.",
 )
 @_output_option
-def test_command(input_path, estimator, kernel_spec, metric_spec, anchor_spec, b, seed, alternative, output):
+def test_command(input_path, estimator, kernel, metric, anchor, b, seed, alternative, output):
     """Permutation independence test from a paired-sample CSV."""
     x, y = _load_sample(input_path)
-    name = _CLI_ESTIMATORS[estimator]
+    name = estimator.replace("-", "_")
     try:
-        kernel, metric, label = _resolve_specs(name, kernel_spec, metric_spec, anchor_spec)
+        kernel, metric, label = _resolve_specs(name, kernel, metric, anchor)
         result = estimators.permutation_test(
             x,
             y,
@@ -186,12 +177,13 @@ def test_command(input_path, estimator, kernel_spec, metric_spec, anchor_spec, b
 @_anchor_option
 @click.option("--decompose", is_flag=True, help="Include Mercer decompositions (same-space joints).")
 @_output_option
-def oracle_command(input_path, kernel_spec, metric_spec, anchor_spec, decompose, output):
+def oracle_command(input_path, kernel, metric, anchor, decompose, output):
     """Exact dependence measures of a finite-support joint law.
 
     Emits mcov (when the supports share a space), hsic and dcov.  With
-    --decompose, adds the per-eigenfunction terms of both Mercer sums, whose
-    signs show whether metric covariance loses dependence to cancellation.
+    --decompose, adds the per-eigenfunction terms of both Mercer sums; over
+    each eigenspace the single sum's terms show whether metric covariance
+    loses dependence to cancellation.
     """
     try:
         joint = io.read_discrete_joint(input_path)
@@ -200,7 +192,7 @@ def oracle_command(input_path, kernel_spec, metric_spec, anchor_spec, decompose,
     same_space = joint.support_x.shape[1] == joint.support_y.shape[1]
     try:
         # the kernel hsic runs on, and the given metric or its induced one
-        kernel, metric, anchor = _parse_specs(kernel_spec, metric_spec, anchor_spec)
+        kernel, metric = _parse_specs(kernel, metric)
         kernel, _ = estimators.resolve_specs("hsic", kernel, metric, anchor)
         _, metric = estimators.resolve_specs("dcov", kernel, metric)
         pool = (
@@ -220,19 +212,10 @@ def oracle_command(input_path, kernel_spec, metric_spec, anchor_spec, decompose,
         if decompose:
             if not same_space:
                 raise InputError("Mercer decompositions need supports in a common space")
-            mdec = oracle.mercer_mcov_decomposition(joint, kernel)
-            hdec = oracle.mercer_hsic_decomposition(joint, kernel)
-            doc["mcov_decomposition"] = {
-                "total": mdec.total,
-                "eigenvalues": mdec.eigenvalues,
-                "covariances": mdec.covariances,
-                "terms": mdec.terms,
-            }
-            doc["hsic_decomposition"] = {
-                "total": hdec.total,
-                "eigenvalues": hdec.eigenvalues,
-                "terms": hdec.terms,
-            }
+            mdec = asdict(oracle.mercer_mcov_decomposition(joint, kernel))
+            hdec = asdict(oracle.mercer_hsic_decomposition(joint, kernel))
+            del mdec["system"], hdec["system"], hdec["covariances"]
+            doc["mcov_decomposition"], doc["hsic_decomposition"] = mdec, hdec
     except InputError as err:
         _fail(err)
     _emit(io.render_json(doc), output)
@@ -240,69 +223,58 @@ def oracle_command(input_path, kernel_spec, metric_spec, anchor_spec, decompose,
 
 @main.command("scenario")
 @click.option("--config", "config_path", default=None, type=click.Path(), help="JSON or TOML file whose keys override the flags.")
-@click.option("--scenario", "scenario_name", default=None, type=click.Choice(sorted(scenarios.SCENARIOS)))
+@click.option("--scenario", default=None, type=click.Choice(sorted(scenarios.SCENARIOS)))
 @click.option("--study", type=click.Choice(["power", "norms"]), default="power", show_default=True)
-@click.option("--estimator", type=click.Choice(sorted(_CLI_ESTIMATORS)), default="hsic", show_default=True)
+@click.option("--estimator", type=_ESTIMATOR_CHOICE, default="hsic", show_default=True)
 @_kernel_option
 @_metric_option
 @click.option("--n", default=200, show_default=True, help="Sample size per replication.")
 @click.option("--sigma", default=0.5, show_default=True, help="Mixture noise scale (coupled_mixture).")
 @click.option("--alpha", default=0.05, show_default=True, help="Test level.")
 @click.option("--reps", default=200, show_default=True, help="Number of replications.")
-@click.option("--B", "b", default=199, show_default=True, help="Permutations per test.")
+@click.option("--B", "B", default=199, show_default=True, help="Permutations per test.")
 @click.option("--seed", default=0, show_default=True, help="Master seed.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @_output_option
-def scenario_command(config_path, scenario_name, study, estimator, kernel_spec, metric_spec, n, sigma, alpha, reps, b, seed, fmt, output):
+def scenario_command(config_path, fmt, output, **settings):
     """Run a Monte Carlo power/level study or the norm-distribution check."""
-    settings = {
-        "scenario": scenario_name,
-        "study": study,
-        "estimator": estimator,
-        "kernel": kernel_spec,
-        "metric": metric_spec,
-        "n": n,
-        "sigma": sigma,
-        "alpha": alpha,
-        "reps": reps,
-        "B": b,
-        "seed": seed,
-    }
     if config_path is not None:
         try:
-            settings.update(_read_config(config_path))
+            _apply_config(config_path, settings)
         except (OSError, InputError) as err:
             _fail(err)
     if settings["scenario"] is None:
         _fail("a scenario name is required (flag --scenario or config key 'scenario')")
     try:
-        if settings["study"] == "norms":
-            result = scenarios.norm_distribution_check(
-                n=int(settings["n"]),
-                sigma=float(settings["sigma"]),
-                seed=int(settings["seed"]),
-            )
-            _emit(io.render_json(result.__dict__), output)
+        if settings.pop("study") == "norms":
+            result = scenarios.norm_distribution_check(settings["n"], settings["sigma"], settings["seed"])
+            _emit(io.render_json(asdict(result)), output)
             return
-        kernel, metric, _ = _parse_specs(settings["kernel"], settings["metric"])
-        report = scenarios.power_study(
-            settings["scenario"],
-            _CLI_ESTIMATORS[settings["estimator"]],
-            int(settings["n"]),
-            alpha=float(settings["alpha"]),
-            reps=int(settings["reps"]),
-            B=int(settings["B"]),
-            seed=int(settings["seed"]),
-            sigma=float(settings["sigma"]),
-            kernel=kernel,
-            metric=metric,
-        )
+        kernel, metric = _parse_specs(settings.pop("kernel"), settings.pop("metric"))
+        settings["estimator"] = settings["estimator"].replace("-", "_")
+        report = scenarios.power_study(**settings, kernel=kernel, metric=metric)
     except InputError as err:
         _fail(err)
     if fmt == "json":
         _emit(io.render_json(report.to_dict()), output)
     else:
         _append_csv(report, output)
+
+
+def _apply_config(path, settings):
+    """Override ``settings`` with the config's values, each cast and checked
+    by the type of the option whose destination is its key."""
+    ctx = click.get_current_context()
+    params = {param.name: param for param in ctx.command.params}
+    for key, value in _read_config(path).items():
+        if key not in settings:
+            raise InputError(f"{path}: unknown key {key!r}; expected one of {sorted(settings)}")
+        if value is None and params[key].default is not None:
+            raise InputError(f"{path}: {key}: must not be null")
+        try:
+            settings[key] = params[key].type_cast_value(ctx, value)
+        except (click.BadParameter, TypeError) as err:
+            raise InputError(f"{path}: {key}: {err}") from None
 
 
 def _read_config(path):

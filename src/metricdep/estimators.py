@@ -23,7 +23,7 @@ re-pairing pi of the y side (the identity gives the statistic itself):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .kernels import (
     gram_matrix,
     induced_kernel,
     induced_semimetric,
+    parse_anchor,
     resolve_bandwidth,
 )
 
@@ -78,9 +79,19 @@ def resolve_specs(estimator, kernel=None, metric=None, anchor=None):
 
     mcov and dcov run on a semimetric: the given one, else the kernel's
     induced semimetric, else euclid2.  mcov_trace and hsic run on a kernel:
-    the given one, else the semimetric's induced kernel at ``anchor``, else
-    a gaussian with the median-heuristic bandwidth.
+    the given one, else the semimetric's induced kernel at ``anchor`` (a
+    point, or an anchor spec string such as ``"origin"``), else a gaussian
+    with the median-heuristic bandwidth.  An anchor is an error unless that
+    induced kernel is built from it.
     """
+    if anchor is not None:
+        if estimator in ("mcov", "dcov") or kernel is not None or metric is None:
+            raise InputError(
+                "an anchor is used only by the kernel induced from a semimetric: "
+                "mcov-trace or hsic given a metric and no kernel"
+            )
+        if isinstance(anchor, str):
+            anchor = parse_anchor(anchor)
     if estimator in ("mcov", "dcov"):
         if metric is None:
             metric = induced_semimetric(kernel) if kernel is not None else EuclideanSquared()
@@ -294,6 +305,11 @@ def centered_grams(x, y, kernel, kernel_y=None) -> CrossCovEstimate:
 # permutation test
 
 
+def _document(result):
+    """A result's fields as a dict in field order, ``permutations`` named ``B``."""
+    return {("B" if key == "permutations" else key): value for key, value in asdict(result).items()}
+
+
 @dataclass(frozen=True)
 class TestResult:
     statistic: float
@@ -303,15 +319,7 @@ class TestResult:
     estimator: str
     alternative: str
 
-    def to_dict(self):
-        return {
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "B": self.permutations,
-            "seed": self.seed,
-            "estimator": self.estimator,
-            "alternative": self.alternative,
-        }
+    to_dict = _document
 
 
 def _check_seed(seed):

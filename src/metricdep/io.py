@@ -56,7 +56,7 @@ def read_paired_sample(path):
     header = [name.strip() for name in rows[0]]
     x_cols = [i for i, name in enumerate(header) if name.startswith("x")]
     y_cols = [i for i, name in enumerate(header) if name.startswith("y")]
-    if not x_cols or not y_cols or len(x_cols) + len(y_cols) != len(header):
+    if not x_cols or not y_cols or x_cols + y_cols != list(range(len(header))):
         raise InputError(
             f"{path}: header must name columns x_1..x_p then y_1..y_q, got {header}"
         )
@@ -88,21 +88,12 @@ def read_discrete_joint(path) -> DiscreteJoint:
 
 
 def _plain(value):
-    if isinstance(value, np.ndarray):
+    """NumPy arrays and scalars as Python lists and numbers, for ``json``."""
+    if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, dict):
-        return {key: _plain(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(item) for item in value]
-    return value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def render_json(doc) -> str:
     """Deterministic JSON: sorted keys, full-precision floats, newline-terminated."""
-    return json.dumps(_plain(doc), sort_keys=True) + "\n"
+    return json.dumps(doc, sort_keys=True, default=_plain) + "\n"

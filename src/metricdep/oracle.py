@@ -345,8 +345,13 @@ def cancellation_joint() -> DiscreteJoint:
     X and Y are deterministically dependent, yet every cross distance
     ||x - y|| equals sqrt(2), so metric covariance vanishes for the squared
     Euclidean semimetric and for the semimetric induced by any radial kernel,
-    while HSIC with a Gaussian kernel is strictly positive.  Its Mercer
-    single-sum has individually nonzero terms that cancel exactly.
+    while HSIC with a Gaussian kernel is strictly positive.  In a Mercer
+    basis of a Gaussian kernel all the dependence sits in the two-dimensional
+    eigenspace E of a repeated eigenvalue lambda: the block C_E of the basis
+    cross-covariance has trace 0 and Frobenius norm 2, so E adds
+    lambda tr C_E = 0 to the single sum and lambda^2 ||C_E||^2 > 0 to HSIC.
+    How that zero splits into terms depends on the basis the eigensolver
+    picks inside E.
     """
     support_x = np.array([[-1.0, 0.0], [1.0, 0.0]])
     support_y = np.array([[0.0, -1.0], [0.0, 1.0]])

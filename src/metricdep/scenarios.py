@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import ks_2samp
 
-from .estimators import ESTIMATORS, _check_seed, permutation_test, resolve_specs
+from .estimators import _check_seed, _document, permutation_test, resolve_specs
 from .kernels import InputError
 
 MIXTURE_MEANS_X = ((-1.0, 1.0), (1.0, -1.0))
@@ -163,20 +163,7 @@ class PowerReport:
     rejection_rate: float
     monte_carlo_se: float
 
-    def to_dict(self):
-        return {
-            "scenario": self.scenario,
-            "estimator": self.estimator,
-            "kernel_or_metric": self.kernel_or_metric,
-            "n": self.n,
-            "sigma": self.sigma,
-            "alpha": self.alpha,
-            "reps": self.reps,
-            "B": self.permutations,
-            "seed": self.seed,
-            "rejection_rate": self.rejection_rate,
-            "monte_carlo_se": self.monte_carlo_se,
-        }
+    to_dict = _document
 
     CSV_FIELDS = (
         "scenario",
@@ -227,10 +214,6 @@ def power_study(
         raise InputError(f"need reps >= 1, got {reps}")
     if not 0.0 < alpha < 1.0:
         raise InputError(f"alpha must be in (0, 1), got {alpha}")
-    if scenario not in SCENARIOS:
-        raise InputError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
-    if estimator not in ESTIMATORS:
-        raise InputError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
 
     kernel, metric = resolve_specs(estimator, kernel, metric)
     seed = _check_seed(seed)

@@ -101,6 +101,45 @@ class TestCompute:
         assert doc["kernel_or_metric"] == "induced_metric:base=(linear)"
 
 
+class TestAnchor:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["compute", "--estimator", "dcov", "--metric", "euclid2", "--anchor", "(1;2;3)"],
+            ["compute", "--estimator", "hsic", "--kernel", "linear", "--anchor", "(1;2;3)"],
+            ["compute", "--estimator", "mcov", "--anchor", "origin"],
+            ["compute", "--estimator", "hsic", "--anchor", "(1)"],
+            ["test", "--estimator", "mcov-trace", "--kernel", "gaussian", "--anchor", "(1)", "--B", "9"],
+            ["test", "--estimator", "dcov", "--kernel", "linear", "--anchor", "origin", "--B", "9"],
+        ],
+    )
+    def test_unused_anchor_exits_2(self, runner, toy_sample, args):
+        result = runner.invoke(main, [*args, "--input", toy_sample])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: an anchor is used only")
+
+    @pytest.mark.parametrize("command", [["compute"], ["test", "--B", "9"]])
+    @pytest.mark.parametrize("estimator", ["mcov-trace", "hsic"])
+    def test_anchor_of_an_induced_kernel_is_used(self, runner, toy_sample, command, estimator):
+        result = runner.invoke(
+            main,
+            [*command, "--input", toy_sample, "--estimator", estimator,
+             "--metric", "euclid2", "--anchor", "(0.5)"],
+        )
+        assert result.exit_code == 0
+        label = json.loads(result.output)["kernel_or_metric"]
+        assert label == "induced_kernel:base=(euclid2),anchor=(0.5)"
+
+    def test_oracle_unused_anchor_exits_2(self, runner, tmp_path):
+        path = tmp_path / "cancel.json"
+        path.write_text(json.dumps(cancellation_joint().to_dict()))
+        result = runner.invoke(main, ["oracle", "--input", str(path), "--kernel", "linear", "--anchor", "(7;7)"])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: an anchor is used only")
+
+
 class TestTest:
     def test_byte_identical_reruns(self, runner, dependent_sample, tmp_path):
         args = ["test", "--input", dependent_sample, "--estimator", "hsic",
@@ -167,18 +206,29 @@ class TestOracle:
         assert "0.7" in result.output
 
     def test_cancellation_joint_decomposition(self, runner, tmp_path):
+        # the dependence sits in the repeated eigenvalue's two-dimensional
+        # eigenspace E: the single sum's terms over E total 0 in any basis
+        # of E, and the double sum's terms over E x E are all of HSIC
         path = tmp_path / "cancel.json"
         path.write_text(json.dumps(cancellation_joint().to_dict()))
-        result = runner.invoke(
-            main, ["oracle", "--input", str(path), "--kernel", "gaussian:sigma=1", "--decompose"]
-        )
-        assert result.exit_code == 0
-        out = json.loads(result.output)
-        assert abs(out["mcov"]) < 1e-10
-        assert out["hsic"] > 0.1
-        terms = np.array(out["mcov_decomposition"]["terms"])
-        assert terms.min() < -0.05 and terms.max() > 0.05
-        assert abs(terms.sum()) < 1e-10
+        for sigma in ("0.5", "0.8", "1", "1.2", "2"):
+            result = runner.invoke(
+                main, ["oracle", "--input", str(path), "--kernel", f"gaussian:sigma={sigma}", "--decompose"]
+            )
+            assert result.exit_code == 0, sigma
+            out = json.loads(result.output)
+            assert abs(out["mcov"]) < 1e-10, sigma
+            assert out["hsic"] > 0.01, sigma
+            mdec, hdec = out["mcov_decomposition"], out["hsic_decomposition"]
+            assert sorted(mdec) == ["covariances", "eigenvalues", "terms", "total"]
+            assert sorted(hdec) == ["eigenvalues", "terms", "total"]
+            lam = np.array(mdec["eigenvalues"])
+            (e,) = np.nonzero(np.isclose(lam, lam[1], rtol=1e-9, atol=0.0))
+            assert list(e) == [1, 2], sigma
+            assert abs(np.array(mdec["terms"])[e].sum()) < 1e-12, sigma
+            in_e = np.array(hdec["terms"])[np.ix_(e, e)].sum()
+            assert in_e == pytest.approx(out["hsic"], rel=1e-12), sigma
+            assert in_e == pytest.approx(4.0 * lam[1] ** 2, rel=1e-12), sigma
 
     @pytest.mark.parametrize(
         "flags, kernel, metric",
@@ -254,6 +304,47 @@ class TestScenario:
         assert result.exit_code == 0
         doc = json.loads(result.output)
         assert doc["scenario"] == "independent_normal" and doc["B"] == 5
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"estimator": "bogus"}, "estimator: 'bogus' is not one of"),
+            ({"estimator": "mcov_trace"}, "estimator: 'mcov_trace' is not one of"),
+            ({"n": "abc"}, "n: 'abc' is not a valid integer"),
+            ({"kernel": 5}, "unknown kernel family '5'"),
+            ({"study": "bogus"}, "study: 'bogus' is not one of"),
+            ({"colour": "red"}, "unknown key 'colour'"),
+            ({"n": None}, "n: must not be null"),
+            ({"reps": [1, 2]}, "reps: "),
+        ],
+        ids=["estimator", "underscored-estimator", "n", "kernel", "study", "unknown-key", "null", "list"],
+    )
+    def test_bad_config_value_exits_2(self, runner, tmp_path, setting, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "independent_normal", "n": 10, "reps": 1, "B": 1, **setting}))
+        result = runner.invoke(main, ["scenario", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+    def test_config_strings_run_as_flags_do(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "scenario": "coupled_mixture", "estimator": "dcov", "n": "12", "sigma": "0.7",
+            "alpha": "0.2", "reps": "2", "B": "3", "seed": "5",
+        }))
+        from_config = runner.invoke(main, ["scenario", "--config", str(cfg)])
+        from_flags = runner.invoke(
+            main,
+            ["scenario", "--scenario", "coupled_mixture", "--estimator", "dcov", "--n", "12",
+             "--sigma", "0.7", "--alpha", "0.2", "--reps", "2", "--B", "3", "--seed", "5"],
+        )
+        assert from_config.exit_code == from_flags.exit_code == 0
+        assert from_config.output == from_flags.output
+        doc = json.loads(from_config.output)
+        assert (doc["n"], doc["reps"], doc["B"], doc["seed"]) == (12, 2, 3, 5)
 
     def test_toml_config_without_tomllib_exits_2(self, runner, tmp_path, monkeypatch):
         # Python 3.10 has no tomllib; the import then fails with ImportError

@@ -19,6 +19,13 @@ class TestPairedSampleCsv:
         with pytest.raises(InputError, match="header"):
             read_paired_sample(path)
 
+    @pytest.mark.parametrize("header", ["y_1,x_1", "x_1,y_1,x_2"])
+    def test_x_columns_come_before_y_columns(self, tmp_path, header):
+        path = tmp_path / "s.csv"
+        path.write_text(header + "\n" + ",".join(["0"] * len(header.split(","))) + "\n")
+        with pytest.raises(InputError, match="header must name columns x_1..x_p then y_1..y_q"):
+            read_paired_sample(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("")
@@ -86,3 +93,22 @@ class TestRenderJson:
     def test_sorted_keys_and_newline(self):
         text = render_json({"b": 1, "a": np.int64(2)})
         assert text == '{"a": 2, "b": 1}\n'
+
+    def test_numpy_values_render_as_python_values(self):
+        doc = {
+            "f32": np.float32(0.1),
+            "i64": np.int64(-7),
+            "b": np.bool_(True),
+            "arr": np.array([[1.5, 2.0], [0.1 + 0.2, -0.0]]),
+            "tup": (1, np.float64(1 / 3), "x"),
+            "nested": {"z": [np.float32(3.25), {"q": np.bool_(False)}], "a": np.float64(1e-300)},
+        }
+        assert render_json(doc) == (
+            '{"arr": [[1.5, 2.0], [0.30000000000000004, -0.0]], "b": true, '
+            '"f32": 0.10000000149011612, "i64": -7, "nested": {"a": 1e-300, '
+            '"z": [3.25, {"q": false}]}, "tup": [1, 0.3333333333333333, "x"]}\n'
+        )
+
+    def test_other_objects_are_rejected(self):
+        with pytest.raises(TypeError):
+            render_json({"v": object()})

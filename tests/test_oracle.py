@@ -218,14 +218,30 @@ class TestCancellationWitness:
         assert exact_hsic(j, GaussianKernel(1.0)) > 0.1
 
     def test_single_sum_cancels_termwise(self):
+        # All the dependence sits in the two-dimensional eigenspace E of a
+        # repeated eigenvalue lambda, whose basis the eigensolver picks
+        # freely; what does not depend on that choice is that the block C_E
+        # of the basis cross-covariance has trace 0 and Frobenius norm 2, so
+        # the single sum gets lambda tr C_E = 0 from E and HSIC gets
+        # lambda^2 ||C_E||^2 > 0.
         j = cancellation_joint()
-        dm = mercer_mcov_decomposition(j, GaussianKernel(1.0))
-        assert abs(dm.total) < 1e-10
-        assert np.abs(dm.terms).max() > 0.05  # individually nonzero
-        assert dm.terms.min() < -0.05 and dm.terms.max() > 0.05  # mixed signs
-        dh = mercer_hsic_decomposition(j, GaussianKernel(1.0))
-        assert dh.total > 0.1
-        assert dh.terms.min() >= 0.0
+        for sigma in (0.5, 0.8, 1.0, 1.2, 2.0):
+            dm = mercer_mcov_decomposition(j, GaussianKernel(sigma))
+            dh = mercer_hsic_decomposition(j, GaussianKernel(sigma))
+            lam = dm.eigenvalues
+            e = np.nonzero(np.isclose(lam, lam[1], rtol=1e-9, atol=0.0))[0]
+            assert list(e) == [1, 2], sigma
+            c = dh.covariances
+            c_e = c[np.ix_(e, e)]
+            outside = c.copy()
+            outside[np.ix_(e, e)] = 0.0
+            assert np.abs(outside).max() < 1e-12, sigma
+            assert abs(np.trace(c_e)) < 1e-12, sigma
+            assert np.linalg.norm(c_e) == pytest.approx(2.0, rel=1e-12), sigma
+            assert abs(dm.terms[e].sum()) < 1e-12, sigma
+            assert abs(dm.total) < 1e-12, sigma
+            assert dh.total == pytest.approx(lam[1] ** 2 * 4.0, rel=1e-12), sigma
+            assert dh.terms.min() >= 0.0, sigma
 
 
 class TestEstimatorConsistency:
