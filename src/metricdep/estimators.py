@@ -329,25 +329,71 @@ def _check_seed(seed):
     return seed
 
 
-def _permutation_batches(seed, n, B, batch):
-    """Permutations 1..B of master ``seed`` in (<= batch, n) blocks.
+def _permutation_batches(seed, n, B, batch, first=None):
+    """Permutations 1..B of master ``seed`` in blocks of ``batch`` rows.
 
     Permutation b is ``Generator(Philox(key=[seed, b])).permutation(n)``, a
-    counter-based substream, so the result does not depend on the batching.
-    One bit generator serves all of them: before each draw its key is set
-    to [seed, b] with the counter at zero and the buffer empty.
+    counter-based substream.  One bit generator serves all of them: before
+    each draw its key is set to [seed, b] with the counter at zero and the
+    buffer empty.
+
+    With ``first``, the blocks come in pieces of ``first`` rows, then twice
+    that, and so on; a piece takes the rest of its block once that rest is
+    less than twice the piece size, so no piece is smaller than ``first``
+    unless its block is.  The pieces never straddle a block, and all but a
+    block's last hold a multiple of ``first`` rows, so a BLAS product that
+    takes rows in small groups groups them as over the whole block.
     """
     bitgen = np.random.Philox(key=[seed, 0])
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state
     key = fresh["state"]["key"]
-    for start in range(1, B + 1, batch):
-        block = np.empty((min(batch, B + 1 - start), n), dtype=np.intp)
-        for row, b in enumerate(range(start, start + block.shape[0])):
-            key[1] = b
+    size, start = first or batch, 1
+    while start <= B:
+        edge = min(start + batch - (start - 1) % batch, B + 1)
+        stop = edge if edge - start < 2 * size else start + size
+        block = np.empty((stop - start, n), dtype=np.intp)
+        for row in range(block.shape[0]):
+            key[1] = start + row
             bitgen.state = fresh
             block[row] = gen.permutation(n)
         yield block
+        start, size = stop, 2 * size
+
+
+def _exceedances(x, y, estimator, *, B, seed, alternative=None, alpha=None, **specs):
+    """The observed statistic and how many of the B permuted ones reach it.
+
+    Checks B, the seed and the alternative, and returns them with the
+    statistic and the count as ``(observed, count, B, seed, alternative)``.
+    Without ``alpha`` every permutation runs, in blocks of ``_BATCH_BYTES``.
+    With it, the blocks come in pieces of 16, 32, ... permutations, and the
+    loop stops after the first piece whose count already gives
+    (1 + count) / (B + 1) > alpha, the negation of ``p_value <= alpha``:
+    the count only grows, so the full count makes the same decision.
+    """
+    B = int(B)
+    if B < 1:
+        raise InputError(f"number of permutations must be >= 1, got {B}")
+    seed = _check_seed(seed)
+    if alternative is None:
+        alternative = "two_sided" if estimator in ("mcov", "mcov_trace") else "greater"
+    if alternative not in ("two_sided", "greater"):
+        raise InputError(f"unknown alternative {alternative!r}")
+
+    prepared = _prepare(estimator, x, y, permutations=B, **specs)
+    observed = prepared.observed
+    batch = max(1, _BATCH_BYTES // prepared.perm_bytes)
+    count = 0
+    for perms in _permutation_batches(seed, prepared.n, B, batch, None if alpha is None else 16):
+        t = prepared.permuted(perms)
+        if alternative == "two_sided":
+            count += int(np.count_nonzero(np.abs(t) >= abs(observed)))
+        else:
+            count += int(np.count_nonzero(t >= observed))
+        if alpha is not None and (1.0 + count) / (B + 1.0) > alpha:
+            break
+    return observed, count, B, seed, alternative
 
 
 def permutation_test(
@@ -377,36 +423,12 @@ def permutation_test(
     are computed once (unresolved bandwidths frozen via the median heuristic
     before testing) and permuted by index, and permutation b draws from a
     counter-based substream of ``seed``, so the result is deterministic for
-    fixed inputs no matter the execution order.
+    fixed inputs no matter the execution order.  All B permutations run.
     """
-    B = int(B)
-    if B < 1:
-        raise InputError(f"number of permutations must be >= 1, got {B}")
-    seed = _check_seed(seed)
-    if alternative is None:
-        alternative = "two_sided" if estimator in ("mcov", "mcov_trace") else "greater"
-    if alternative not in ("two_sided", "greater"):
-        raise InputError(f"unknown alternative {alternative!r}")
-
-    prepared = _prepare(
-        estimator,
-        x,
-        y,
-        metric=metric,
-        kernel=kernel,
-        metric_y=metric_y,
-        kernel_y=kernel_y,
-        permutations=B,
+    observed, count, B, seed, alternative = _exceedances(
+        x, y, estimator, metric=metric, kernel=kernel, metric_y=metric_y, kernel_y=kernel_y,
+        B=B, seed=seed, alternative=alternative,
     )
-    observed = prepared.observed
-    batch = max(1, _BATCH_BYTES // prepared.perm_bytes)
-    count = 0
-    for perms in _permutation_batches(seed, prepared.n, B, batch):
-        t = prepared.permuted(perms)
-        if alternative == "two_sided":
-            count += int(np.count_nonzero(np.abs(t) >= abs(observed)))
-        else:
-            count += int(np.count_nonzero(t >= observed))
     return TestResult(
         statistic=observed,
         p_value=(1.0 + count) / (B + 1.0),

@@ -424,8 +424,10 @@ def validate_negative_type(d_matrix, tol: float = 1e-8) -> NegativeTypeResult:
 
     ``valid`` holds iff the smallest eigenvalue of -0.5 J D J is at least
     ``-tol`` times the largest absolute eigenvalue; the smallest eigenvalue
-    is reported either way.
+    is reported either way.  ``tol`` must be in [0, inf).
     """
+    if not 0.0 <= tol < np.inf:
+        raise InputError(f"tolerance must be in [0, inf), got {tol}")
     d = np.asarray(d_matrix, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise InputError(f"distance matrix must be square, got shape {d.shape}")

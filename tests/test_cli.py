@@ -408,6 +408,16 @@ class TestValidate:
         result = runner.invoke(main, ["validate", "--input", str(path)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_tolerance_outside_zero_to_infinity_exits_2(self, runner, tmp_path, tol):
+        path = tmp_path / "good.csv"
+        path.write_text("0,1,4\n1,0,1\n4,1,0\n")
+        result = runner.invoke(main, ["validate", "--input", str(path), "--tol", tol])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "tolerance" in lines[0]
+
 
 class TestEntryPoint:
     def test_python_dash_m_invocation(self, toy_sample):

@@ -262,6 +262,11 @@ class TestValidateNegativeType:
         with pytest.raises(InputError):
             validate_negative_type([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]])
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_tolerance_outside_zero_to_infinity_is_an_input_error(self, tol):
+        with pytest.raises(InputError, match="tolerance"):
+            validate_negative_type([[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]], tol=tol)
+
     @pytest.mark.parametrize("entry", [validate_negative_type, ExplicitSemimetric])
     def test_empty_matrix_is_an_input_error(self, entry):
         with pytest.raises(InputError, match="^distance matrix is empty$"):

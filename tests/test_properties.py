@@ -2,7 +2,8 @@
 joint relabelling of the pairs and under a common translation of the data;
 the exact oracle matches the expectation definitions written out as sums
 over the support, its Mercer sums total the exact measures, and on an
-empirical law it matches the estimators on both routes."""
+empirical law it matches the estimators on both routes; a permutation loop
+stopped once p <= alpha cannot hold makes the full loop's decision."""
 
 from unittest import mock
 
@@ -32,6 +33,7 @@ from metricdep import (  # noqa: E402
     mcov_trace,
     mercer_hsic_decomposition,
     mercer_mcov_decomposition,
+    permutation_test,
     semimetric_eval,
 )
 
@@ -183,3 +185,43 @@ def test_empirical_joint_matches_the_estimator_on_both_routes(seed, m, m2, p, n,
     assert not isinstance(nxn, estimators._CrossCov)
     assert _close(feature.observed, target), estimator
     assert _close(nxn.observed, target), estimator
+
+
+# ---------------------------------------------------------------------------
+# the curtailed permutation loop
+
+# the four statistics on each prepared route: paired trace or cross-covariance
+# trace (mcov, by B), n x n gather (hsic gaussian), cross-covariance norm (dcov)
+TESTED = [
+    ("mcov", {"metric": EuclideanSquared()}),
+    ("mcov_trace", {"kernel": GaussianKernel()}),
+    ("hsic", {"kernel": GaussianKernel()}),
+    ("dcov", {"metric": EuclideanSquared()}),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(10, 40),
+    dep=st.floats(0.0, 1.0),
+    B=st.integers(1, 300),
+    alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    which=st.sampled_from(range(len(TESTED))),
+    alternative=st.sampled_from(["two_sided", "greater"]),
+)
+def test_curtailed_count_makes_the_full_count_decision(seed, n, dep, B, alpha, which, alternative):
+    estimator, spec = TESTED[which]
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 2))
+    y = dep * x + rng.standard_normal((n, 2))
+    kw = dict(B=B, seed=seed, alternative=alternative, **spec)
+    _, full, *_ = estimators._exceedances(x, y, estimator, **kw)
+    _, cut, *_ = estimators._exceedances(x, y, estimator, alpha=alpha, **kw)
+
+    reject = (1.0 + full) / (B + 1.0) <= alpha
+    assert ((1.0 + cut) / (B + 1.0) <= alpha) == reject
+    assert cut <= full
+    if reject:
+        assert cut == full
+    assert permutation_test(x, y, estimator, **kw).p_value == (1.0 + full) / (B + 1.0)

@@ -6,6 +6,8 @@ from metricdep import (
     GaussianKernel,
     InputError,
     LinearKernel,
+    PowerReport,
+    estimators,
     gen_coupled_mixture,
     gen_independent_normal,
     gen_orthogonal_linear,
@@ -13,9 +15,12 @@ from metricdep import (
     mcov_plugin,
     mcov_trace,
     norm_distribution_check,
+    permutation_test,
     power_study,
 )
+from metricdep.estimators import resolve_specs
 from metricdep.kernels import induced_semimetric
+from metricdep.scenarios import generate
 
 
 class TestOrthogonalLinear:
@@ -186,6 +191,68 @@ class TestPowerStudy:
             power_study("coupled_mixture", "hsic", 20, reps=0, B=1, seed=0)
         with pytest.raises(InputError):
             power_study("coupled_mixture", "hsic", 20, reps=1, B=1, seed=0, alpha=1.5)
+
+    @pytest.mark.parametrize(
+        "scenario, estimator, n, seed, spec",
+        [
+            ("coupled_mixture", "mcov", 200, 11, dict(kernel=GaussianKernel())),
+            ("coupled_mixture", "hsic", 200, 11, dict(kernel=GaussianKernel())),
+            ("orthogonal_linear", "hsic", 200, 12, dict(kernel=GaussianKernel())),
+            ("independent_normal", "mcov", 100, 13, dict(metric=EuclideanSquared())),
+            ("independent_normal", "mcov_trace", 100, 13, dict(kernel=GaussianKernel())),
+            ("independent_normal", "hsic", 100, 13, dict(kernel=GaussianKernel())),
+            ("independent_normal", "dcov", 100, 13, dict(metric=EuclideanSquared())),
+            ("orthogonal_linear", "mcov", 50, 14, dict(metric=EuclideanSquared())),
+        ],
+    )
+    @pytest.mark.parametrize("alpha", [0.05, 0.3])
+    def test_equals_a_loop_over_full_permutation_tests(self, scenario, estimator, n, seed, spec, alpha):
+        # the shapes of acceptance criteria 4, 5 and 7, and a study whose
+        # every re-pairing ties (p = 1), against every permutation run
+        reps, B = 8, 199
+        kernel, metric = resolve_specs(estimator, spec.get("kernel"), spec.get("metric"))
+        rejections = 0
+        for rep in range(reps):
+            rng = np.random.Generator(np.random.Philox(key=[seed, rep]))
+            x, y = generate(scenario, n, rng, 0.5)
+            result = permutation_test(
+                x, y, estimator, metric=metric, kernel=kernel, B=B, seed=int(rng.integers(2**63))
+            )
+            rejections += result.p_value <= alpha
+        rate = rejections / reps
+        reference = PowerReport(
+            scenario=scenario,
+            estimator=estimator,
+            kernel_or_metric=(metric if kernel is None else kernel).spec,
+            n=n,
+            sigma=0.5,
+            alpha=alpha,
+            reps=reps,
+            permutations=B,
+            seed=seed,
+            rejection_rate=rate,
+            monte_carlo_se=float(np.sqrt(rate * (1.0 - rate) / reps)),
+        )
+        report = power_study(scenario, estimator, n, alpha=alpha, reps=reps, B=B, seed=seed, **spec)
+        assert report.to_dict() == reference.to_dict()
+
+    def test_replication_stops_once_it_cannot_reject(self, monkeypatch):
+        # mcov of orthogonal_linear data under euclid2 is exactly 0 for every
+        # re-pairing, so the first 16 permutations already give p > alpha
+        batches, drawn = estimators._permutation_batches, []
+
+        def recording(*args):
+            for block in batches(*args):
+                drawn.append(len(block))
+                yield block
+
+        monkeypatch.setattr(estimators, "_permutation_batches", recording)
+        report = power_study("orthogonal_linear", "mcov", 50, reps=3, B=199, seed=0, metric=EuclideanSquared())
+        assert report.rejection_rate == 0.0 and drawn == [16, 16, 16]
+        x, y = gen_orthogonal_linear(50, seed=0)
+        del drawn[:]
+        assert permutation_test(x, y, "mcov", metric=EuclideanSquared(), B=199).p_value == 1.0
+        assert sum(drawn) == 199
 
     def test_large_noise_drowns_the_signal(self):
         # sanity sweep: at sigma far above the mean separation the mixture is
