@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import InputError, as_points, distance_matrix, gram_matrix
+from .scenarios import _rng
 
 _EIG_CUTOFF = 1e-12  # relative to the largest eigenvalue
 
@@ -99,8 +100,12 @@ class DiscreteJoint:
         return self.probs.sum(axis=0)
 
     def sample(self, n, seed):
-        """Draw n i.i.d. pairs; returns (x, y) arrays of shape (n, p), (n, q)."""
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        """Draw n i.i.d. pairs; returns (x, y) arrays of shape (n, p), (n, q).
+
+        ``seed`` is a Generator, or an integer seed of the Philox stream
+        ``Generator(Philox(key=seed))`` that the scenarios draw from.
+        """
+        rng = _rng(seed)
         flat = self.probs.reshape(-1)
         idx = rng.choice(flat.size, size=n, p=flat / flat.sum())
         a, b = np.unravel_index(idx, self.probs.shape)

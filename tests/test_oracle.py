@@ -77,6 +77,15 @@ class TestDiscreteJoint:
         np.testing.assert_array_equal(x, y)  # identity coupling
         assert abs(x.mean() - 0.5) < 0.05
 
+    def test_integer_seed_draws_from_the_philox_stream(self):
+        j = product_joint([[0.0], [1.0], [2.0]], [0.2, 0.3, 0.5], [[0.0], [5.0]], [0.4, 0.6])
+        for seed in (0, 17, 2**63 - 1):
+            x, y = j.sample(50, seed=seed)
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            np.testing.assert_array_equal((x, y), j.sample(50, seed=rng))
+        with pytest.raises(InputError, match="seed"):
+            j.sample(5, seed=-1)
+
 
 class TestExactMeasures:
     def test_product_distribution_gives_zero(self):

@@ -278,6 +278,35 @@ class TestBatching:
         assert _rel(small.statistic, reference.statistic) <= 1e-12
 
 
+class TestMemoryBudget:
+    @pytest.fixture
+    def no_matrix(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("an n x n matrix was built")
+
+        for name in ("gram_matrix", "distance_matrix"):
+            monkeypatch.setattr(estimators, name, fail)
+        monkeypatch.setattr(GaussianKernel, "pairwise", fail)
+
+    @pytest.mark.usefixtures("no_matrix")
+    def test_nxn_route_beyond_physical_memory_is_refused_before_allocating(self):
+        n = 200_000
+        x, y = np.zeros(n), np.arange(n) % 7.0
+        for call in (
+            lambda: permutation_test(x, y, "hsic", kernel=GaussianKernel(1.0), B=9, seed=1),
+            lambda: hsic_vstat(x, y, GaussianKernel()),
+            lambda: mcov_trace(x, y, GaussianKernel(1.0)),
+            lambda: dcov_vstat(x, y, parse_semimetric("induced_metric:base=(gaussian:sigma=1)")),
+        ):
+            with pytest.raises(InputError, match=r"n = 200000 needs about .* GiB.*feature map \(linear, euclid2\)"):
+                call()
+
+    def test_feature_route_takes_the_same_sample(self):
+        n = 200_000
+        x, y = np.zeros(n), np.arange(n) % 7.0
+        assert permutation_test(x, y, "dcov", metric=E2, B=9, seed=1).p_value == 1.0
+
+
 class TestPermutationStreams:
     def test_permutation_b_is_the_philox_substream_seed_b(self):
         for seed, n, batch in ((0, 2, 1), (17, 5, 3), (2**63 - 1, 100, 7), (123456789, 1000, 64)):
@@ -297,6 +326,15 @@ class TestResultTypesAndTies:
         result = permutation_test(x, y, estimator, B=19, seed=1, **kw)
         assert type(result.p_value) is float
         assert type(result.statistic) is float
+
+    @pytest.mark.parametrize("estimator,kw", CASES)
+    def test_identity_stacked_in_a_block_ties_exactly(self, estimator, kw):
+        # each row of a block goes through the observed statistic's
+        # arithmetic, wherever it sits in the block
+        for seed in range(20):
+            x, y = _sample(seed, 30, 2)
+            prepared = estimators._prepare(estimator, x, y, **kw)
+            assert np.all(prepared.permuted(np.tile(np.arange(30), (8, 1))) == prepared.observed)
 
     @pytest.mark.parametrize("n", [50, 20])
     def test_orthogonal_linear_mcov_ties_exactly(self, n):
