@@ -18,34 +18,41 @@ re-pairing pi of the y side (the identity gives the statistic itself):
 * n x n route otherwise: the paired trace of the cross matrix (Xc Yc' when
   there are features) for mcov and mcov_trace, and the centred inner
   product <HAH, B_pipi> / n^2 of the two sides' matrices for hsic (Gram
-  matrices) and dcov (distance matrices).  A permutation test of hsic or
-  dcov on this route, from n = 200 and on vector data, screens its
+  matrices) and dcov (distance matrices), HAH centred by A's row means.
+  From n = 200 on, on vector data, a side without a feature map is
+  evaluated from the points in row blocks and holds no n x n array; it
+  is stored, with the same bits, only when a re-pairing needs the exact
+  gather.  A permutation test of hsic or dcov there screens its
   re-pairings through pivoted-Cholesky factors of both centred sides and
   recomputes on the n x n route every value the screen cannot certify to
   fall on one side of the observed statistic, so its counts and p-values
   are the n x n route's; it keeps the n x n route where a factor's rank
-  passes sqrt(8 n).  Before building n x n matrices the route checks that
-  they fit in physical memory.
+  passes sqrt(32 n).  Before any n x n-route statistic, evaluated or
+  stored, the route checks that two n x n matrices fit in physical memory.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass
+from functools import cached_property, partial
 from math import isqrt
 
 import numpy as np
 
 from .kernels import (
+    _BLOCK_BYTES,
     EuclideanSquared,
     ExplicitSemimetric,
     GaussianKernel,
     InputError,
+    cross_matrix,
     distance_matrix,
     feature_map,
     gram_matrix,
     induced_kernel,
     induced_semimetric,
+    matrix_rows,
     parse_anchor,
     resolve_bandwidth,
 )
@@ -55,14 +62,14 @@ ESTIMATORS = ("mcov", "mcov_trace", "hsic", "dcov")
 _MAX_SEED = 2**63
 
 # Bytes of permutation indices and gathered data held per batch of
-# permutations, and bytes of one row block of the n x n gather.
+# permutations.  The n x n route reads its matrices in row blocks of
+# about _BLOCK_BYTES.
 _BATCH_BYTES = 1 << 22
-_BLOCK_BYTES = 1 << 20
 
 # At most this many n x n float64 arrays are alive at once on an n x n
-# route: both matrices and the temporaries of a kernel evaluation or of
-# the centring.
-_NXN_ARRAYS = 4
+# route: both stored matrices.  They are built, centred and gathered in
+# row blocks, so no temporary is n x n.
+_NXN_ARRAYS = 2
 
 # The low-rank screen of hsic and dcov permutations starts at this n.  On a
 # 2-core host (gaussian, median bandwidth, d = 2, B = 199, rank cap lifted,
@@ -70,6 +77,25 @@ _NXN_ARRAYS = 4
 # 0.009 s for the n x n gather at n = 100, and 0.021-0.031 s against
 # 0.029-0.034 s at n = 200.
 _SCREEN_MIN_N = 200
+
+# The screen declines once a factor's rank passes sqrt(_SCREEN_RANKS * n),
+# so that r_x r_y <= _SCREEN_RANKS n.  A re-pairing costs the screen about
+# n r_x r_y multiply-adds and the gather about n^2 scattered reads.  Whole
+# hsic tests (gaussian, median bandwidth, B = 199, cap lifted; seconds on a
+# 2-core host):
+#
+#      n  d  ranks    r_x r_y / n  screened  gathered
+#    200  2  70, 71       25         0.025     0.030
+#    400  2  81, 83       17         0.045     0.119
+#    800  2  92, 93       11         0.110     0.486
+#   2000  2  103, 105      5         0.48      3.97
+#    400  3  205, 238    122         0.273     0.175
+#   1000  3  287, 322     92         0.98      0.95
+#   2000  3  353, 396     70         2.39      3.72
+#
+# The even point grows from about 25 n at n = 200 to about 90 n at
+# n = 1000.  Declining at the cap cost 0.05 s at n = 2000, d = 5.
+_SCREEN_RANKS = 32
 
 
 def double_center(a: np.ndarray) -> np.ndarray:
@@ -197,26 +223,113 @@ class _PairedTrace(_Prepared):
         return self._scale * (paired - self._grand)
 
 
+def _blocks(n):
+    """Row ranges (i, j) of the blocks of about ``_BLOCK_BYTES`` of an n x n matrix."""
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    return [(i, min(i + rows, n)) for i in range(0, n, rows)]
+
+
+class _Side:
+    """One side's n x n matrix M, a Gram matrix or, with ``distance``, a
+    distance matrix, read in row blocks.
+
+    ``rows(i, j)`` evaluates M[i:j] from the points by ``matrix_rows`` until
+    ``store`` has built M by ``gram_matrix`` or ``distance_matrix``, and
+    from then on reads the stored rows.  A side without a feature map
+    computes each entry from its two points alone, so both give the same
+    bits.  M is symmetric, so with its row means mu a ``centred`` side's
+    rows are those of HMH = M - mu 1' - 1 mu' + mean(mu), stored centred in
+    place.
+    """
+
+    def __init__(self, obj, pts, distance, centred=False, stored=False):
+        self.n = len(pts)
+        self._evaluate = partial(matrix_rows, obj, pts, distance=distance)
+        self._build = partial(distance_matrix if distance else gram_matrix, obj, pts)
+        self._matrix, self._centred = None, False
+        if stored:
+            self.store()
+        if centred:
+            self.moments  # of M, before the rows are centred
+            self._centred = True
+            if stored:
+                self._centre(self._matrix)
+
+    @cached_property
+    def moments(self):
+        """mu, mean(mu) and the diagonal of HMH, from one pass over M."""
+        mu, diag = np.empty(self.n), np.empty(self.n)
+        for i, j in _blocks(self.n):
+            rows = self.rows(i, j)
+            mu[i:j] = rows.mean(axis=1)
+            diag[i:j] = np.diagonal(rows, i)
+        m = mu.mean()
+        return mu, m, diag - 2.0 * mu + m
+
+    def _centre(self, rows, i=0, j=None):
+        mu, m, _ = self.moments
+        rows -= mu[i:j, None]
+        rows -= mu
+        rows += m
+        return rows
+
+    def rows(self, i, j):
+        if self._matrix is not None:
+            return self._matrix[i:j]
+        rows = self._evaluate(i, j)
+        return self._centre(rows, i, j) if self._centred else rows
+
+    def centred_row(self, j):
+        """Row j of HMH."""
+        if self._centred:
+            return self.rows(j, j + 1)[0]
+        mu, m, _ = self.moments
+        return self.rows(j, j + 1)[0] - mu[j] - mu + m
+
+    def store(self):
+        """M, or HMH on a centred side, built on the first call."""
+        if self._matrix is None:
+            self._matrix = self._build()
+            if self._centred:
+                self._centre(self._matrix)
+        return self._matrix
+
+
 class _CenteredInner(_Prepared):
     """<HAH, B_pipi> / n^2, which equals <HAH, HBH> / n^2 because H is a
-    projection; only the fixed side is centred.  The gather runs in row
-    blocks of about ``_BLOCK_BYTES``."""
+    projection; only the fixed side A is centred.
 
-    def __init__(self, a_centered, b):
-        self.n = b.shape[0]
-        self.perm_bytes = 8 * self.n
-        self._a = a_centered
-        self._b = b
+    One pass over row blocks of both sides gives the observed statistic,
+    ||HAH||_F, ||B||_F and HAH's row sums.  ``permuted`` stores both
+    matrices on its first call and gathers B_pipi in row blocks; the
+    observed statistic is what it gives for the identity.
+    """
+
+    def __init__(self, a, b):
+        n = self.n = a.n
+        self.perm_bytes = 8 * n
+        self._a, self._b = a, b
+        self.row_sums = np.empty(n)
+        total = square_a = square_b = 0.0
+        for i, j in _blocks(n):
+            rows_a, rows_b = a.rows(i, j), b.rows(i, j)
+            total += np.vdot(rows_a, rows_b)
+            square_a += np.vdot(rows_a, rows_a)
+            square_b += np.vdot(rows_b, rows_b)
+            self.row_sums[i:j] = rows_a.sum(axis=1)
+        self._observed = float(total / n**2)
+        self.norm_a, self.norm_b = np.sqrt(square_a), np.sqrt(square_b)
+
+    @property
+    def observed(self):
+        return self._observed
 
     def permuted(self, perms):
-        a, b, n = self._a, self._b, self.n
-        rows = max(1, _BLOCK_BYTES // (8 * n))
+        a, b, n = self._a.store(), self._b.store(), self.n
+        blocks = _blocks(n)
         out = np.empty(len(perms))
         for k, p in enumerate(perms):
-            out[k] = sum(
-                np.vdot(a[i : i + rows], b.take(p[i : i + rows], 0).take(p, 1))
-                for i in range(0, n, rows)
-            )
+            out[k] = sum(np.vdot(a[i:j], b.take(p[i:j], 0).take(p, 1)) for i, j in blocks)
         return out / n**2
 
 
@@ -225,16 +338,21 @@ def _pivoted_cholesky(row, diag, cap):
 
     ``row(j)`` returns row j of M and ``diag`` its diagonal.  Stops once
     tr E <= 1e-10 tr M and returns F' (r x n) with a bound on tr E, or None
-    when r would pass ``cap``.
+    when r would pass ``cap``.  F' grows by doubling, so it holds at most
+    about 2 r rows.
     """
     d = np.array(diag, dtype=float)
     tol = 1e-10 * d.sum()
-    ft = np.empty((cap, d.size))
+    ft = np.empty((min(cap, 16), d.size))
     for k in range(cap + 1):
         if d.sum() <= tol:
             return ft[:k], float(np.abs(d).sum())
         if k == cap:
             return None
+        if k == len(ft):
+            grown = np.empty((min(cap, 2 * k), d.size))
+            grown[:k] = ft
+            ft = grown
         j = int(np.argmax(d))
         ft[k] = (row(j) - ft[:k, j] @ ft[:k]) / np.sqrt(d[j])
         d -= ft[k] ** 2
@@ -257,7 +375,7 @@ class _Screened(_Prepared):
     The observed statistic is ``inner``'s.
     """
 
-    def __init__(self, inner, c, x_factor, y_factor, mu):
+    def __init__(self, inner, c, x_factor, y_factor):
         (ft, ex), (gt, ey) = x_factor, y_factor
         n = self.n = inner.n
         self._inner = inner
@@ -274,12 +392,12 @@ class _Screened(_Prepared):
         lam_f = np.linalg.eigvalsh(ff)[-1] if rx else 0.0
         lam_g = np.linalg.eigvalsh(gg)[-1] if ry else 0.0
         bound = s * (ex * (lam_g + ey) + ey * lam_f)
-        a, b = inner._a, inner._b
-        norm_a, norm_b = np.linalg.norm(a), np.linalg.norm(b)
         # the exact route pairs HAH with B, not HBH: the two differ by
         # terms in the row sums of HAH, which are zero up to roundoff
-        centring = 3.0 * np.abs(a.sum(axis=1)).sum() * np.abs(mu).max()
-        roundoff = eps * (n * n * norm_a * norm_b + s * (2 * n + rx * ry) * np.trace(ff) * np.trace(gg))
+        centring = 3.0 * np.abs(inner.row_sums).sum() * np.abs(inner._b.moments[0]).max()
+        roundoff = eps * (
+            n * n * inner.norm_a * inner.norm_b + s * (2 * n + rx * ry) * np.trace(ff) * np.trace(gg)
+        )
         self.margin = 2.0 * (bound + centring + roundoff) / n**2
 
     @property
@@ -299,25 +417,15 @@ class _Screened(_Prepared):
 
 def _screened(inner, c):
     """``inner`` screened through factors of both centred sides scaled by
-    ``c``, or ``inner`` itself when either side's rank passes sqrt(8 n)."""
-    a, b, n = inner._a, inner._b, inner.n
-    # A re-pairing costs the screen about n r_x r_y multiply-adds and the
-    # gather n^2 scattered reads.  At n = 2000 (ranks 105 and 109) they took
-    # 1.0-1.8 ms against 23-31 ms on a 2-core host, an even point near
-    # r_x r_y = 90 n; the cap keeps r_x r_y <= 8 n, well inside it.
-    cap = isqrt(8 * n)
-    x_factor = _pivoted_cholesky(lambda j: c * a[j], c * np.diagonal(a), cap)
-    if x_factor is None:
-        return inner
-    # row j of HBH, centred on the fly: B is symmetric, mu its row means
-    mu = b.mean(axis=1)
-    m = mu.mean()
-    y_factor = _pivoted_cholesky(
-        lambda j: c * (b[j] - mu - (mu[j] - m)), c * (np.diagonal(b) - 2.0 * mu + m), cap
-    )
-    if y_factor is None:
-        return inner
-    return _Screened(inner, c, x_factor, y_factor, mu)
+    ``c``, or ``inner`` itself when either side's rank passes the cap."""
+    cap = isqrt(_SCREEN_RANKS * inner.n)
+    factors = []
+    for side in (inner._a, inner._b):
+        factor = _pivoted_cholesky(lambda j: c * side.centred_row(j), c * side.moments[2], cap)
+        if factor is None:
+            return inner
+        factors.append(factor)
+    return _Screened(inner, c, *factors)
 
 
 def _on_explicit(obj):
@@ -376,13 +484,20 @@ def _prepare(
     n = len(x)
     _check_nxn_memory(n)
     if trace:
-        return _PairedTrace(obj.pairwise(x, y), -0.5 if on_metric else 1.0)
-    matrix = distance_matrix if on_metric else gram_matrix
-    inner = _CenteredInner(double_center(matrix(obj, x)), matrix(obj_y, y))
-    # an explicit matrix is of negative type only up to the validation
-    # tolerance, so its centred Gram need not be PSD, as the screen's bound
-    # requires
-    if permutations and n >= _SCREEN_MIN_N and not (_on_explicit(obj) or _on_explicit(obj_y)):
+        return _PairedTrace(cross_matrix(obj, x, y), -0.5 if on_metric else 1.0)
+    # From _SCREEN_MIN_N on, vector data are evaluated in row blocks and
+    # stored only if a permutation needs the exact gather.  A side with a
+    # feature map (on this route only for wide data) is stored, as are
+    # explicit matrices and small n: the linear kernel's matrix product
+    # rounds by the block's shape.  An explicit matrix is of negative type
+    # only up to the validation tolerance, so its centred Gram need not be
+    # PSD, as the screen's bound requires.
+    vectors = n >= _SCREEN_MIN_N and not (_on_explicit(obj) or _on_explicit(obj_y))
+    inner = _CenteredInner(
+        _Side(obj, x, on_metric, centred=True, stored=not vectors or phi is not None),
+        _Side(obj_y, y, on_metric, stored=not vectors or phi_y is not None),
+    )
+    if permutations and vectors:
         return _screened(inner, -0.5 if on_metric else 1.0)
     return inner
 
@@ -570,9 +685,10 @@ def permutation_test(
     statistic unchanged ties exactly (mcov of ``orthogonal_linear`` data
     under euclid2 is exactly 0 for every re-pairing, so p = 1).  Signed
     statistics (mcov, mcov_trace) default to ``two_sided``; nonnegative ones
-    (hsic, dcov) to ``greater``.  Kernel and distance matrices or features
-    are computed once (unresolved bandwidths frozen via the median heuristic
-    before testing) and permuted by index, and permutation b draws from a
+    (hsic, dcov) to ``greater``.  Unresolved bandwidths are frozen via the
+    median heuristic before testing; features, or kernel and distance
+    matrices (stored once, or evaluated in row blocks with the stored bits),
+    are permuted by index, and permutation b draws from a
     counter-based substream of ``seed``, so the result is deterministic for
     fixed inputs no matter the execution order.  All B permutations run.
     A screened hsic or dcov test (see the module docstring) makes every

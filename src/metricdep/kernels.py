@@ -22,6 +22,9 @@ from scipy.spatial.distance import cdist, pdist
 
 _MATERN_NUS = (0.5, 1.5, 2.5)
 
+# Bytes of one row block of an n x n matrix built or read block by block.
+_BLOCK_BYTES = 1 << 20
+
 
 class InputError(ValueError):
     """User-supplied data or parameters are malformed."""
@@ -36,7 +39,7 @@ def as_points(pts) -> np.ndarray:
         raise InputError(f"expected points as an (n, p) array, got shape {a.shape}")
     if a.shape[0] == 0:
         raise InputError("empty point set")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InputError("point coordinates must be finite")
     return a
 
@@ -120,8 +123,9 @@ class GaussianKernel(_OnVectors):
     def pairwise(self, xs, ys):
         self._check_resolved()
         xs, ys = self._pair(xs, ys)
-        sq = cdist(xs, ys, "sqeuclidean")
-        return np.exp(sq / (-2.0 * self.sigma**2))
+        k = cdist(xs, ys, "sqeuclidean")
+        np.divide(k, -2.0 * self.sigma**2, out=k)
+        return np.exp(k, out=k)
 
     def self_diag(self, xs):
         self._check_resolved()
@@ -194,6 +198,9 @@ class DistanceInducedKernel:
 
     def one(self, x):
         return self.base.one(x)
+
+    def coerce(self, pts):
+        return self.base.coerce(pts)
 
     def pairwise(self, xs, ys):
         xs, ys = self.base.coerce(xs), self.base.coerce(ys)
@@ -393,6 +400,46 @@ def feature_map(obj):
     return None
 
 
+def cross_matrix(obj, xs, ys) -> np.ndarray:
+    """``obj.pairwise(xs, ys)`` filled into one array in row blocks of about
+    ``_BLOCK_BYTES``, so that the temporaries of an evaluation are the size
+    of a block rather than of the matrix."""
+    same = xs is ys
+    xs = obj.coerce(xs)
+    ys = xs if same else obj.coerce(ys)
+    out = np.empty((len(xs), len(ys)))
+    rows = max(1, _BLOCK_BYTES // (8 * len(ys)))
+    for i in range(0, len(xs), rows):
+        out[i : i + rows] = obj.pairwise(xs[i : i + rows], ys)
+    return out
+
+
+def _symmetrise(m):
+    """m <- (m + m') / 2 in place, a row block and its column block at a time."""
+    n = len(m)
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    for i in range(0, n, rows):
+        j = min(i + rows, n)
+        t = 0.5 * (m[i:j, i:] + m[i:, i:j].T)
+        m[i:j, i:] = t
+        m[i:, i:j] = t.T
+    return m
+
+
+def _as_distances(m, start=0):
+    """Zero the diagonal of rows start.. of a distance matrix, entries
+    (r, start + r), and clip roundoff below zero, in place."""
+    m[np.arange(len(m)), start + np.arange(len(m))] = 0.0
+    return np.maximum(m, 0.0, out=m)
+
+
+def _symmetric(obj, pts):
+    """``obj.pairwise(pts, pts)``, symmetrised where it is a product of
+    features; any other ``pairwise`` computes k(x, y) and k(y, x) alike."""
+    m = cross_matrix(obj, pts, pts)
+    return m if feature_map(obj) is None else _symmetrise(m)
+
+
 def gram_matrix(kernel, pts) -> np.ndarray:
     """Symmetric Gram matrix of a kernel on a point set.
 
@@ -400,16 +447,26 @@ def gram_matrix(kernel, pts) -> np.ndarray:
     type by construction, and an explicit matrix is checked when its
     :class:`ExplicitSemimetric` is built.
     """
-    k = kernel.pairwise(pts, pts)
-    return 0.5 * (k + k.T)
+    return _symmetric(kernel, pts)
 
 
 def distance_matrix(metric, pts) -> np.ndarray:
     """Symmetric distance matrix with an exactly zero diagonal."""
-    d = metric.pairwise(pts, pts)
-    d = 0.5 * (d + d.T)
-    np.fill_diagonal(d, 0.0)
-    return np.maximum(d, 0.0)
+    return _as_distances(_symmetric(metric, pts))
+
+
+def matrix_rows(obj, pts, i, j, distance=False) -> np.ndarray:
+    """Rows i:j of the Gram matrix of ``obj`` on ``pts``, or of its distance
+    matrix with ``distance``, evaluated by one ``pairwise`` call.
+
+    Where ``pairwise`` computes each entry from its two points alone and
+    symmetrically, as every kernel and semimetric without a feature map
+    does, these are the rows of :func:`gram_matrix` or
+    :func:`distance_matrix` bit for bit.  The linear kernel's matrix
+    product, and what is induced from it, rounds by the block's shape.
+    """
+    rows = obj.pairwise(pts[i:j], pts)
+    return _as_distances(rows, i) if distance else rows
 
 
 @dataclass(frozen=True)
@@ -464,7 +521,8 @@ def median_heuristic(*samples, max_points: int = 2000) -> float:
         pooled = pooled[(np.arange(max_points) * step).astype(int)]
     if pooled.shape[0] < 2:
         return 1.0
-    med = float(np.median(pdist(pooled)))
+    # the distances are a temporary, so the median may sort them in place
+    med = float(np.median(pdist(pooled), overwrite_input=True))
     return med if med > 0 else 1.0
 
 

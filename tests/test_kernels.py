@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from metricdep import (
     DistanceInducedKernel,
@@ -283,6 +284,13 @@ class TestBandwidth:
 
     def test_degenerate_data_falls_back(self):
         assert median_heuristic([[1.0], [1.0], [1.0]]) == 1.0
+
+    @pytest.mark.parametrize("m", [2, 5, 6, 7, 40, 41])
+    def test_median_sorted_in_place_is_the_median_of_a_copy(self, m):
+        # m points give m (m - 1) / 2 distances: odd for m = 2, 6, 7, 41
+        pts = np.random.default_rng(m).standard_normal((m, 3))
+        assert median_heuristic(pts) == float(np.median(pdist(pts).copy()))
+        assert median_heuristic(pts[:1], pts[1:]) == median_heuristic(pts)
 
     def test_unresolved_gaussian_refuses_evaluation(self):
         with pytest.raises(InputError, match="unresolved"):

@@ -2,7 +2,9 @@
 pivoted-Cholesky factors of both centred sides, with every value near the
 observed statistic recomputed on the n x n route.  Its counts, and so its
 p-values, must be the n x n route's; it must decline where it cannot pay
-off; and it must hold no third n x n array."""
+off.  Its rows are evaluated from the points in blocks, with the bits of
+the stored matrices, and no n x n array is held unless a permutation needs
+the exact gather."""
 
 import tracemalloc
 
@@ -15,13 +17,17 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from metricdep import (  # noqa: E402
     ExplicitSemimetric,
     GaussianKernel,
+    dcov_vstat,
     distance_matrix,
     estimators,
+    gram_matrix,
+    hsic_vstat,
+    kernels,
     parse_kernel,
     parse_semimetric,
     permutation_test,
 )
-from metricdep.kernels import EuclideanSquared  # noqa: E402
+from metricdep.kernels import EuclideanSquared, matrix_rows, resolve_bandwidth  # noqa: E402
 
 # (estimator, spec keyword, spec, c): the induced centred Gram is c times
 # the centred matrix the n x n route holds
@@ -158,30 +164,140 @@ class TestRouteChoice:
         assert type(prepared) is estimators._CenteredInner
 
 
-def test_screen_holds_no_third_nxn_array(monkeypatch):
-    n = 600
-    x, y = _sample(6, n, 1, 0.5)
-    screened = estimators._screened
-    extra = []
-
-    def traced(inner, c):
-        start, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        out = screened(inner, c)
-        extra.append(tracemalloc.get_traced_memory()[1] - start)
-        return out
-
-    monkeypatch.setattr(estimators, "_screened", traced)
-    # one-row blocks, so that the exact observed statistic's gather holds
-    # only a few rows
-    monkeypatch.setattr(estimators, "_BLOCK_BYTES", 8 * n)
+def test_prepare_holds_no_nxn_array():
+    n = 2000
+    x, y = _sample(6, n, 2, 0.5)
+    # the median heuristic's n (n - 1) / 2 distances are not the route's
+    kernel = resolve_bandwidth(GaussianKernel(), x, y)
     tracemalloc.start()
     try:
-        prepared = estimators._prepare("hsic", x, y, kernel=GaussianKernel(), permutations=99)
-        held, _ = tracemalloc.get_traced_memory()
+        prepared = estimators._prepare("hsic", x, y, kernel=kernel, permutations=199)
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert isinstance(prepared, estimators._Screened)
-    # the screen adds two n x sqrt(8 n) factors and no n x n array
-    assert extra[0] < 0.5 * 8 * n * n
-    assert held < 2.5 * 8 * n * n
+    assert peak < 0.25 * 8 * n * n
+
+
+# Specs whose pairwise computes each entry from its two points alone
+ELEMENTWISE = [
+    ("kernel", "gaussian:sigma=0.7"),
+    ("kernel", "matern:nu=0.5,ell=1.3"),
+    ("kernel", "matern:nu=1.5,ell=0.8"),
+    ("kernel", "matern:nu=2.5,ell=2"),
+    ("kernel", "induced_kernel:base=(induced_metric:base=(gaussian:sigma=2))"),
+    ("kernel", "induced_kernel:base=(induced_metric:base=(matern:nu=1.5,ell=1))"),
+    ("metric", "induced_metric:base=(gaussian:sigma=0.4)"),
+    ("metric", "induced_metric:base=(matern:nu=0.5,ell=1)"),
+    ("metric", "induced_metric:base=(matern:nu=2.5,ell=3)"),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 60),
+    d=st.sampled_from([1, 2, 3]),
+    which=st.sampled_from(range(len(ELEMENTWISE))),
+    rows=st.integers(1, 9),
+    levels=st.sampled_from([0, 2]),
+)
+def test_evaluated_rows_are_the_stored_rows(seed, n, d, which, rows, levels):
+    kind, text = ELEMENTWISE[which]
+    obj = _spec(kind, text)[kind]
+    x = _sample(seed, n, d, 0.0, levels)[0]
+    if d == 1:
+        x = x[:, 0]
+    distance = kind == "metric"
+    stored = (distance_matrix if distance else gram_matrix)(obj, x)
+    assert np.array_equal(stored, stored.T)
+    for i in range(0, n, rows):
+        assert np.array_equal(matrix_rows(obj, x, i, min(i + rows, n), distance), stored[i : i + rows])
+    # the sides, centred or not, agree in blocks of ``rows`` rows, and so
+    # does their inner product
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimators, "_BLOCK_BYTES", 8 * n * rows)
+        sides = [
+            [estimators._Side(obj, x, distance, centred=centred, stored=kept) for kept in (False, True)]
+            for centred in (True, False)
+        ]
+        for evaluated, kept in sides:
+            for ours, theirs in zip(evaluated.moments, kept.moments):
+                assert np.array_equal(ours, theirs)
+            for i in range(0, n, rows):
+                j = min(i + rows, n)
+                assert np.array_equal(evaluated.rows(i, j), kept.rows(i, j))
+            for j in (0, n - 1):
+                assert np.array_equal(evaluated.centred_row(j), kept.centred_row(j))
+        inner = [estimators._CenteredInner(a, b) for a, b in zip(*sides)]
+        assert inner[0].observed == inner[1].observed == inner[0].permuted(np.arange(n)[None])[0]
+    assert np.array_equal(inner[0].row_sums, inner[1].row_sums)
+
+
+HSIC_DCOV = [
+    ("hsic", dict(kernel=GaussianKernel()), hsic_vstat),
+    ("dcov", dict(metric=parse_semimetric("induced_metric:base=(gaussian)")), dcov_vstat),
+]
+
+
+@pytest.mark.parametrize("estimator,spec,statistic", HSIC_DCOV)
+@pytest.mark.parametrize("d,route", [(1, estimators._Screened), (5, estimators._CenteredInner)])
+def test_compute_and_test_give_the_same_bits(estimator, spec, statistic, d, route, monkeypatch):
+    n = 300
+    monkeypatch.setattr(estimators, "_BLOCK_BYTES", 8 * n * 16)
+    x, y = _sample(9, n, d, 0.3)
+    prepared = estimators._prepare(estimator, x, y, permutations=99, **spec)
+    assert type(prepared) is route
+    result = permutation_test(x, y, estimator, B=99, seed=4, **spec)
+    assert statistic(x, y, *spec.values()) == result.statistic == prepared.observed
+    # the exact gather over the stored matrices gives the evaluated bits
+    inner = prepared._inner if route is estimators._Screened else prepared
+    assert inner.permuted(np.arange(n)[None])[0] == prepared.observed
+
+
+def test_all_ties_build_each_matrix_once(monkeypatch):
+    # with x constant HAH is 0, so every permuted statistic ties with the
+    # observed 0 and is recomputed; the matrices are stored on the first
+    # recomputation and gathered from then on
+    n = 300
+    _, y = _sample(10, n, 1, 0.0)
+    x = np.zeros((n, 1))
+    built = []
+    gram = estimators.gram_matrix
+
+    def counted(obj, pts):
+        built.append(len(pts))
+        return gram(obj, pts)
+
+    monkeypatch.setattr(estimators, "gram_matrix", counted)
+    kernel = GaussianKernel(1.0)
+    prepared = estimators._prepare("hsic", x, y, kernel=kernel, permutations=199)
+    assert isinstance(prepared, estimators._Screened) and prepared.observed == 0.0
+    assert built == []
+    result = permutation_test(x, y, "hsic", kernel=kernel, B=199, seed=2)
+    assert result.p_value == 1.0
+    assert built == [n, n]
+
+
+@pytest.mark.parametrize("estimator,spec", [
+    ("hsic", dict(kernel=GaussianKernel(1.0))),
+    ("dcov", dict(metric=parse_semimetric("induced_metric:base=(gaussian:sigma=1)"))),
+    ("mcov_trace", dict(kernel=GaussianKernel(1.0))),
+])
+@pytest.mark.parametrize("n,d", [(150, 2), (400, 5)])
+def test_stored_route_holds_at_most_the_budgeted_nxn_arrays(estimator, spec, n, d, monkeypatch):
+    # blocks of 4 rows, so that what is left over is the n x n arrays
+    for module in (kernels, estimators):
+        monkeypatch.setattr(module, "_BLOCK_BYTES", 4 * 8 * n)
+    x, y = _sample(11, n, d, 0.5)
+    perms = np.vstack(list(estimators._permutation_batches(1, n, 3, 3)))
+    tracemalloc.start()
+    try:
+        prepared = estimators._prepare(estimator, x, y, permutations=99, **spec)
+        prepared.permuted(perms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = peak / (8 * n * n)
+    budget = 1 if estimator == "mcov_trace" else estimators._NXN_ARRAYS
+    assert budget - 0.5 < arrays < budget + 0.25
