@@ -271,6 +271,9 @@ def _apply_config(path, settings):
             raise InputError(f"{path}: unknown key {key!r}; expected one of {sorted(settings)}")
         if value is None and params[key].default is not None:
             raise InputError(f"{path}: {key}: must not be null")
+        # casting would truncate these, where the flag refuses "2.5"
+        if isinstance(value, (bool, float)) and isinstance(params[key].type, click.types.IntParamType):
+            raise InputError(f"{path}: {key}: {value!r} is not a valid integer")
         try:
             settings[key] = params[key].type_cast_value(ctx, value)
         except (click.BadParameter, TypeError) as err:
@@ -300,16 +303,18 @@ def _read_config(path):
 
 
 def _append_csv(report, output):
+    """The report's document as a CSV row, under a header of its keys."""
+    doc = report.to_dict()
     if output is None:
-        click.echo(",".join(scenarios.PowerReport.CSV_FIELDS))
-        click.echo(",".join(str(v) for v in report.csv_row()))
+        click.echo(",".join(doc))
+        click.echo(",".join(str(v) for v in doc.values()))
         return
     fresh = not os.path.exists(output) or os.path.getsize(output) == 0
     with open(output, "a", newline="") as handle:
         writer = csv.writer(handle)
         if fresh:
-            writer.writerow(scenarios.PowerReport.CSV_FIELDS)
-        writer.writerow(report.csv_row())
+            writer.writerow(doc)
+        writer.writerow(doc.values())
 
 
 @main.command("validate")

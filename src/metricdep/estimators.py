@@ -41,7 +41,6 @@ from math import isqrt
 import numpy as np
 
 from .kernels import (
-    _BLOCK_BYTES,
     EuclideanSquared,
     ExplicitSemimetric,
     GaussianKernel,
@@ -53,6 +52,7 @@ from .kernels import (
     induced_kernel,
     induced_semimetric,
     matrix_rows,
+    _row_blocks,
     parse_anchor,
     resolve_bandwidth,
 )
@@ -61,10 +61,14 @@ ESTIMATORS = ("mcov", "mcov_trace", "hsic", "dcov")
 
 _MAX_SEED = 2**63
 
-# Bytes of permutation indices and gathered data held per batch of
-# permutations.  The n x n route reads its matrices in row blocks of
-# about _BLOCK_BYTES.
+# Bytes of permutation indices and gathered data held per piece of
+# permutations.  The n x n route reads its matrices in row blocks of about
+# kernels._BLOCK_BYTES.
 _BATCH_BYTES = 1 << 22
+
+# A curtailed test (a power-study replication) draws its permutations in
+# pieces of at most this many, and stops soon after its decision is fixed.
+_CURTAILED_PIECE = 16
 
 # At most this many n x n float64 arrays are alive at once on an n x n
 # route: both stored matrices.  They are built, centred and gathered in
@@ -223,12 +227,6 @@ class _PairedTrace(_Prepared):
         return self._scale * (paired - self._grand)
 
 
-def _blocks(n):
-    """Row ranges (i, j) of the blocks of about ``_BLOCK_BYTES`` of an n x n matrix."""
-    rows = max(1, _BLOCK_BYTES // (8 * n))
-    return [(i, min(i + rows, n)) for i in range(0, n, rows)]
-
-
 class _Side:
     """One side's n x n matrix M, a Gram matrix or, with ``distance``, a
     distance matrix, read in row blocks.
@@ -259,7 +257,7 @@ class _Side:
     def moments(self):
         """mu, mean(mu) and the diagonal of HMH, from one pass over M."""
         mu, diag = np.empty(self.n), np.empty(self.n)
-        for i, j in _blocks(self.n):
+        for i, j in _row_blocks(self.n, self.n):
             rows = self.rows(i, j)
             mu[i:j] = rows.mean(axis=1)
             diag[i:j] = np.diagonal(rows, i)
@@ -311,7 +309,7 @@ class _CenteredInner(_Prepared):
         self._a, self._b = a, b
         self.row_sums = np.empty(n)
         total = square_a = square_b = 0.0
-        for i, j in _blocks(n):
+        for i, j in _row_blocks(n, n):
             rows_a, rows_b = a.rows(i, j), b.rows(i, j)
             total += np.vdot(rows_a, rows_b)
             square_a += np.vdot(rows_a, rows_a)
@@ -326,7 +324,7 @@ class _CenteredInner(_Prepared):
 
     def permuted(self, perms):
         a, b, n = self._a.store(), self._b.store(), self.n
-        blocks = _blocks(n)
+        blocks = _row_blocks(n, n)
         out = np.empty(len(perms))
         for k, p in enumerate(perms):
             out[k] = sum(np.vdot(a[i:j], b.take(p[i:j], 0).take(p, 1)) for i, j in blocks)
@@ -588,57 +586,54 @@ class TestResult:
     to_dict = _document
 
 
+def _check_integer(name, value):
+    """``value`` as an int; it must be a Python or NumPy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_seed(seed):
-    seed = int(seed)
+    seed = _check_integer("seed", seed)
     if not 0 <= seed < _MAX_SEED:
         raise InputError(f"seed must be in [0, 2^63), got {seed}")
     return seed
 
 
-def _permutation_batches(seed, n, B, batch, first=None):
-    """Permutations 1..B of master ``seed`` in blocks of ``batch`` rows.
+def _permutation_batches(seed, n, B, size):
+    """Permutations 1..B of master ``seed`` in pieces of ``size`` rows.
 
     Permutation b is ``Generator(Philox(key=[seed, b])).permutation(n)``, a
     counter-based substream.  One bit generator serves all of them: before
     each draw its key is set to [seed, b] with the counter at zero and the
     buffer empty.
-
-    With ``first``, the blocks come in pieces of ``first`` rows, then twice
-    that, and so on; a piece takes the rest of its block once that rest is
-    less than twice the piece size, so no piece is smaller than ``first``
-    unless its block is.  The pieces never straddle a block, and all but a
-    block's last hold a multiple of ``first`` rows, so a BLAS product that
-    takes rows in small groups groups them as over the whole block.
     """
     bitgen = np.random.Philox(key=[seed, 0])
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state
     key = fresh["state"]["key"]
-    size, start = first or batch, 1
-    while start <= B:
-        edge = min(start + batch - (start - 1) % batch, B + 1)
-        stop = edge if edge - start < 2 * size else start + size
-        block = np.empty((stop - start, n), dtype=np.intp)
-        for row in range(block.shape[0]):
+    for start in range(1, B + 1, size):
+        piece = np.empty((min(size, B + 1 - start), n), dtype=np.intp)
+        for row in range(len(piece)):
             key[1] = start + row
             bitgen.state = fresh
-            block[row] = gen.permutation(n)
-        yield block
-        start, size = stop, 2 * size
+            piece[row] = gen.permutation(n)
+        yield piece
 
 
-def _exceedances(x, y, estimator, *, B, seed, alternative=None, alpha=None, **specs):
-    """The observed statistic and how many of the B permuted ones reach it.
+def _permutation_test(x, y, estimator, *, B, seed, alternative=None, alpha=None, **specs):
+    """The permutation test of :func:`permutation_test`, curtailed at ``alpha``.
 
-    Checks B, the seed and the alternative, and returns them with the
-    statistic and the count as ``(observed, count, B, seed, alternative)``.
-    Without ``alpha`` every permutation runs, in blocks of ``_BATCH_BYTES``.
-    With it, the blocks come in pieces of 16, 32, ... permutations, and the
-    loop stops after the first piece whose count already gives
-    (1 + count) / (B + 1) > alpha, the negation of ``p_value <= alpha``:
-    the count only grows, so the full count makes the same decision.
+    Permutations run in pieces of about ``_BATCH_BYTES``, and with ``alpha``
+    of at most ``_CURTAILED_PIECE``; the loop then stops after the first
+    piece whose count already gives p > alpha.  The count only grows, so a
+    curtailed p-value is exact whenever it is <= alpha, and p <= alpha is
+    the full count's decision.  The pieces change no value: every exact
+    route computes a permutation's statistic alike wherever it sits in a
+    piece, and a screened one recomputes exactly every value near the
+    observed statistic.
     """
-    B = int(B)
+    B = _check_integer("number of permutations", B)
     if B < 1:
         raise InputError(f"number of permutations must be >= 1, got {B}")
     seed = _check_seed(seed)
@@ -649,17 +644,20 @@ def _exceedances(x, y, estimator, *, B, seed, alternative=None, alpha=None, **sp
 
     prepared = _prepare(estimator, x, y, permutations=B, **specs)
     observed = prepared.observed
-    batch = max(1, _BATCH_BYTES // prepared.perm_bytes)
+    size = max(1, _BATCH_BYTES // prepared.perm_bytes)
+    if alpha is not None:
+        size = min(size, _CURTAILED_PIECE)
     count = 0
-    for perms in _permutation_batches(seed, prepared.n, B, batch, None if alpha is None else 16):
+    for perms in _permutation_batches(seed, prepared.n, B, size):
         t = prepared.permuted(perms)
         if alternative == "two_sided":
             count += int(np.count_nonzero(np.abs(t) >= abs(observed)))
         else:
             count += int(np.count_nonzero(t >= observed))
-        if alpha is not None and (1.0 + count) / (B + 1.0) > alpha:
+        p_value = (1.0 + count) / (B + 1.0)
+        if alpha is not None and p_value > alpha:
             break
-    return observed, count, B, seed, alternative
+    return TestResult(observed, p_value, B, seed, estimator, alternative)
 
 
 def permutation_test(
@@ -690,19 +688,14 @@ def permutation_test(
     matrices (stored once, or evaluated in row blocks with the stored bits),
     are permuted by index, and permutation b draws from a
     counter-based substream of ``seed``, so the result is deterministic for
-    fixed inputs no matter the execution order.  All B permutations run.
-    A screened hsic or dcov test (see the module docstring) makes every
-    comparison with the observed statistic as the n x n route does.
+    fixed inputs no matter the execution order.  ``B`` and ``seed`` must be
+    Python or NumPy integers, not bools.  All B permutations run; a
+    :func:`~metricdep.scenarios.power_study` replication stops once its
+    decision is fixed.  A screened hsic or dcov test (see the module
+    docstring) makes every comparison with the observed statistic as the
+    n x n route does.
     """
-    observed, count, B, seed, alternative = _exceedances(
+    return _permutation_test(
         x, y, estimator, metric=metric, kernel=kernel, metric_y=metric_y, kernel_y=kernel_y,
         B=B, seed=seed, alternative=alternative,
-    )
-    return TestResult(
-        statistic=observed,
-        p_value=(1.0 + count) / (B + 1.0),
-        permutations=B,
-        seed=seed,
-        estimator=estimator,
-        alternative=alternative,
     )

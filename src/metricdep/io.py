@@ -1,9 +1,9 @@
 """File formats: paired-sample CSV, square distance-matrix CSV, joint-law
 JSON, and deterministic JSON/CSV emission.
 
-Parse errors always name the offending row and column; numbers are rendered
-at full precision (shortest round-trip decimal) so output documents diff
-stably across runs.
+Parse errors always name the offending row, by its line in the file, and
+column; numbers are rendered at full precision (shortest round-trip
+decimal) so output documents diff stably across runs.
 """
 
 from __future__ import annotations
@@ -17,13 +17,23 @@ from .kernels import InputError
 from .oracle import DiscreteJoint
 
 
-def _numeric_rows(path, rows, width, first_row, column, ragged=""):
-    """The csv rows as an (n, width) float array.
+def _read_rows(path):
+    """The csv rows of ``path`` that hold a cell other than whitespace, as
+    (line, row) pairs with ``line`` the row's line in the file."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        return [(reader.line_num, row) for row in reader if "".join(row).strip()]
+
+
+def _numeric_rows(path, numbered, width, column, ragged=""):
+    """The (line, row) pairs' rows as an (n, width) float array.
 
     One vectorised conversion (NumPy parses each cell as ``float`` does);
     only when it fails does the cell-by-cell pass run, to name the first
-    short or long row, or the row and ``column(c)`` of the first bad cell.
+    short or long row, or the row and ``column(c)`` of the first bad cell,
+    by its line in the file.
     """
+    rows = [row for _, row in numbered]
     try:
         out = np.array(rows, dtype=float)
         if out.shape == (len(rows), width):
@@ -31,15 +41,15 @@ def _numeric_rows(path, rows, width, first_row, column, ragged=""):
     except ValueError:
         pass
     out = np.empty((len(rows), width))
-    for r, row in enumerate(rows, start=first_row):
+    for r, (line, row) in enumerate(numbered):
         if len(row) != width:
-            raise InputError(f"{path}: row {r} has {len(row)} fields, expected {width}{ragged}")
+            raise InputError(f"{path}: row {line} has {len(row)} fields, expected {width}{ragged}")
         for c, cell in enumerate(row):
             try:
-                out[r - first_row, c] = float(cell)
+                out[r, c] = float(cell)
             except ValueError:
                 raise InputError(
-                    f"{path}: row {r}, column {column(c)}: could not parse {cell.strip()!r}"
+                    f"{path}: row {line}, column {column(c)}: could not parse {cell.strip()!r}"
                 ) from None
     return out
 
@@ -47,33 +57,31 @@ def _numeric_rows(path, rows, width, first_row, column, ragged=""):
 def read_paired_sample(path):
     """Read a paired sample from CSV with header x_1..x_p,y_1..y_q.
 
-    Returns (x, y) float arrays of shape (n, p) and (n, q).
+    Returns (x, y) float arrays of shape (n, p) and (n, q).  Blank lines
+    are skipped.
     """
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows:
+    numbered = _read_rows(path)
+    if not numbered:
         raise InputError(f"{path}: empty file, expected a header row x_1..x_p,y_1..y_q")
-    header = [name.strip() for name in rows[0]]
+    header = [name.strip() for name in numbered[0][1]]
     x_cols = [i for i, name in enumerate(header) if name.startswith("x")]
     y_cols = [i for i, name in enumerate(header) if name.startswith("y")]
     if not x_cols or not y_cols or x_cols + y_cols != list(range(len(header))):
         raise InputError(
             f"{path}: header must name columns x_1..x_p then y_1..y_q, got {header}"
         )
-    if len(rows) == 1:
+    if len(numbered) == 1:
         raise InputError(f"{path}: no data rows")
-    data = _numeric_rows(path, rows[1:], len(header), 2, lambda c: repr(header[c]))
+    data = _numeric_rows(path, numbered[1:], len(header), lambda c: repr(header[c]))
     return data[:, x_cols], data[:, y_cols]
 
 
 def read_square_matrix(path):
-    """Read a headerless square numeric CSV matrix."""
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
-    if not rows:
+    """Read a headerless square numeric CSV matrix; blank lines are skipped."""
+    numbered = _read_rows(path)
+    if not numbered:
         raise InputError(f"{path}: empty file, expected a square numeric matrix")
-    out = _numeric_rows(path, rows, len(rows[0]), 1, lambda c: c + 1, " (ragged matrix)")
+    out = _numeric_rows(path, numbered, len(numbered[0][1]), lambda c: c + 1, " (ragged matrix)")
     if out.shape[0] != out.shape[1]:
         raise InputError(f"{path}: matrix is {out.shape[0]}x{out.shape[1]}, expected square")
     return out

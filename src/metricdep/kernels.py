@@ -400,6 +400,13 @@ def feature_map(obj):
     return None
 
 
+def _row_blocks(n, width):
+    """Row ranges (i, j) of the blocks of about ``_BLOCK_BYTES`` of an
+    n x width float64 matrix."""
+    rows = max(1, _BLOCK_BYTES // (8 * width))
+    return [(i, min(i + rows, n)) for i in range(0, n, rows)]
+
+
 def cross_matrix(obj, xs, ys) -> np.ndarray:
     """``obj.pairwise(xs, ys)`` filled into one array in row blocks of about
     ``_BLOCK_BYTES``, so that the temporaries of an evaluation are the size
@@ -408,18 +415,14 @@ def cross_matrix(obj, xs, ys) -> np.ndarray:
     xs = obj.coerce(xs)
     ys = xs if same else obj.coerce(ys)
     out = np.empty((len(xs), len(ys)))
-    rows = max(1, _BLOCK_BYTES // (8 * len(ys)))
-    for i in range(0, len(xs), rows):
-        out[i : i + rows] = obj.pairwise(xs[i : i + rows], ys)
+    for i, j in _row_blocks(len(xs), len(ys)):
+        out[i:j] = obj.pairwise(xs[i:j], ys)
     return out
 
 
 def _symmetrise(m):
     """m <- (m + m') / 2 in place, a row block and its column block at a time."""
-    n = len(m)
-    rows = max(1, _BLOCK_BYTES // (8 * n))
-    for i in range(0, n, rows):
-        j = min(i + rows, n)
+    for i, j in _row_blocks(len(m), len(m)):
         t = 0.5 * (m[i:j, i:] + m[i:, i:j].T)
         m[i:j, i:] = t
         m[i:, i:j] = t.T

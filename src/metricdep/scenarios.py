@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import ks_2samp
 
-from .estimators import _check_seed, _document, _exceedances, resolve_specs
+from .estimators import _check_integer, _check_seed, _document, _permutation_test, resolve_specs
 from .kernels import InputError
 
 MIXTURE_MEANS_X = ((-1.0, 1.0), (1.0, -1.0))
@@ -165,24 +165,6 @@ class PowerReport:
 
     to_dict = _document
 
-    CSV_FIELDS = (
-        "scenario",
-        "estimator",
-        "kernel_or_metric",
-        "n",
-        "sigma",
-        "alpha",
-        "reps",
-        "B",
-        "seed",
-        "rejection_rate",
-        "monte_carlo_se",
-    )
-
-    def csv_row(self):
-        doc = self.to_dict()
-        return [doc[k] for k in self.CSV_FIELDS]
-
 
 def power_study(
     scenario: str,
@@ -202,11 +184,13 @@ def power_study(
     Replication r draws fresh scenario data and a fresh test seed from the
     counter-based Philox substream keyed by (seed, r), then runs the
     permutation test at the given B; the report is the fraction of p-values
-    <= alpha.  A replication stops drawing permutations once p <= alpha can
-    no longer hold (its exceedance count only grows), so the report is the
-    one every permutation would give, at a fraction of the cost under the
-    null; :func:`~metricdep.estimators.permutation_test` always runs all B.
-    Unresolved Gaussian bandwidths are frozen per replication by
+    <= alpha.  A replication draws its permutations in pieces of 16 and
+    stops after the first piece that already gives p > alpha (its
+    exceedance count only grows), so every decision, and the report, is
+    the one all B permutations would give, at a fraction of the cost under
+    the null; :func:`~metricdep.estimators.permutation_test` always runs
+    all B.  ``reps``, ``B`` and ``seed`` must be Python or NumPy integers,
+    not bools.  Unresolved Gaussian bandwidths are frozen per replication by
     the median heuristic on the pooled draw, before any permutation.
 
     The kernel or semimetric that runs is chosen by
@@ -214,6 +198,7 @@ def power_study(
     ``mcov`` with a kernel argument runs on the kernel's induced semimetric,
     which by the trace identity is the same statistic as ``mcov_trace``.
     """
+    reps = _check_integer("reps", reps)
     if reps < 1:
         raise InputError(f"need reps >= 1, got {reps}")
     if not 0.0 < alpha < 1.0:
@@ -225,10 +210,10 @@ def power_study(
     for rep in range(reps):
         rng = np.random.Generator(np.random.Philox(key=[seed, rep]))
         x, y = generate(scenario, n, rng, sigma)
-        _, count, b, _, _ = _exceedances(
+        result = _permutation_test(
             x, y, estimator, metric=metric, kernel=kernel, B=B, seed=int(rng.integers(2**63)), alpha=alpha
         )
-        rejections += (1.0 + count) / (b + 1.0) <= alpha
+        rejections += result.p_value <= alpha
     rate = rejections / reps
     return PowerReport(
         scenario=scenario,

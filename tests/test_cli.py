@@ -296,7 +296,7 @@ class TestScenario:
         assert runner.invoke(main, args).exit_code == 0
         assert runner.invoke(main, args).exit_code == 0
         lines = out.read_text().strip().splitlines()
-        assert lines[0].startswith("scenario,estimator")
+        assert lines[0] == "scenario,estimator,kernel_or_metric,n,sigma,alpha,reps,B,seed,rejection_rate,monte_carlo_se"
         assert len(lines) == 3  # header + two appended rows
         assert lines[1] == lines[2]
 
@@ -332,8 +332,14 @@ class TestScenario:
             ({"colour": "red"}, "unknown key 'colour'"),
             ({"n": None}, "n: must not be null"),
             ({"reps": [1, 2]}, "reps: "),
+            ({"reps": 2.5}, "reps: 2.5 is not a valid integer"),
+            ({"reps": 2.0}, "reps: 2.0 is not a valid integer"),
+            ({"reps": True}, "reps: True is not a valid integer"),
+            ({"B": True}, "B: True is not a valid integer"),
+            ({"seed": 1.7}, "seed: 1.7 is not a valid integer"),
         ],
-        ids=["estimator", "underscored-estimator", "n", "kernel", "study", "unknown-key", "null", "list"],
+        ids=["estimator", "underscored-estimator", "n", "kernel", "study", "unknown-key", "null", "list",
+             "float-reps", "integral-float-reps", "bool-reps", "bool-B", "float-seed"],
     )
     def test_bad_config_value_exits_2(self, runner, tmp_path, setting, message):
         cfg = tmp_path / "cfg.json"

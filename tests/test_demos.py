@@ -1,5 +1,6 @@
-"""Smoke runs of the demos that exercise the kernel catalogue and the exact
-oracle: each must run to completion as a script."""
+"""Smoke runs of the demos: the kernel catalogue, the estimators and their
+permutation tests, the exact oracle, and the power studies.  Each must run
+to completion as a script."""
 
 import os
 import subprocess
@@ -12,7 +13,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
-    "demo", ["01_kernels_and_semimetrics.py", "03_exact_oracle_and_mercer.py"]
+    "demo",
+    [
+        "01_kernels_and_semimetrics.py",
+        "02_estimators_and_tests.py",
+        "03_exact_oracle_and_mercer.py",
+        "04_counterexamples_and_power.py",
+    ],
 )
 def test_demo_runs(demo):
     env = dict(os.environ)

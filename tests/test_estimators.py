@@ -17,6 +17,7 @@ from metricdep import (
     mcov_plugin,
     mcov_trace,
     permutation_test,
+    power_study,
 )
 
 E2 = EuclideanSquared()
@@ -186,6 +187,22 @@ class TestPermutationTest:
         x = np.zeros((5, 1))
         with pytest.raises(InputError):
             permutation_test(x, x, "hsic", kernel=GaussianKernel(1.0), B=0)
+
+    def test_integer_settings_must_be_integers(self):
+        x = np.arange(10.0)
+        kw = dict(kernel=GaussianKernel(1.0))
+        reference = permutation_test(x, x, "hsic", B=9, seed=1, **kw)
+        assert permutation_test(x, x, "hsic", B=np.int64(9), seed=np.uint32(1), **kw) == reference
+        for B, seed in ((9.9, 1), (9.0, 1), (True, 1), (9, 1.7), (9, False), (9, "1")):
+            with pytest.raises(InputError, match="must be an integer"):
+                permutation_test(x, x, "hsic", B=B, seed=seed, **kw)
+        study = dict(reps=2, B=9, seed=1)
+        assert power_study("independent_normal", "dcov", 10, **{**study, "reps": np.int64(2)}) == power_study(
+            "independent_normal", "dcov", 10, **study
+        )
+        for key, value in (("reps", 2.5), ("reps", True), ("B", 9.5), ("B", True), ("seed", 1.5)):
+            with pytest.raises(InputError, match="must be an integer"):
+                power_study("independent_normal", "dcov", 10, **{**study, key: value})
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(12)

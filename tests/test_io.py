@@ -38,6 +38,20 @@ class TestPairedSampleCsv:
         with pytest.raises(InputError, match="row 3"):
             read_paired_sample(path)
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("x_1,y_1\n0,1\n\n2,3\n \n4,5\n\n")
+        x, y = read_paired_sample(path)
+        np.testing.assert_array_equal(x, [[0.0], [2.0], [4.0]])
+        np.testing.assert_array_equal(y, [[1.0], [3.0], [5.0]])
+
+    def test_rows_are_named_by_their_line_in_the_file(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("x_1,y_1\n\n0,1\n\n2,z\n")
+        with pytest.raises(InputError) as err:
+            read_paired_sample(path)
+        assert str(err.value) == f"{path}: row 5, column 'y_1': could not parse 'z'"
+
     def test_cells_parse_as_python_float(self, tmp_path):
         cells = [[" 1.5", "-0.0 ", "1e400", "1_000"], [".5", "5.", "-Infinity", "0.1000000000000000055511151231257827"]]
         rng = np.random.default_rng(0)
@@ -71,6 +85,15 @@ class TestSquareMatrixCsv:
         with pytest.raises(InputError) as err:
             read_square_matrix(path)
         assert str(err.value) == f"{path}: row 3, column 2: could not parse '1e-3e'"
+
+    def test_rows_after_a_blank_line_are_named_by_their_line_in_the_file(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("0,1\n\nx,0\n")
+        with pytest.raises(InputError) as err:
+            read_square_matrix(path)
+        assert str(err.value) == f"{path}: row 3, column 1: could not parse 'x'"
+        path.write_text("\n0,1\n , \n1,0\n\n")
+        np.testing.assert_array_equal(read_square_matrix(path), [[0.0, 1.0], [1.0, 0.0]])
 
     def test_ragged_row_named_before_a_later_bad_cell(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -23,7 +23,7 @@ from metricdep import (
     parse_semimetric,
     permutation_test,
 )
-from metricdep import estimators
+from metricdep import estimators, kernels
 from metricdep.kernels import feature_map
 
 E2 = EuclideanSquared()
@@ -262,7 +262,7 @@ class TestBatching:
         monkeypatch.setattr(estimators, "_BATCH_BYTES", 3 * 8 * 50 * 3)
         assert permutation_test(x, y, estimator, B=99, seed=3, **kw) == reference
         # a smaller row block sums the inner product in another order
-        monkeypatch.setattr(estimators, "_BLOCK_BYTES", 8 * 50 * 3)
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * 50 * 3)
         blocked = permutation_test(x, y, estimator, B=99, seed=3, **kw)
         assert blocked.p_value == reference.p_value
         assert _rel(blocked.statistic, reference.statistic) <= 1e-12
@@ -271,7 +271,7 @@ class TestBatching:
         x, y = _sample(8, 40, 2, dep=0.3)
         _nxn_only(monkeypatch)
         reference = permutation_test(x, y, "dcov", metric=E2, B=99, seed=2)
-        monkeypatch.setattr(estimators, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 1)
         monkeypatch.setattr(estimators, "_BATCH_BYTES", 1)
         small = permutation_test(x, y, "dcov", metric=E2, B=99, seed=2)
         assert small.p_value == reference.p_value
@@ -327,14 +327,37 @@ class TestResultTypesAndTies:
         assert type(result.p_value) is float
         assert type(result.statistic) is float
 
-    @pytest.mark.parametrize("estimator,kw", CASES)
-    def test_identity_stacked_in_a_block_ties_exactly(self, estimator, kw):
-        # each row of a block goes through the observed statistic's
-        # arithmetic, wherever it sits in the block
-        for seed in range(20):
-            x, y = _sample(seed, 30, 2)
-            prepared = estimators._prepare(estimator, x, y, **kw)
-            assert np.all(prepared.permuted(np.tile(np.arange(30), (8, 1))) == prepared.observed)
+    @pytest.mark.parametrize(
+        "estimator,kw,permutations,route",
+        [(estimator, kw, 0, estimators._CrossCov) for estimator, kw in CASES]
+        + [
+            ("mcov", dict(metric=E2), 199, estimators._PairedTrace),
+            ("mcov_trace", dict(kernel=GaussianKernel(1.0)), 199, estimators._PairedTrace),
+            ("mcov", dict(metric=induced_semimetric(GaussianKernel(1.0))), 199, estimators._PairedTrace),
+            ("hsic", dict(kernel=GaussianKernel(1.0)), 199, estimators._CenteredInner),
+            ("dcov", dict(metric=parse_semimetric("induced_metric:base=(gaussian:sigma=1)")), 199, estimators._CenteredInner),
+        ],
+    )
+    def test_identity_stacked_in_a_block_ties_exactly(self, estimator, kw, permutations, route):
+        # every exact route (the feature trace and norm, the paired traces of
+        # Xc Yc' and of a cross matrix, the stored centred inner product)
+        # computes a permutation's statistic alike wherever it sits in a
+        # curtailed test's piece: the identity ties with the observed
+        # statistic at every position, and the other rows are their values
+        # alone
+        n, size = 30, estimators._CURTAILED_PIECE
+        for seed in range(10):
+            x, y = _sample(seed, n, 2)
+            prepared = estimators._prepare(estimator, x, y, permutations=permutations, **kw)
+            assert type(prepared) is route
+            piece = next(estimators._permutation_batches(seed, n, size, size))
+            alone = np.concatenate([prepared.permuted(perm[None]) for perm in piece])
+            for k in range(size):
+                stacked = piece.copy()
+                stacked[k] = np.arange(n)
+                t = prepared.permuted(stacked)
+                assert t[k] == prepared.observed
+                assert np.array_equal(np.delete(t, k), np.delete(alone, k))
 
     @pytest.mark.parametrize("n", [50, 20])
     def test_orthogonal_linear_mcov_ties_exactly(self, n):

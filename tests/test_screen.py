@@ -46,7 +46,7 @@ def _spec(kind, text):
 
 
 def _counts(prepared, perms, batch):
-    """Exceedance counts for both alternatives, as ``_exceedances`` makes them."""
+    """Exceedance counts for both alternatives, as ``_permutation_test`` makes them."""
     observed = prepared.observed
     t = np.concatenate([prepared.permuted(perms[i : i + batch]) for i in range(0, len(perms), batch)])
     return np.count_nonzero(t >= observed), np.count_nonzero(np.abs(t) >= abs(observed))
@@ -216,7 +216,7 @@ def test_evaluated_rows_are_the_stored_rows(seed, n, d, which, rows, levels):
     # the sides, centred or not, agree in blocks of ``rows`` rows, and so
     # does their inner product
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(estimators, "_BLOCK_BYTES", 8 * n * rows)
+        patch.setattr(kernels, "_BLOCK_BYTES", 8 * n * rows)
         sides = [
             [estimators._Side(obj, x, distance, centred=centred, stored=kept) for kept in (False, True)]
             for centred in (True, False)
@@ -244,7 +244,7 @@ HSIC_DCOV = [
 @pytest.mark.parametrize("d,route", [(1, estimators._Screened), (5, estimators._CenteredInner)])
 def test_compute_and_test_give_the_same_bits(estimator, spec, statistic, d, route, monkeypatch):
     n = 300
-    monkeypatch.setattr(estimators, "_BLOCK_BYTES", 8 * n * 16)
+    monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * n * 16)
     x, y = _sample(9, n, d, 0.3)
     prepared = estimators._prepare(estimator, x, y, permutations=99, **spec)
     assert type(prepared) is route
@@ -287,8 +287,7 @@ def test_all_ties_build_each_matrix_once(monkeypatch):
 @pytest.mark.parametrize("n,d", [(150, 2), (400, 5)])
 def test_stored_route_holds_at_most_the_budgeted_nxn_arrays(estimator, spec, n, d, monkeypatch):
     # blocks of 4 rows, so that what is left over is the n x n arrays
-    for module in (kernels, estimators):
-        monkeypatch.setattr(module, "_BLOCK_BYTES", 4 * 8 * n)
+    monkeypatch.setattr(kernels, "_BLOCK_BYTES", 4 * 8 * n)
     x, y = _sample(11, n, d, 0.5)
     perms = np.vstack(list(estimators._permutation_batches(1, n, 3, 3)))
     tracemalloc.start()
