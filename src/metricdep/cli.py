@@ -271,9 +271,13 @@ def _apply_config(path, settings):
             raise InputError(f"{path}: unknown key {key!r}; expected one of {sorted(settings)}")
         if value is None and params[key].default is not None:
             raise InputError(f"{path}: {key}: must not be null")
-        # casting would truncate these, where the flag refuses "2.5"
-        if isinstance(value, (bool, float)) and isinstance(params[key].type, click.types.IntParamType):
-            raise InputError(f"{path}: {key}: {value!r} is not a valid integer")
+        # casting would read a bool as a number and truncate a float to an
+        # integer, where the flags refuse "true" and "2.5"
+        kind = params[key].type
+        integer = isinstance(kind, click.types.IntParamType)
+        number = integer or isinstance(kind, click.types.FloatParamType)
+        if (isinstance(value, bool) and number) or (isinstance(value, float) and integer):
+            raise InputError(f"{path}: {key}: {value!r} is not a valid {kind.name}")
         try:
             settings[key] = params[key].type_cast_value(ctx, value)
         except (click.BadParameter, TypeError) as err:

@@ -23,12 +23,15 @@ re-pairing pi of the y side (the identity gives the statistic itself):
   evaluated from the points in row blocks and holds no n x n array; it
   is stored, with the same bits, only when a re-pairing needs the exact
   gather.  A permutation test of hsic or dcov there screens its
-  re-pairings through pivoted-Cholesky factors of both centred sides and
-  recomputes on the n x n route every value the screen cannot certify to
-  fall on one side of the observed statistic, so its counts and p-values
-  are the n x n route's; it keeps the n x n route where a factor's rank
-  passes sqrt(32 n).  Before any n x n-route statistic, evaluated or
-  stored, the route checks that two n x n matrices fit in physical memory.
+  re-pairings through pivoted-Cholesky factors of both centred sides, first
+  through their leading 32 columns, then 64, ..., then the whole factors,
+  each level only the values its predecessor left undecided.  It
+  recomputes on the n x n route every value the last level cannot certify
+  to fall on one side of the observed statistic, so its counts and
+  p-values are the n x n route's; it keeps the n x n route where a
+  factor's rank passes sqrt(32 n).  Before any n x n-route statistic,
+  evaluated or stored, the route checks that two n x n matrices fit in
+  physical memory.
 """
 
 from __future__ import annotations
@@ -100,6 +103,13 @@ _SCREEN_MIN_N = 200
 # The even point grows from about 25 n at n = 200 to about 90 n at
 # n = 1000.  Declining at the cap cost 0.05 s at n = 2000, d = 5.
 _SCREEN_RANKS = 32
+
+# The screen's first level keeps this many leading columns of each factor,
+# and each later level twice as many (see _Screened).  On the test_n2000
+# sample (gaussian, median bandwidth, d = 2, ranks 103 and 105) rank 32
+# decides every re-pairing; on an independent sample of that shape rank 32
+# decides none and rank 64 all or all but one of 199.
+_SCREEN_FIRST_RANK = 32
 
 
 def double_center(a: np.ndarray) -> np.ndarray:
@@ -227,6 +237,17 @@ class _PairedTrace(_Prepared):
         return self._scale * (paired - self._grand)
 
 
+def _read_moments(mu, diag, i, rows):
+    """Row means and diagonal entries of the rows of M that start at row i."""
+    mu[i : i + len(rows)] = rows.mean(axis=1)
+    diag[i : i + len(rows)] = np.diagonal(rows, i)
+
+
+def _moments(mu, diag):
+    m = mu.mean()
+    return mu, m, diag - 2.0 * mu + m
+
+
 class _Side:
     """One side's n x n matrix M, a Gram matrix or, with ``distance``, a
     distance matrix, read in row blocks.
@@ -258,11 +279,8 @@ class _Side:
         """mu, mean(mu) and the diagonal of HMH, from one pass over M."""
         mu, diag = np.empty(self.n), np.empty(self.n)
         for i, j in _row_blocks(self.n, self.n):
-            rows = self.rows(i, j)
-            mu[i:j] = rows.mean(axis=1)
-            diag[i:j] = np.diagonal(rows, i)
-        m = mu.mean()
-        return mu, m, diag - 2.0 * mu + m
+            _read_moments(mu, diag, i, self.rows(i, j))
+        return _moments(mu, diag)
 
     def _centre(self, rows, i=0, j=None):
         mu, m, _ = self.moments
@@ -298,16 +316,17 @@ class _CenteredInner(_Prepared):
     projection; only the fixed side A is centred.
 
     One pass over row blocks of both sides gives the observed statistic,
-    ||HAH||_F, ||B||_F and HAH's row sums.  ``permuted`` stores both
-    matrices on its first call and gathers B_pipi in row blocks; the
-    observed statistic is what it gives for the identity.
+    ||HAH||_F, ||B||_F, HAH's row sums and B's moments, with the bits of
+    B's own pass over the same blocks.  ``permuted`` stores both matrices on
+    its first call and gathers B_pipi in row blocks; the observed statistic
+    is what it gives for the identity.
     """
 
     def __init__(self, a, b):
         n = self.n = a.n
         self.perm_bytes = 8 * n
         self._a, self._b = a, b
-        self.row_sums = np.empty(n)
+        self.row_sums, mu, diag = np.empty(n), np.empty(n), np.empty(n)
         total = square_a = square_b = 0.0
         for i, j in _row_blocks(n, n):
             rows_a, rows_b = a.rows(i, j), b.rows(i, j)
@@ -315,6 +334,8 @@ class _CenteredInner(_Prepared):
             square_a += np.vdot(rows_a, rows_a)
             square_b += np.vdot(rows_b, rows_b)
             self.row_sums[i:j] = rows_a.sum(axis=1)
+            _read_moments(mu, diag, i, rows_b)
+        b.moments = _moments(mu, diag)
         self._observed = float(total / n**2)
         self.norm_a, self.norm_b = np.sqrt(square_a), np.sqrt(square_b)
 
@@ -366,11 +387,19 @@ class _Screened(_Prepared):
     T_pi = s <F F' + E_x, (G G' + E_y)_pipi> / n^2 with s = 1/c^2, and its
     screen value s ||F' G[pi]||_F^2 / n^2 is below it by at most
     s (e_x (lmax(G'G) + e_y) + e_y lmax(F'F)) / n^2, e = tr E, for every pi.
-    The margin is twice that plus the roundoff of both computations;
-    ``permuted`` recomputes exactly every value within the margin of the
-    observed statistic or of its negation, so each comparison with the
-    observed statistic, signed or absolute, is the one ``inner`` makes.
-    The observed statistic is ``inner``'s.
+    A level's margin is twice that plus the roundoff of both computations.
+
+    The levels keep the leading k columns of F and of G, for k =
+    ``_SCREEN_FIRST_RANK``, twice that, ... (each capped at its side's
+    rank), and end at the whole factors.  The columns dropped at a level
+    join its residual, which stays PSD: E_x + F[:, k:] F[:, k:]', of trace
+    e_x + ||F[:, k:]||_F^2, so the same bound holds.  ``permuted`` screens
+    every re-pairing at the first level and takes to the next only the
+    values within the level's margin of the observed statistic or of its
+    negation; those still within the last level's margin, ``margin``, are
+    recomputed exactly.  So each comparison with the observed statistic,
+    signed or absolute, is the one ``inner`` makes.  The observed statistic
+    is ``inner``'s.
     """
 
     def __init__(self, inner, c, x_factor, y_factor):
@@ -378,38 +407,58 @@ class _Screened(_Prepared):
         n = self.n = inner.n
         self._inner = inner
         self._observed = inner.observed
-        self._ft = ft
-        self._g = np.ascontiguousarray(gt.T)
-        self._scale = 1.0 / c**2
+        self._scale = s = 1.0 / c**2
         rx, ry = len(ft), len(gt)
-        # indices, gathered factor rows and F' G[pi]
+        # indices, gathered factor rows and F' G[pi] of the last level
         self.perm_bytes = 8 * (n * (1 + ry) + rx * ry)
 
-        s, eps = self._scale, np.finfo(float).eps
         ff, gg = ft @ ft.T, gt @ gt.T
-        lam_f = np.linalg.eigvalsh(ff)[-1] if rx else 0.0
-        lam_g = np.linalg.eigvalsh(gg)[-1] if ry else 0.0
-        bound = s * (ex * (lam_g + ey) + ey * lam_f)
         # the exact route pairs HAH with B, not HBH: the two differ by
         # terms in the row sums of HAH, which are zero up to roundoff
         centring = 3.0 * np.abs(inner.row_sums).sum() * np.abs(inner._b.moments[0]).max()
-        roundoff = eps * (
-            n * n * inner.norm_a * inner.norm_b + s * (2 * n + rx * ry) * np.trace(ff) * np.trace(gg)
-        )
-        self.margin = 2.0 * (bound + centring + roundoff) / n**2
+        eps = np.finfo(float).eps
+        exact_roundoff = eps * n * n * inner.norm_a * inner.norm_b
+
+        def level(kx, ky):
+            ffk, ggk = ff[:kx, :kx], gg[:ky, :ky]
+            lam_f = np.linalg.eigvalsh(ffk)[-1] if kx else 0.0
+            lam_g = np.linalg.eigvalsh(ggk)[-1] if ky else 0.0
+            ex_k, ey_k = ex + np.diagonal(ff)[kx:].sum(), ey + np.diagonal(gg)[ky:].sum()
+            bound = s * (ex_k * (lam_g + ey_k) + ey_k * lam_f)
+            roundoff = exact_roundoff + eps * s * (2 * n + kx * ky) * np.trace(ffk) * np.trace(ggk)
+            margin = 2.0 * (bound + centring + roundoff) / n**2
+            # each level's G is contiguous: its gathers read whole rows
+            return ft[:kx], np.ascontiguousarray(gt[:ky].T), margin
+
+        self._levels = []
+        k = _SCREEN_FIRST_RANK
+        while k < max(rx, ry):
+            self._levels.append(level(min(k, rx), min(k, ry)))
+            k *= 2
+        self._levels.append(level(rx, ry))
+        self.margin = self._levels[-1][2]
 
     @property
     def observed(self):
         return self._observed
 
+    def screen(self, level, perms):
+        """The screen values of ``perms`` at level ``level``."""
+        ft, g, _ = self._levels[level]
+        (rx, n), ry, b = ft.shape, g.shape[1], len(perms)
+        c = (ft @ g[perms.T].reshape(n, b * ry)).reshape(rx, b, ry)
+        return self._scale * np.einsum("abc,abc->b", c, c) / n**2
+
     def permuted(self, perms):
-        (rx, n), ry, b = self._ft.shape, self._g.shape[1], len(perms)
-        c = (self._ft @ self._g[perms.T].reshape(n, b * ry)).reshape(rx, b, ry)
-        t = self._scale * np.einsum("abc,abc->b", c, c) / n**2
+        t = np.empty(len(perms))
+        todo = np.arange(len(perms))
         obs = self._observed
-        near = (np.abs(t - obs) <= self.margin) | (np.abs(t + obs) <= self.margin)
-        if near.any():
-            t[near] = self._inner.permuted(perms[near])
+        for level, (_, _, margin) in enumerate(self._levels):
+            v = t[todo] = self.screen(level, perms[todo])
+            todo = todo[(np.abs(v - obs) <= margin) | (np.abs(v + obs) <= margin)]
+            if not todo.size:
+                return t
+        t[todo] = self._inner.permuted(perms[todo])
         return t
 
 

@@ -524,8 +524,12 @@ def median_heuristic(*samples, max_points: int = 2000) -> float:
         pooled = pooled[(np.arange(max_points) * step).astype(int)]
     if pooled.shape[0] < 2:
         return 1.0
-    # the distances are a temporary, so the median may sort them in place
-    med = float(np.median(pdist(pooled), overwrite_input=True))
+    # the distances are a temporary, so one selection may reorder them in
+    # place; this gives np.median's bits (finite points give no NaN)
+    d = pdist(pooled)
+    k = d.size // 2
+    d.partition(k)
+    med = float(d[k] if d.size % 2 else (d[:k].max() + d[k]) / 2)
     return med if med > 0 else 1.0
 
 

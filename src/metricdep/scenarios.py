@@ -41,10 +41,16 @@ def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_check_seed(seed)))
 
 
-def gen_orthogonal_linear(n: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Draw Z_i ~ N(0, 1) and emit x_i = (Z_i, 0), y_i = (0, Z_i)."""
+def _check_n(n):
+    n = _check_integer("n", n)
     if n < 2:
         raise InputError(f"need n >= 2, got {n}")
+    return n
+
+
+def gen_orthogonal_linear(n: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Draw Z_i ~ N(0, 1) and emit x_i = (Z_i, 0), y_i = (0, Z_i)."""
+    n = _check_n(n)
     z = _rng(seed).standard_normal(n)
     x = np.zeros((n, 2))
     y = np.zeros((n, 2))
@@ -68,8 +74,7 @@ def gen_coupled_mixture(
     distribution is invariant to re-pairing; pass different means to break
     that symmetry (see :func:`norm_distribution_check`'s negative control).
     """
-    if n < 2:
-        raise InputError(f"need n >= 2, got {n}")
+    n = _check_n(n)
     if not sigma > 0:
         raise InputError(f"noise scale must be > 0, got {sigma}")
     mx = np.asarray(means_x, dtype=float)
@@ -85,8 +90,7 @@ def gen_coupled_mixture(
 
 def gen_independent_normal(n: int, seed, dim: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """Independent standard-normal X and Y: the null for level checks."""
-    if n < 2:
-        raise InputError(f"need n >= 2, got {n}")
+    n = _check_n(n)
     rng = _rng(seed)
     x = rng.standard_normal((n, dim))
     y = rng.standard_normal((n, dim))
@@ -128,6 +132,7 @@ def norm_distribution_check(
     uniform; asymmetric ``means_y`` breaks the equality and the test rejects.
     The asymptotic KS p-value is used.
     """
+    n = _check_n(n)
     rng = _rng(seed)
     x1, y1 = gen_coupled_mixture(n, sigma, rng, means_y=means_y)
     x2, _ = gen_coupled_mixture(n, sigma, rng, means_y=means_y)

@@ -337,9 +337,13 @@ class TestScenario:
             ({"reps": True}, "reps: True is not a valid integer"),
             ({"B": True}, "B: True is not a valid integer"),
             ({"seed": 1.7}, "seed: 1.7 is not a valid integer"),
+            ({"scenario": "coupled_mixture", "estimator": "dcov", "sigma": True},
+             "sigma: True is not a valid float"),
+            ({"alpha": False}, "alpha: False is not a valid float"),
         ],
         ids=["estimator", "underscored-estimator", "n", "kernel", "study", "unknown-key", "null", "list",
-             "float-reps", "integral-float-reps", "bool-reps", "bool-B", "float-seed"],
+             "float-reps", "integral-float-reps", "bool-reps", "bool-B", "float-seed", "bool-sigma",
+             "bool-alpha"],
     )
     def test_bad_config_value_exits_2(self, runner, tmp_path, setting, message):
         cfg = tmp_path / "cfg.json"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import pdist
 
 from metricdep import (
@@ -291,6 +292,33 @@ class TestBandwidth:
         pts = np.random.default_rng(m).standard_normal((m, 3))
         assert median_heuristic(pts) == float(np.median(pdist(pts).copy()))
         assert median_heuristic(pts[:1], pts[1:]) == median_heuristic(pts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 60),
+        d=st.integers(1, 3),
+        levels=st.sampled_from([0, 1, 2, 3]),
+        max_points=st.sampled_from([2000, 7, 8]),
+    )
+    def test_median_heuristic_is_np_median(self, seed, m, d, levels, max_points):
+        # odd and even distance counts, ties from points on a grid of
+        # ``levels`` values per coordinate, and the evenly spaced subsample
+        # above ``max_points`` rows
+        pts = np.random.default_rng(seed).standard_normal((m, d))
+        if levels:
+            pts = np.round(pts * levels / 2)
+        kept = pts if m <= max_points else pts[(np.arange(max_points) * (m / max_points)).astype(int)]
+        med = float(np.median(pdist(kept)))
+        assert median_heuristic(pts, max_points=max_points) == (med if med > 0 else 1.0)
+
+    @pytest.mark.parametrize("m,levels", [(2001, 0), (2500, 3)])
+    def test_median_heuristic_above_2000_points_is_np_median_of_the_subsample(self, m, levels):
+        pts = np.random.default_rng(m).standard_normal((m, 2))
+        if levels:
+            pts = np.round(pts * levels / 2)
+        kept = pts[(np.arange(2000) * (m / 2000)).astype(int)]
+        assert median_heuristic(pts) == float(np.median(pdist(kept)))
 
     def test_unresolved_gaussian_refuses_evaluation(self):
         with pytest.raises(InputError, match="unresolved"):

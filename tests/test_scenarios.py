@@ -194,6 +194,22 @@ class TestPowerStudy:
         with pytest.raises(InputError):
             power_study("coupled_mixture", "hsic", 20, reps=1, B=1, seed=0, alpha=1.5)
 
+    @pytest.mark.parametrize("n", [20.5, 20.0, True, "20", None])
+    def test_a_non_integer_n_is_an_input_error(self, n):
+        with pytest.raises(InputError, match="n must be an integer"):
+            power_study("independent_normal", "dcov", n, reps=2, B=9)
+        for draw in (gen_orthogonal_linear, gen_coupled_mixture, gen_independent_normal):
+            with pytest.raises(InputError, match="n must be an integer"):
+                draw(n, seed=0)
+        with pytest.raises(InputError, match="n must be an integer"):
+            norm_distribution_check(n)
+
+    def test_a_numpy_integer_n_draws_as_an_int_does(self):
+        for name in ("orthogonal_linear", "coupled_mixture", "independent_normal"):
+            for ours, theirs in zip(generate(name, np.int64(30), 4), generate(name, 30, 4)):
+                assert np.array_equal(ours, theirs)
+        assert norm_distribution_check(np.int64(30), seed=2) == norm_distribution_check(30, seed=2)
+
     @pytest.mark.parametrize(
         "scenario, estimator, n, seed, spec",
         [

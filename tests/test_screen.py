@@ -1,10 +1,12 @@
 """The screened n x n route: hsic and dcov permutations screened through
-pivoted-Cholesky factors of both centred sides, with every value near the
-observed statistic recomputed on the n x n route.  Its counts, and so its
-p-values, must be the n x n route's; it must decline where it cannot pay
-off.  Its rows are evaluated from the points in blocks, with the bits of
-the stored matrices, and no n x n array is held unless a permutation needs
-the exact gather."""
+nested levels of pivoted-Cholesky factors of both centred sides, with every
+value near the observed statistic recomputed on the n x n route.  Each
+level's screen values must lie within half its margin of the exact ones;
+the counts, and so the p-values, must be the n x n route's; the screen
+must decline where it cannot pay off.  Its rows are evaluated from the
+points in blocks, with the bits of the stored matrices, each n x n entry
+three times, and no n x n array is held unless a permutation needs the
+exact gather."""
 
 import tracemalloc
 
@@ -61,6 +63,24 @@ def _sample(seed, n, d, dep, levels=0):
     return x, y
 
 
+def _screened_from(first_rank, inner, c):
+    """``inner`` screened from levels of rank ``first_rank``, 2 ``first_rank``,
+    ..., with no rank cap."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimators, "_SCREEN_FIRST_RANK", first_rank)
+        patch.setattr(estimators, "_SCREEN_RANKS", inner.n)
+        screened = estimators._screened(inner, c)
+    assert isinstance(screened, estimators._Screened)
+    return screened
+
+
+def _assert_levels_hold(screened, perms, exact):
+    """Each level's screen value is within half its margin of the exact
+    value, for every permutation."""
+    for level, (_, _, margin) in enumerate(screened._levels):
+        assert np.all(np.abs(screened.screen(level, perms) - exact) <= margin / 2)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -80,6 +100,12 @@ def test_screened_counts_are_the_nxn_counts(seed, n, d, dep, levels, which, batc
     perms = np.vstack(list(estimators._permutation_batches(seed, n, 40, 40)))
     assert screened.observed == inner.observed
     assert _counts(screened, perms, batch) == _counts(inner, perms, 40)
+    # a first rank of 1 gives levels of rank 1, 2, 4, ... and runs all of them
+    every_level = _screened_from(1, inner, c)
+    ranks = [max(len(ft), g.shape[1]) for ft, g, _ in every_level._levels]
+    assert ranks[:-1] == [2**i for i in range(len(ranks) - 1)] and ranks == sorted(set(ranks))
+    _assert_levels_hold(every_level, perms, inner.permuted(perms))
+    assert _counts(every_level, perms, batch) == _counts(inner, perms, 40)
 
 
 def _two_and_three_levels(seed, n):
@@ -107,6 +133,10 @@ def test_near_ties_are_recomputed(estimator, kind, text, c, seed):
     t = inner.permuted(perms)
     assert np.count_nonzero(np.abs(t - inner.observed) <= 1e-12 * abs(inner.observed)) >= 20
     assert _counts(screened, perms, 300) == _counts(inner, perms, 300)
+    every_level = _screened_from(1, inner, c)
+    assert len(every_level._levels) > 1
+    _assert_levels_hold(every_level, perms, t)
+    assert _counts(every_level, perms, 300) == _counts(inner, perms, 300)
 
 
 @pytest.mark.parametrize("constant", ["x", "y", "both"])
@@ -122,6 +152,61 @@ def test_a_constant_side_has_a_rank_zero_factor(constant):
     assert isinstance(screened, estimators._Screened)
     perms = np.vstack(list(estimators._permutation_batches(8, n, 30, 30)))
     assert _counts(screened, perms, 7) == _counts(inner, perms, 30)
+
+
+def _n2000(seed, rho):
+    """The shape of the benchmark's n = 2000 test input: gaussian pairs with
+    correlation ``rho`` in each of two coordinates."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    x = rng.standard_normal((2000, 2))
+    return x, rho * x + np.sqrt(1.0 - rho**2) * rng.standard_normal((2000, 2))
+
+
+def _count_levels(monkeypatch):
+    """Patch ``_Screened.screen`` to count the values each level screens."""
+    reached = {}
+    screen = estimators._Screened.screen
+
+    def counted(self, level, perms):
+        reached[level] = reached.get(level, 0) + len(perms)
+        return screen(self, level, perms)
+
+    monkeypatch.setattr(estimators._Screened, "screen", counted)
+    return reached
+
+
+def test_the_first_levels_decide_a_dependent_n2000_test(monkeypatch):
+    x, y = _n2000(1, 0.5)
+    kernel = resolve_bandwidth(GaussianKernel(), x, y)
+    prepared = estimators._prepare("hsic", x, y, kernel=kernel, permutations=199)
+    assert isinstance(prepared, estimators._Screened) and len(prepared._levels) >= 3
+    reached = _count_levels(monkeypatch)
+
+    def exact(perms):
+        raise AssertionError("a permutation reached the exact route")
+
+    monkeypatch.setattr(prepared._inner, "permuted", exact)
+    count = 0
+    for perms in estimators._permutation_batches(7, 2000, 199, 64):
+        count += np.count_nonzero(prepared.permuted(perms) >= prepared.observed)
+    assert count == 0
+    assert reached[0] == 199 and len(prepared._levels) - 1 not in reached
+
+
+def test_an_independent_n2000_test_keeps_the_nxn_counts(monkeypatch):
+    x, y = _n2000(2, 0.0)
+    kernel = resolve_bandwidth(GaussianKernel(), x, y)
+    prepared = estimators._prepare("hsic", x, y, kernel=kernel, permutations=199)
+    assert isinstance(prepared, estimators._Screened)
+    perms = np.vstack(list(estimators._permutation_batches(3, 2000, 199, 199)))
+    reached = _count_levels(monkeypatch)
+    screened = _counts(prepared, perms, 8)
+    exact = prepared._inner.permuted(perms)
+    assert screened == (np.count_nonzero(exact >= prepared.observed),) * 2
+    assert 0 < screened[0] < 199
+    # the levels past the first decide what it cannot
+    assert reached[0] == 199 and reached.get(len(prepared._levels) - 1, 0) < 199 // 10
+    _assert_levels_hold(prepared, perms, exact)
 
 
 class TestRouteChoice:
@@ -232,6 +317,49 @@ def test_evaluated_rows_are_the_stored_rows(seed, n, d, which, rows, levels):
         inner = [estimators._CenteredInner(a, b) for a, b in zip(*sides)]
         assert inner[0].observed == inner[1].observed == inner[0].permuted(np.arange(n)[None])[0]
     assert np.array_equal(inner[0].row_sums, inner[1].row_sums)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 60),
+    which=st.sampled_from(range(len(ELEMENTWISE))),
+    rows=st.integers(1, 9),
+    stored=st.booleans(),
+)
+def test_the_inner_pass_reads_the_moments_of_its_uncentred_side(seed, n, which, rows, stored):
+    kind, text = ELEMENTWISE[which]
+    obj = _spec(kind, text)[kind]
+    x, y = _sample(seed, n, 2, 0.5)
+    distance = kind == "metric"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_BLOCK_BYTES", 8 * n * rows)
+        b = estimators._Side(obj, y, distance, stored=stored)
+        estimators._CenteredInner(estimators._Side(obj, x, distance, centred=True), b)
+        assert "moments" in vars(b)
+        own_pass = estimators._Side(obj, y, distance, stored=stored).moments
+    for ours, theirs in zip(b.moments, own_pass):
+        assert np.array_equal(ours, theirs)
+
+
+def test_prepare_evaluates_each_matrix_entry_three_times(monkeypatch):
+    # the centred side's moments and the inner pass over both sides; the
+    # factors' rows are the rest
+    n = 400
+    x, y = _sample(12, n, 2, 0.5)
+    evaluated = []
+    rows = estimators.matrix_rows
+
+    def counted(obj, pts, i, j, distance=False):
+        evaluated.append(j - i)
+        return rows(obj, pts, i, j, distance)
+
+    monkeypatch.setattr(estimators, "matrix_rows", counted)
+    kernel = resolve_bandwidth(GaussianKernel(), x, y)
+    prepared = estimators._prepare("hsic", x, y, kernel=kernel, permutations=99)
+    assert isinstance(prepared, estimators._Screened)
+    factor_rows = sum(len(ft) for ft in (prepared._levels[-1][0], prepared._levels[-1][1].T))
+    assert sum(evaluated) == 3 * n + factor_rows
 
 
 HSIC_DCOV = [
