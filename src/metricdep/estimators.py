@@ -13,12 +13,13 @@ re-pairing pi of the y side (the identity gives the statistic itself):
 * feature route, when both sides have an explicit feature map (see
   :func:`~metricdep.kernels.feature_map`): with the centred p- and
   q-dimensional features and C_pi = Xc' Yc[pi] / n, mcov = mcov_trace =
-  tr C_pi while B p <= 8 n for B re-pairings, and hsic = ||C_pi||_F^2 and
-  dcov = 4 ||C_pi||_F^2 while p q <= n;
-* n x n route otherwise: the paired trace of the cross matrix (Xc Yc' when
-  there are features) for mcov and mcov_trace, and the centred inner
-  product <HAH, B_pipi> / n^2 of the two sides' matrices for hsic (Gram
-  matrices) and dcov (distance matrices), HAH centred by A's row means.
+  tr C_pi, and hsic = ||C_pi||_F^2 and dcov = 4 ||C_pi||_F^2 while p q <= n;
+* points route for mcov and mcov_trace otherwise: the mean of the n paired
+  values k(x_i, y_pi(i)) less the grand mean of k (for mcov, -1/2 times
+  that of d2), evaluated at the points; no n x n array is held;
+* n x n route for hsic and dcov otherwise: the centred inner product
+  <HAH, B_pipi> / n^2 of the two sides' matrices, Gram matrices for hsic
+  and distance matrices for dcov, HAH centred by A's row means.
   From n = 200 on, on vector data, a side without a feature map is
   evaluated from the points in row blocks and holds no n x n array; it
   is stored, with the same bits, only when a re-pairing needs the exact
@@ -48,7 +49,6 @@ from .kernels import (
     ExplicitSemimetric,
     GaussianKernel,
     InputError,
-    cross_matrix,
     distance_matrix,
     feature_map,
     gram_matrix,
@@ -223,18 +223,25 @@ class _CrossCov(_Prepared):
 
 
 class _PairedTrace(_Prepared):
-    """``scale`` * (mean_i a[i, pi(i)] - mean(a)) of a cross matrix a."""
+    """``scale`` * (mean_i k(x_i, y_pi(i)) - mean_ij k(x_i, y_j)) for the
+    kernel or semimetric k of ``obj``, evaluated at the points: a re-pairing
+    costs n ``obj.paired`` values, each computed from its pair alone, and
+    the grand mean is read once, in row blocks."""
 
-    def __init__(self, a, scale):
-        self.n = a.shape[0]
-        self.perm_bytes = 16 * self.n
-        self._a = a
-        self._grand = a.mean()
+    def __init__(self, obj, x, y, scale):
+        self._obj, self._x, self._y = obj, obj.coerce(x), obj.coerce(y)
+        n = self.n = len(self._x)
+        # indices of both sides, their gathered points and difference, and
+        # the n paired values
+        self.perm_bytes = 8 * n * (3 + 3 * (self._x.size // n))
+        self._grand = sum(obj.pairwise(self._x[i:j], self._y).sum() for i, j in _row_blocks(n, n)) / n**2
         self._scale = scale
 
     def permuted(self, perms):
-        paired = self._a[np.arange(self.n), perms].mean(axis=1)
-        return self._scale * (paired - self._grand)
+        b, n = perms.shape
+        xs, ys = self._x.take(np.tile(np.arange(n), b), 0), self._y.take(perms.ravel(), 0)
+        k = self._obj.paired(xs, ys)
+        return self._scale * (k.reshape(b, n).mean(axis=1) - self._grand)
 
 
 def _read_moments(mu, diag, i, rows):
@@ -516,22 +523,15 @@ def _prepare(
     phi, phi_y = feature_map(obj), feature_map(obj_y)
     if phi is not None and phi_y is not None:
         fx, fy = phi(x), phi_y(y)
-        n, p, q = fx.shape[0], fx.shape[1], fy.shape[1]
-        # Per re-pairing, tr C_pi gathers n p features where the paired
-        # trace of the n x n matrix Xc Yc' (built once, n^2 p) gathers n
-        # entries; ||C_pi||^2 costs n p q against about 2 n^2 for the n x n
-        # gather.  Many wide re-pairings take the n x n route.  At the trace
-        # threshold the two routes timed within about 1.3x of each other;
-        # the norm's is cautious (3x faster here at p q = n).
-        if trace and permutations * p > 8 * n:
-            _check_nxn_memory(n)
-            return _PairedTrace((fx - fx.mean(axis=0)) @ (fy - fy.mean(axis=0)).T, 1.0)
-        if trace or p * q <= n:
+        # ||C_pi||^2 costs n p q per re-pairing against about 2 n^2 for the
+        # n x n gather, so wide features take the n x n route; the switch is
+        # cautious (3x faster here at p q = n)
+        if trace or fx.shape[1] * fy.shape[1] <= len(x):
             return _CrossCov(fx, fy, trace, 4.0 if estimator == "dcov" else 1.0)
+    if trace:
+        return _PairedTrace(obj, x, y, -0.5 if on_metric else 1.0)
     n = len(x)
     _check_nxn_memory(n)
-    if trace:
-        return _PairedTrace(cross_matrix(obj, x, y), -0.5 if on_metric else 1.0)
     # From _SCREEN_MIN_N on, vector data are evaluated in row blocks and
     # stored only if a permutation needs the exact gather.  A side with a
     # feature map (on this route only for wide data) is stored, as are
@@ -733,9 +733,9 @@ def permutation_test(
     under euclid2 is exactly 0 for every re-pairing, so p = 1).  Signed
     statistics (mcov, mcov_trace) default to ``two_sided``; nonnegative ones
     (hsic, dcov) to ``greater``.  Unresolved bandwidths are frozen via the
-    median heuristic before testing; features, or kernel and distance
-    matrices (stored once, or evaluated in row blocks with the stored bits),
-    are permuted by index, and permutation b draws from a
+    median heuristic before testing; features, points, or kernel and
+    distance matrices (stored once, or evaluated in row blocks with the
+    stored bits), are permuted by index, and permutation b draws from a
     counter-based substream of ``seed``, so the result is deterministic for
     fixed inputs no matter the execution order.  ``B`` and ``seed`` must be
     Python or NumPy integers, not bools.  All B permutations run; a

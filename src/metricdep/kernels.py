@@ -78,6 +78,21 @@ class _OnVectors:
         return xs, ys
 
 
+class _Radial(_OnVectors):
+    """A kernel or semimetric f(||x - y||^2); each class supplies only its
+    ``profile`` f, which may overwrite its argument."""
+
+    def pairwise(self, xs, ys):
+        return self.profile(cdist(*self._pair(xs, ys), "sqeuclidean"))
+
+    def paired(self, xs, ys):
+        """The values at the pairs (xs[i], ys[i]), row by row; a single
+        point on either side pairs with every point of the other."""
+        # column-major, the sum runs over the coordinates in order, as cdist's
+        d = np.subtract(*self._pair(xs, ys), order="F")
+        return self.profile(np.square(d, out=d).sum(axis=1))
+
+
 # ---------------------------------------------------------------------------
 # kernels
 
@@ -90,9 +105,8 @@ class LinearKernel(_OnVectors):
         xs, ys = self._pair(xs, ys)
         return xs @ ys.T
 
-    def self_diag(self, xs):
-        xs = as_points(xs)
-        return np.einsum("ij,ij->i", xs, xs)
+    def paired(self, xs, ys):
+        return np.einsum("ij,ij->i", *self._pair(xs, ys))
 
     @property
     def spec(self):
@@ -100,7 +114,7 @@ class LinearKernel(_OnVectors):
 
 
 @dataclass(frozen=True)
-class GaussianKernel(_OnVectors):
+class GaussianKernel(_Radial):
     """k(x, y) = exp(-||x - y||^2 / (2 sigma^2)).
 
     ``sigma=None`` marks an unresolved bandwidth: call
@@ -114,22 +128,13 @@ class GaussianKernel(_OnVectors):
         if self.sigma is not None and not self.sigma > 0:
             raise InputError(f"gaussian bandwidth must be > 0, got {self.sigma}")
 
-    def _check_resolved(self):
+    def profile(self, s):
         if self.sigma is None:
             raise InputError(
                 "gaussian bandwidth unresolved; use resolve_bandwidth(kernel, data)"
             )
-
-    def pairwise(self, xs, ys):
-        self._check_resolved()
-        xs, ys = self._pair(xs, ys)
-        k = cdist(xs, ys, "sqeuclidean")
-        np.divide(k, -2.0 * self.sigma**2, out=k)
-        return np.exp(k, out=k)
-
-    def self_diag(self, xs):
-        self._check_resolved()
-        return np.ones(as_points(xs).shape[0])
+        np.divide(s, -2.0 * self.sigma**2, out=s)
+        return np.exp(s, out=s)
 
     @property
     def spec(self):
@@ -139,7 +144,7 @@ class GaussianKernel(_OnVectors):
 
 
 @dataclass(frozen=True)
-class MaternKernel(_OnVectors):
+class MaternKernel(_Radial):
     """Matern kernel with half-integer smoothness nu in {1/2, 3/2, 5/2}.
 
     Closed forms in r = ||x - y||:
@@ -157,9 +162,8 @@ class MaternKernel(_OnVectors):
         if not self.ell > 0:
             raise InputError(f"matern lengthscale must be > 0, got {self.ell}")
 
-    def pairwise(self, xs, ys):
-        xs, ys = self._pair(xs, ys)
-        r = cdist(xs, ys, "euclidean")
+    def profile(self, s):
+        r = np.sqrt(s, out=s)
         if self.nu == 0.5:
             return np.exp(-r / self.ell)
         if self.nu == 1.5:
@@ -167,9 +171,6 @@ class MaternKernel(_OnVectors):
             return (1.0 + t) * np.exp(-t)
         t = (np.sqrt(5.0) / self.ell) * r
         return (1.0 + t + t**2 / 3.0) * np.exp(-t)
-
-    def self_diag(self, xs):
-        return np.ones(as_points(xs).shape[0])
 
     @property
     def spec(self):
@@ -202,17 +203,19 @@ class DistanceInducedKernel:
     def coerce(self, pts):
         return self.base.coerce(pts)
 
+    def _to_anchor(self, xs):
+        """d2(x, w) for each point x, which is exactly 0 at x = w."""
+        return self.base.paired(xs, self._anchor_row(xs))
+
     def pairwise(self, xs, ys):
         xs, ys = self.base.coerce(xs), self.base.coerce(ys)
-        w = self._anchor_row(xs)
-        dxw = self.base.pairwise(xs, w)[:, 0]
-        dyw = self.base.pairwise(ys, w)[:, 0]
-        return 0.5 * (dxw[:, None] + dyw[None, :] - self.base.pairwise(xs, ys))
+        d = self.base.pairwise(xs, ys)
+        return 0.5 * (self._to_anchor(xs)[:, None] + self._to_anchor(ys)[None, :] - d)
 
-    def self_diag(self, xs):
-        # k(x, x) = d2(x, w)
-        xs = self.base.coerce(xs)
-        return self.base.pairwise(xs, self._anchor_row(xs))[:, 0]
+    def paired(self, xs, ys):
+        xs, ys = self.base.coerce(xs), self.base.coerce(ys)
+        d = self.base.paired(xs, ys)
+        return 0.5 * (self._to_anchor(xs) + self._to_anchor(ys) - d)
 
     @property
     def spec(self):
@@ -228,12 +231,11 @@ class DistanceInducedKernel:
 
 
 @dataclass(frozen=True)
-class EuclideanSquared(_OnVectors):
+class EuclideanSquared(_Radial):
     """d2(x, y) = ||x - y||^2, the canonical semimetric of negative type."""
 
-    def pairwise(self, xs, ys):
-        xs, ys = self._pair(xs, ys)
-        return cdist(xs, ys, "sqeuclidean")
+    def profile(self, s):
+        return s
 
     @property
     def spec(self):
@@ -251,18 +253,21 @@ class KernelInducedSemimetric(_OnVectors):
 
     def pairwise(self, xs, ys):
         xs, ys = self._pair(xs, ys)
-        dx = self.base.self_diag(xs)
-        dy = self.base.self_diag(ys)
-        out = dx[:, None] + dy[None, :] - 2.0 * self.base.pairwise(xs, ys)
+        k = self.base
+        out = k.paired(xs, xs)[:, None] + k.paired(ys, ys)[None, :] - 2.0 * k.pairwise(xs, ys)
         # PSD of the kernel makes this >= 0 up to roundoff
         out = np.maximum(out, 0.0)
         # d2(x, x) = 0 holds algebraically; pin it down where the diagonal
         # and cross evaluations take different floating-point paths
         if xs is ys:
             np.fill_diagonal(out, 0.0)
-        elif xs.shape[0] == 1 and ys.shape[0] == 1 and np.array_equal(xs, ys):
-            out[0, 0] = 0.0
         return out
+
+    def paired(self, xs, ys):
+        xs, ys = self._pair(xs, ys)
+        k = self.base
+        # k(x, x) + k(x, x) - 2 k(x, x) is exactly 0
+        return np.maximum(k.paired(xs, xs) + k.paired(ys, ys) - 2.0 * k.paired(xs, ys), 0.0)
 
     @property
     def spec(self):
@@ -329,6 +334,9 @@ class ExplicitSemimetric:
         xs, ys = self.coerce(xs), self.coerce(ys)
         return self.matrix[np.ix_(xs, ys)]
 
+    def paired(self, xs, ys):
+        return self.matrix[self.coerce(xs), self.coerce(ys)]
+
     @property
     def spec(self):
         return "explicit"
@@ -339,7 +347,7 @@ class ExplicitSemimetric:
 
 
 def _at_pair(obj, x, y) -> float:
-    return float(obj.pairwise(obj.one(x), obj.one(y))[0, 0])
+    return float(obj.paired(obj.one(x), obj.one(y))[0])
 
 
 def kernel_eval(kernel, x, y) -> float:
@@ -407,19 +415,6 @@ def _row_blocks(n, width):
     return [(i, min(i + rows, n)) for i in range(0, n, rows)]
 
 
-def cross_matrix(obj, xs, ys) -> np.ndarray:
-    """``obj.pairwise(xs, ys)`` filled into one array in row blocks of about
-    ``_BLOCK_BYTES``, so that the temporaries of an evaluation are the size
-    of a block rather than of the matrix."""
-    same = xs is ys
-    xs = obj.coerce(xs)
-    ys = xs if same else obj.coerce(ys)
-    out = np.empty((len(xs), len(ys)))
-    for i, j in _row_blocks(len(xs), len(ys)):
-        out[i:j] = obj.pairwise(xs[i:j], ys)
-    return out
-
-
 def _symmetrise(m):
     """m <- (m + m') / 2 in place, a row block and its column block at a time."""
     for i, j in _row_blocks(len(m), len(m)):
@@ -437,9 +432,14 @@ def _as_distances(m, start=0):
 
 
 def _symmetric(obj, pts):
-    """``obj.pairwise(pts, pts)``, symmetrised where it is a product of
-    features; any other ``pairwise`` computes k(x, y) and k(y, x) alike."""
-    m = cross_matrix(obj, pts, pts)
+    """``obj.pairwise(pts, pts)`` filled into one array in row blocks of about
+    ``_BLOCK_BYTES``, so that the temporaries of an evaluation are the size
+    of a block rather than of the matrix; symmetrised where it is a product
+    of features, as any other ``pairwise`` computes k(x, y) and k(y, x) alike."""
+    pts = obj.coerce(pts)
+    m = np.empty((len(pts), len(pts)))
+    for i, j in _row_blocks(len(pts), len(pts)):
+        m[i:j] = obj.pairwise(pts[i:j], pts)
     return m if feature_map(obj) is None else _symmetrise(m)
 
 

@@ -149,6 +149,86 @@ class TestInducedKernel:
             kernel_eval(k, [1.0], [2.0])
 
 
+def _paired_objects(d, rng):
+    """Kernels and semimetrics of every class, on points of dimension d;
+    explicit matrices take row indices of 12 points."""
+    anchor = rng.standard_normal(d)
+    explicit = ExplicitSemimetric(distance_matrix(EuclideanSquared(), rng.standard_normal((12, d))))
+    return [
+        *CATALOGUE_KERNELS,
+        *NEGATIVE_TYPE_METRICS,
+        induced_semimetric(MaternKernel(0.5, 1.3)),
+        induced_semimetric(MaternKernel(2.5, 0.6)),
+        induced_kernel(EuclideanSquared()),
+        induced_kernel(EuclideanSquared(), anchor),
+        induced_kernel(induced_semimetric(LinearKernel()), anchor),
+        induced_kernel(induced_semimetric(GaussianKernel(0.5)), anchor),
+        induced_semimetric(induced_kernel(induced_semimetric(MaternKernel(1.5, 1.0)), anchor)),
+        explicit,
+        induced_kernel(explicit),
+    ]
+
+
+PAIRED_CLASSES = len(_paired_objects(1, np.random.default_rng(0)))
+
+
+def _paired_points(obj, n, d, rng, scale):
+    if isinstance(getattr(obj, "base", obj), ExplicitSemimetric):
+        return rng.integers(0, 12, n), rng.integers(0, 12, n)
+    return scale * rng.standard_normal((n, d)), scale * rng.standard_normal((n, d))
+
+
+class TestPaired:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        which=st.sampled_from(range(PAIRED_CLASSES)),
+        n=st.integers(1, 20),
+        d=st.sampled_from([1, 2, 3, 5, 9]),
+        scale=st.sampled_from([1e-3, 1.0, 30.0]),
+    )
+    def test_paired_is_the_diagonal_of_pairwise(self, seed, which, n, d, scale):
+        # within 1e-15 of the largest entry of the matrix on all the points,
+        # or of a base it is induced from, whose roundoff it inherits (2 - 2k
+        # cancels): that bounds the roundoff of both evaluations
+        rng = np.random.default_rng(seed)
+        obj = _paired_objects(d, rng)[which]
+        xs, ys = _paired_points(obj, n, d, rng, scale)
+        pool = np.concatenate([xs, ys])
+        largest, part = 0.0, obj
+        while part is not None:
+            largest = max(largest, np.abs(part.pairwise(pool, pool)).max())
+            part = getattr(part, "base", None)
+        np.testing.assert_allclose(
+            obj.paired(xs, ys), np.diagonal(obj.pairwise(xs, ys)), rtol=0, atol=1e-15 * largest
+        )
+
+    @pytest.mark.parametrize("which", range(PAIRED_CLASSES))
+    def test_a_point_paired_with_itself(self, which):
+        rng = np.random.default_rng(which)
+        obj = _paired_objects(4, rng)[which]
+        xs, _ = _paired_points(obj, 25, 4, rng, 3.0)
+        k = obj.paired(xs, xs)
+        if isinstance(obj, (GaussianKernel, MaternKernel)):
+            assert np.all(k == 1.0)
+        elif isinstance(obj, (EuclideanSquared, KernelInducedSemimetric, ExplicitSemimetric)):
+            assert np.all(k == 0.0)
+        elif isinstance(obj, DistanceInducedKernel):
+            # k(x, x) = d2(x, w), exactly 0 at the anchor
+            assert np.array_equal(k, obj.base.paired(xs, obj._anchor_row(xs)))
+            if obj.anchor is not None:
+                assert obj.paired(obj.anchor[None], obj.anchor[None])[0] == 0.0
+
+    @pytest.mark.parametrize("which", range(PAIRED_CLASSES))
+    def test_a_single_point_pairs_with_every_point(self, which):
+        rng = np.random.default_rng(100 + which)
+        obj = _paired_objects(3, rng)[which]
+        xs, ys = _paired_points(obj, 10, 3, rng, 1.0)
+        repeated = np.repeat(ys[:1], 10, axis=0)
+        assert np.array_equal(obj.paired(xs, ys[:1]), obj.paired(xs, repeated))
+        assert np.array_equal(obj.paired(ys[:1], xs), obj.paired(repeated, xs))
+
+
 class TestGramMatrix:
     def test_gaussian_unit_diagonal(self):
         pts = np.random.default_rng(11).standard_normal((12, 3))

@@ -9,10 +9,12 @@ from scipy.spatial.distance import cdist
 
 from metricdep import (
     EuclideanSquared,
+    ExplicitSemimetric,
     GaussianKernel,
     InputError,
     LinearKernel,
     dcov_vstat,
+    distance_matrix,
     gen_orthogonal_linear,
     hsic_vstat,
     induced_kernel,
@@ -148,33 +150,16 @@ class TestFeatureRouteAgainstExplicitFormulas:
 class TestRouteChoiceByWidth:
     """hsic and dcov take the feature route only while p q <= n, where a
     re-pairing of C_pi costs no more than the n x n gather; the trace
-    statistics take it while B p <= 8 n for B re-pairings, and otherwise
-    the paired trace of the n x n matrix Xc Yc'."""
+    statistics take it whenever both sides have a feature map, at any width
+    and number of re-pairings."""
 
-    def test_trace_boundary_between_the_routes(self):
+    def test_trace_statistics_with_features_always_take_the_feature_route(self):
         n, p = 20, 4
         x, y = _sample(2, n, p)
         for estimator, kw in (("mcov", dict(metric=E2)), ("mcov_trace", dict(kernel=LIN))):
-            for permutations, route in ((0, estimators._CrossCov), (40, estimators._CrossCov), (41, estimators._PairedTrace)):
+            for permutations in (0, 41, 999):
                 prepared = estimators._prepare(estimator, x, y, permutations=permutations, **kw)
-                assert type(prepared) is route, (estimator, permutations)
-
-    @pytest.mark.parametrize("dep", [0.0, 0.4])
-    def test_both_trace_routes_agree(self, dep):
-        n, p = 25, 6
-        x, y = _sample(12, n, p, dep=dep)
-        d = cdist(x, y, "sqeuclidean")
-        expected = 0.5 * (d.mean() - np.diagonal(d).mean())
-        for estimator, kw in (("mcov", dict(metric=E2)), ("mcov_trace", dict(kernel=LIN))):
-            gathered = estimators._prepare(estimator, x, y, **kw)
-            paired = estimators._prepare(estimator, x, y, permutations=199, **kw)
-            assert isinstance(paired, estimators._PairedTrace)
-            assert _rel(paired.observed, expected) <= 1e-10
-            perms = np.vstack(list(estimators._permutation_batches(6, n, 199, 199)))
-            t_gathered, t_paired = gathered.permuted(perms), paired.permuted(perms)
-            np.testing.assert_allclose(t_paired, t_gathered, rtol=1e-10, atol=1e-12 * abs(expected))
-            exceed_paired = np.count_nonzero(np.abs(t_paired) >= abs(paired.observed))
-            assert exceed_paired == np.count_nonzero(np.abs(t_gathered) >= abs(gathered.observed))
+                assert type(prepared) is estimators._CrossCov, (estimator, permutations)
 
     def test_boundary_between_the_routes(self):
         for p, q, n, feature in ((2, 5, 10, True), (3, 4, 11, False), (1, 12, 12, True), (4, 4, 15, False)):
@@ -295,7 +280,6 @@ class TestMemoryBudget:
         for call in (
             lambda: permutation_test(x, y, "hsic", kernel=GaussianKernel(1.0), B=9, seed=1),
             lambda: hsic_vstat(x, y, GaussianKernel()),
-            lambda: mcov_trace(x, y, GaussianKernel(1.0)),
             lambda: dcov_vstat(x, y, parse_semimetric("induced_metric:base=(gaussian:sigma=1)")),
         ):
             with pytest.raises(InputError, match=r"n = 200000 needs about .* GiB.*feature map \(linear, euclid2\)"):
@@ -319,6 +303,18 @@ class TestPermutationStreams:
                 np.testing.assert_array_equal(perms[b - 1], expected)
 
 
+def _assert_identity_ties_in_every_position(prepared, seed):
+    n, size = prepared.n, estimators._CURTAILED_PIECE
+    piece = next(estimators._permutation_batches(seed, n, size, size))
+    alone = np.concatenate([prepared.permuted(perm[None]) for perm in piece])
+    for k in range(size):
+        stacked = piece.copy()
+        stacked[k] = np.arange(n)
+        t = prepared.permuted(stacked)
+        assert t[k] == prepared.observed
+        assert np.array_equal(np.delete(t, k), np.delete(alone, k))
+
+
 class TestResultTypesAndTies:
     @pytest.mark.parametrize("estimator,kw", CASES[::2] + [("hsic", dict(kernel=GaussianKernel(1.0)))])
     def test_plain_python_floats(self, estimator, kw):
@@ -331,7 +327,7 @@ class TestResultTypesAndTies:
         "estimator,kw,permutations,route",
         [(estimator, kw, 0, estimators._CrossCov) for estimator, kw in CASES]
         + [
-            ("mcov", dict(metric=E2), 199, estimators._PairedTrace),
+            ("mcov", dict(metric=E2), 199, estimators._CrossCov),
             ("mcov_trace", dict(kernel=GaussianKernel(1.0)), 199, estimators._PairedTrace),
             ("mcov", dict(metric=induced_semimetric(GaussianKernel(1.0))), 199, estimators._PairedTrace),
             ("hsic", dict(kernel=GaussianKernel(1.0)), 199, estimators._CenteredInner),
@@ -339,36 +335,57 @@ class TestResultTypesAndTies:
         ],
     )
     def test_identity_stacked_in_a_block_ties_exactly(self, estimator, kw, permutations, route):
-        # every exact route (the feature trace and norm, the paired traces of
-        # Xc Yc' and of a cross matrix, the stored centred inner product)
+        # every exact route (the feature trace and norm, the paired values
+        # evaluated at the points, the stored centred inner product)
         # computes a permutation's statistic alike wherever it sits in a
         # curtailed test's piece: the identity ties with the observed
         # statistic at every position, and the other rows are their values
         # alone
-        n, size = 30, estimators._CURTAILED_PIECE
+        n = 30
         for seed in range(10):
             x, y = _sample(seed, n, 2)
             prepared = estimators._prepare(estimator, x, y, permutations=permutations, **kw)
             assert type(prepared) is route
-            piece = next(estimators._permutation_batches(seed, n, size, size))
-            alone = np.concatenate([prepared.permuted(perm[None]) for perm in piece])
-            for k in range(size):
-                stacked = piece.copy()
-                stacked[k] = np.arange(n)
-                t = prepared.permuted(stacked)
-                assert t[k] == prepared.observed
-                assert np.array_equal(np.delete(t, k), np.delete(alone, k))
+            _assert_identity_ties_in_every_position(prepared, seed)
+
+    @pytest.mark.parametrize("d", [2, 5])
+    @pytest.mark.parametrize(
+        "estimator,spec",
+        [
+            ("mcov_trace", "gaussian:sigma=1"),
+            ("mcov_trace", "matern:nu=0.5,ell=1.3"),
+            ("mcov_trace", "matern:nu=2.5,ell=2"),
+            ("mcov_trace", "induced_kernel:base=(induced_metric:base=(gaussian:sigma=2)),anchor=origin"),
+            ("mcov", "induced_metric:base=(gaussian:sigma=1)"),
+            ("mcov", "induced_metric:base=(matern:nu=1.5,ell=1)"),
+            ("mcov", "explicit"),
+            ("mcov_trace", "explicit"),
+        ],
+    )
+    def test_identity_stacked_ties_on_the_points_trace_route(self, estimator, spec, d):
+        n = 30
+        for seed in range(5):
+            x, y = _sample(seed, n, d, dep=0.3)
+            if spec == "explicit":
+                metric = ExplicitSemimetric(distance_matrix(E2, np.vstack([x, y])))
+                x, y = np.arange(n), n + np.arange(n)
+                kw = dict(metric=metric) if estimator == "mcov" else dict(kernel=induced_kernel(metric))
+            elif estimator == "mcov":
+                kw = dict(metric=parse_semimetric(spec))
+            else:
+                kw = dict(kernel=parse_kernel(spec))
+            prepared = estimators._prepare(estimator, x, y, permutations=199, **kw)
+            assert type(prepared) is estimators._PairedTrace
+            _assert_identity_ties_in_every_position(prepared, seed)
 
     @pytest.mark.parametrize("n", [50, 20])
     def test_orthogonal_linear_mcov_ties_exactly(self, n):
         # tr C_pi = 0 exactly for every re-pairing: each term multiplies an
-        # exact zero coordinate, so every permuted statistic ties and p = 1;
-        # at n = 20 the 99 re-pairings take the n x n route over Xc Yc',
-        # whose entries are exact zeros for the same reason
+        # exact zero coordinate, so every permuted statistic ties and p = 1
         for seed in (0, 1, 7):
             x, y = gen_orthogonal_linear(n, seed)
             prepared = estimators._prepare("mcov", x, y, metric=E2, permutations=99)
-            assert isinstance(prepared, estimators._CrossCov) is (n == 50)
+            assert isinstance(prepared, estimators._CrossCov)
             perms = np.vstack(list(estimators._permutation_batches(seed, n, 99, 99)))
             assert prepared.observed == 0.0
             assert np.all(prepared.permuted(perms) == 0.0)

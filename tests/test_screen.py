@@ -319,6 +319,22 @@ def test_evaluated_rows_are_the_stored_rows(seed, n, d, which, rows, levels):
     assert np.array_equal(inner[0].row_sums, inner[1].row_sums)
 
 
+@pytest.mark.parametrize("kind,text", ELEMENTWISE + [("kernel", "linear"), ("metric", "euclid2")])
+@pytest.mark.parametrize("stored", [False, True])
+def test_centred_side_rows_sum_to_zero(kind, text, stored):
+    # HMH 1 = 0: each centred row, evaluated or stored, sums to zero up to
+    # the roundoff of n terms of the size of M's entries
+    n = 250
+    obj = _spec(kind, text)[kind]
+    x = _sample(13, n, 2, 0.0)[0]
+    distance = kind == "metric"
+    side = estimators._Side(obj, x, distance, centred=True, stored=stored)
+    largest = np.abs((distance_matrix if distance else gram_matrix)(obj, x)).max()
+    sums = np.concatenate([side.rows(i, j).sum(axis=1) for i, j in kernels._row_blocks(n, n)])
+    assert np.abs(sums).max() <= 8 * n * np.finfo(float).eps * largest
+    assert np.abs(side.centred_row(n - 1).sum()) <= 8 * n * np.finfo(float).eps * largest
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -411,6 +427,7 @@ def test_all_ties_build_each_matrix_once(monkeypatch):
     ("hsic", dict(kernel=GaussianKernel(1.0))),
     ("dcov", dict(metric=parse_semimetric("induced_metric:base=(gaussian:sigma=1)"))),
     ("mcov_trace", dict(kernel=GaussianKernel(1.0))),
+    ("mcov", dict(metric=parse_semimetric("induced_metric:base=(gaussian:sigma=1)"))),
 ])
 @pytest.mark.parametrize("n,d", [(150, 2), (400, 5)])
 def test_stored_route_holds_at_most_the_budgeted_nxn_arrays(estimator, spec, n, d, monkeypatch):
@@ -426,5 +443,6 @@ def test_stored_route_holds_at_most_the_budgeted_nxn_arrays(estimator, spec, n, 
     finally:
         tracemalloc.stop()
     arrays = peak / (8 * n * n)
-    budget = 1 if estimator == "mcov_trace" else estimators._NXN_ARRAYS
+    # the trace route evaluates its paired values at the points
+    budget = 0 if estimator.startswith("mcov") else estimators._NXN_ARRAYS
     assert budget - 0.5 < arrays < budget + 0.25
