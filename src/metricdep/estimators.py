@@ -21,18 +21,21 @@ re-pairing pi of the y side (the identity gives the statistic itself):
   <HAH, B_pipi> / n^2 of the two sides' matrices, Gram matrices for hsic
   and distance matrices for dcov, HAH centred by A's row means.
   From n = 200 on, on vector data, a side without a feature map is
-  evaluated from the points in row blocks and holds no n x n array; it
-  is stored, with the same bits, only when a re-pairing needs the exact
-  gather.  A permutation test of hsic or dcov there screens its
-  re-pairings through pivoted-Cholesky factors of both centred sides, first
-  through their leading 32 columns, then 64, ..., then the whole factors,
-  each level only the values its predecessor left undecided.  It
-  recomputes on the n x n route every value the last level cannot certify
-  to fall on one side of the observed statistic, so its counts and
-  p-values are the n x n route's; it keeps the n x n route where a
-  factor's rank passes sqrt(32 n).  Before any n x n-route statistic,
-  evaluated or stored, the route checks that two n x n matrices fit in
-  physical memory.
+  evaluated from the points in row blocks, with the bits of the stored
+  matrix, and holds no n x n array.  A permutation test of hsic or dcov
+  there screens its re-pairings through pivoted-Cholesky factors of both
+  centred sides, first through their leading 32 columns, then 64, ...,
+  then the whole factors, each level only the values its predecessor left
+  undecided.  It recomputes on the n x n route, from the points, every
+  value the last level cannot certify to fall on one side of the observed
+  statistic, so its counts and p-values are the n x n route's and it
+  holds no n x n array at any n.  Where a factor's rank passes
+  sqrt(32 n) the screen declines and both matrices are stored, since
+  every re-pairing is then gathered.  A matrix is stored there or up
+  front (below n = 200, on explicit matrices, and for a side with a
+  feature map), nowhere else.  Before any n x n-route statistic, evaluated
+  or stored, the route checks that two n x n matrices fit in physical
+  memory; an allocation that fails all the same is an ``InputError``.
 """
 
 from __future__ import annotations
@@ -259,18 +262,20 @@ class _Side:
     """One side's n x n matrix M, a Gram matrix or, with ``distance``, a
     distance matrix, read in row blocks.
 
-    ``rows(i, j)`` evaluates M[i:j] from the points by ``matrix_rows`` until
-    ``store`` has built M by ``gram_matrix`` or ``distance_matrix``, and
-    from then on reads the stored rows.  A side without a feature map
-    computes each entry from its two points alone, so both give the same
-    bits.  M is symmetric, so with its row means mu a ``centred`` side's
-    rows are those of HMH = M - mu 1' - 1 mu' + mean(mu), stored centred in
-    place.
+    ``rows(i, j)`` gives M[i:j], and ``rows(i, j, perm)`` rows i:j of
+    M_pipi = M[perm][:, perm].  A stored side takes them from M, built once
+    by ``gram_matrix`` or ``distance_matrix`` (with ``stored``, or on a call
+    of ``store``); any other side evaluates them by ``matrix_rows`` at its
+    points, re-paired by ``perm``.  A side without a feature map computes
+    each entry from its two points alone, so both give the same bits.  M is
+    symmetric, so with its row means mu a ``centred`` side's rows are those
+    of HMH = M - mu 1' - 1 mu' + mean(mu), stored centred in place.
     """
 
     def __init__(self, obj, pts, distance, centred=False, stored=False):
         self.n = len(pts)
-        self._evaluate = partial(matrix_rows, obj, pts, distance=distance)
+        self._pts = pts
+        self._evaluate = partial(matrix_rows, obj, distance=distance)
         self._build = partial(distance_matrix if distance else gram_matrix, obj, pts)
         self._matrix, self._centred = None, False
         if stored:
@@ -289,18 +294,20 @@ class _Side:
             _read_moments(mu, diag, i, self.rows(i, j))
         return _moments(mu, diag)
 
-    def _centre(self, rows, i=0, j=None):
+    def _centre(self, rows, i=0, j=None, perm=None):
         mu, m, _ = self.moments
+        if perm is not None:
+            mu = mu[perm]
         rows -= mu[i:j, None]
         rows -= mu
         rows += m
         return rows
 
-    def rows(self, i, j):
+    def rows(self, i, j, perm=None):
         if self._matrix is not None:
-            return self._matrix[i:j]
-        rows = self._evaluate(i, j)
-        return self._centre(rows, i, j) if self._centred else rows
+            return self._matrix[i:j] if perm is None else self._matrix.take(perm[i:j], 0).take(perm, 1)
+        rows = self._evaluate(self._pts if perm is None else self._pts[perm], i, j)
+        return self._centre(rows, i, j, perm) if self._centred else rows
 
     def centred_row(self, j):
         """Row j of HMH."""
@@ -310,32 +317,40 @@ class _Side:
         return self.rows(j, j + 1)[0] - mu[j] - mu + m
 
     def store(self):
-        """M, or HMH on a centred side, built on the first call."""
+        """Build M, or HMH on a centred side, unless it is built; a failed
+        allocation is an :class:`InputError` that names n."""
         if self._matrix is None:
-            self._matrix = self._build()
+            try:
+                self._matrix = self._build()
+            except MemoryError:
+                raise InputError(
+                    f"n = {self.n}: out of memory for the n x n matrices; "
+                    "a spec with a feature map (linear, euclid2) builds none"
+                ) from None
             if self._centred:
                 self._centre(self._matrix)
-        return self._matrix
 
 
 class _CenteredInner(_Prepared):
     """<HAH, B_pipi> / n^2, which equals <HAH, HBH> / n^2 because H is a
     projection; only the fixed side A is centred.
 
-    One pass over row blocks of both sides gives the observed statistic,
-    ||HAH||_F, ||B||_F, HAH's row sums and B's moments, with the bits of
-    B's own pass over the same blocks.  ``permuted`` stores both matrices on
-    its first call and gathers B_pipi in row blocks; the observed statistic
-    is what it gives for the identity.
+    One pass over the row blocks ``blocks`` of both sides gives the observed
+    statistic, ||HAH||_F, ||B||_F, HAH's row sums and B's moments, with the
+    bits of B's own pass over the same blocks.  ``permuted`` only reads the
+    sides, stored or evaluated: for each block it reads A's rows once and
+    adds their inner product with B_pipi's rows to each permutation's sum,
+    so the identity gives the observed statistic.
     """
 
     def __init__(self, a, b):
         n = self.n = a.n
         self.perm_bytes = 8 * n
         self._a, self._b = a, b
+        self.blocks = _row_blocks(n, n)
         self.row_sums, mu, diag = np.empty(n), np.empty(n), np.empty(n)
         total = square_a = square_b = 0.0
-        for i, j in _row_blocks(n, n):
+        for i, j in self.blocks:
             rows_a, rows_b = a.rows(i, j), b.rows(i, j)
             total += np.vdot(rows_a, rows_b)
             square_a += np.vdot(rows_a, rows_a)
@@ -351,12 +366,12 @@ class _CenteredInner(_Prepared):
         return self._observed
 
     def permuted(self, perms):
-        a, b, n = self._a.store(), self._b.store(), self.n
-        blocks = _row_blocks(n, n)
-        out = np.empty(len(perms))
-        for k, p in enumerate(perms):
-            out[k] = sum(np.vdot(a[i:j], b.take(p[i:j], 0).take(p, 1)) for i, j in blocks)
-        return out / n**2
+        out = np.zeros(len(perms))
+        for i, j in self.blocks:
+            rows_a = self._a.rows(i, j)
+            for k, p in enumerate(perms):
+                out[k] += np.vdot(rows_a, self._b.rows(i, j, p))
+        return out / self.n**2
 
 
 def _pivoted_cholesky(row, diag, cap):
@@ -396,6 +411,17 @@ class _Screened(_Prepared):
     s (e_x (lmax(G'G) + e_y) + e_y lmax(F'F)) / n^2, e = tr E, for every pi.
     A level's margin is twice that plus the roundoff of both computations.
 
+    The exact route's roundoff: ``inner`` sums, for each of its row blocks
+    of at most r rows, one vdot of at most r n products, and adds the block
+    sums in order, so each product passes through at most
+    m = r n + (number of blocks) roundings.  Then, in any order of the
+    sums, |fl(<X, Y>) - <X, Y>| <= gamma_m sum_ij |X_ij Y_ij|
+    <= gamma_m ||X||_F ||Y||_F (Higham 2002, sec. 3.1, and Cauchy-Schwarz),
+    with gamma_m = m u / (1 - m u) <= m eps for the unit roundoff
+    u = eps / 2, and ||B_pipi||_F = ||B||_F for every pi.  So each exact
+    value, observed or permuted, is within eps m ||HAH||_F ||B||_F / n^2 of
+    its value in exact arithmetic on the same HAH and B.
+
     The levels keep the leading k columns of F and of G, for k =
     ``_SCREEN_FIRST_RANK``, twice that, ... (each capped at its side's
     rank), and end at the whole factors.  The columns dropped at a level
@@ -404,9 +430,10 @@ class _Screened(_Prepared):
     every re-pairing at the first level and takes to the next only the
     values within the level's margin of the observed statistic or of its
     negation; those still within the last level's margin, ``margin``, are
-    recomputed exactly.  So each comparison with the observed statistic,
-    signed or absolute, is the one ``inner`` makes.  The observed statistic
-    is ``inner``'s.
+    recomputed by ``inner``, which reads its sides as they are: a taken
+    screen stores nothing, and recomputes from the points.  So each
+    comparison with the observed statistic, signed or absolute, is the one
+    ``inner`` makes.  The observed statistic is ``inner``'s.
     """
 
     def __init__(self, inner, c, x_factor, y_factor):
@@ -416,15 +443,18 @@ class _Screened(_Prepared):
         self._observed = inner.observed
         self._scale = s = 1.0 / c**2
         rx, ry = len(ft), len(gt)
-        # indices, gathered factor rows and F' G[pi] of the last level
-        self.perm_bytes = 8 * (n * (1 + ry) + rx * ry)
+        # indices, gathered factor rows and F' G[pi] of the first level,
+        # the only one that every permutation reaches
+        kx, ky = min(_SCREEN_FIRST_RANK, rx), min(_SCREEN_FIRST_RANK, ry)
+        self.perm_bytes = 8 * (n * (1 + ky) + kx * ky)
 
         ff, gg = ft @ ft.T, gt @ gt.T
         # the exact route pairs HAH with B, not HBH: the two differ by
         # terms in the row sums of HAH, which are zero up to roundoff
         centring = 3.0 * np.abs(inner.row_sums).sum() * np.abs(inner._b.moments[0]).max()
         eps = np.finfo(float).eps
-        exact_roundoff = eps * n * n * inner.norm_a * inner.norm_b
+        (i, j), blocks = inner.blocks[0], len(inner.blocks)
+        exact_roundoff = eps * ((j - i) * n + blocks) * inner.norm_a * inner.norm_b
 
         def level(kx, ky):
             ffk, ggk = ff[:kx, :kx], gg[:ky, :ky]
@@ -471,12 +501,15 @@ class _Screened(_Prepared):
 
 def _screened(inner, c):
     """``inner`` screened through factors of both centred sides scaled by
-    ``c``, or ``inner`` itself when either side's rank passes the cap."""
+    ``c``; or, when either side's rank passes the cap, ``inner`` itself
+    with both sides stored, since it then gathers every permutation."""
     cap = isqrt(_SCREEN_RANKS * inner.n)
     factors = []
     for side in (inner._a, inner._b):
         factor = _pivoted_cholesky(lambda j: c * side.centred_row(j), c * side.moments[2], cap)
         if factor is None:
+            inner._a.store()
+            inner._b.store()
             return inner
         factors.append(factor)
     return _Screened(inner, c, *factors)
@@ -532,13 +565,14 @@ def _prepare(
         return _PairedTrace(obj, x, y, -0.5 if on_metric else 1.0)
     n = len(x)
     _check_nxn_memory(n)
-    # From _SCREEN_MIN_N on, vector data are evaluated in row blocks and
-    # stored only if a permutation needs the exact gather.  A side with a
-    # feature map (on this route only for wide data) is stored, as are
-    # explicit matrices and small n: the linear kernel's matrix product
-    # rounds by the block's shape.  An explicit matrix is of negative type
-    # only up to the validation tolerance, so its centred Gram need not be
-    # PSD, as the screen's bound requires.
+    # The sides are stored here or, where the screen declines, by
+    # _screened; nothing else stores them.  From _SCREEN_MIN_N on, vector
+    # data are evaluated in row blocks.  A side with a feature map (on this
+    # route only for wide data) is stored, as are explicit matrices and
+    # small n: the linear kernel's matrix product rounds by the block's
+    # shape.  An explicit matrix is of negative type only up to the
+    # validation tolerance, so its centred Gram need not be PSD, as the
+    # screen's bound requires.
     vectors = n >= _SCREEN_MIN_N and not (_on_explicit(obj) or _on_explicit(obj_y))
     inner = _CenteredInner(
         _Side(obj, x, on_metric, centred=True, stored=not vectors or phi is not None),
@@ -734,8 +768,9 @@ def permutation_test(
     statistics (mcov, mcov_trace) default to ``two_sided``; nonnegative ones
     (hsic, dcov) to ``greater``.  Unresolved bandwidths are frozen via the
     median heuristic before testing; features, points, or kernel and
-    distance matrices (stored once, or evaluated in row blocks with the
-    stored bits), are permuted by index, and permutation b draws from a
+    distance matrices (stored where the module docstring says, else
+    evaluated from the points in row blocks with the stored bits), are
+    permuted by index, and permutation b draws from a
     counter-based substream of ``seed``, so the result is deterministic for
     fixed inputs no matter the execution order.  ``B`` and ``seed`` must be
     Python or NumPy integers, not bools.  All B permutations run; a

@@ -182,6 +182,21 @@ class TestTest:
         assert len(lines) == 1 and lines[0].startswith("error: n = 200000 needs about ")
         assert "feature map (linear, euclid2)" in lines[0]
 
+    def test_failed_allocation_exits_2(self, runner, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("metricdep.estimators.gram_matrix", fail)
+        path = tmp_path / "sample.csv"
+        path.write_text("x_1,y_1\n" + "".join(f"{i % 5},{i % 7}\n" for i in range(50)))
+        result = runner.invoke(
+            main, ["test", "--input", str(path), "--estimator", "hsic", "--kernel", "gaussian", "--B", "9"]
+        )
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: n = 50: out of memory ")
+
 
 class TestOracle:
     def test_product_joint_all_measures_zero(self, runner, tmp_path):

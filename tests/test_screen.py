@@ -5,8 +5,8 @@ level's screen values must lie within half its margin of the exact ones;
 the counts, and so the p-values, must be the n x n route's; the screen
 must decline where it cannot pay off.  Its rows are evaluated from the
 points in blocks, with the bits of the stored matrices, each n x n entry
-three times, and no n x n array is held unless a permutation needs the
-exact gather."""
+three times.  A taken screen holds no n x n array: it recomputes its near
+ties from the points; a declined one stores both sides once."""
 
 import tracemalloc
 
@@ -201,6 +201,9 @@ def test_an_independent_n2000_test_keeps_the_nxn_counts(monkeypatch):
     perms = np.vstack(list(estimators._permutation_batches(3, 2000, 199, 199)))
     reached = _count_levels(monkeypatch)
     screened = _counts(prepared, perms, 8)
+    # the stored gather has the evaluated bits and takes a fraction of the time
+    prepared._inner._a.store()
+    prepared._inner._b.store()
     exact = prepared._inner.permuted(perms)
     assert screened == (np.count_nonzero(exact >= prepared.observed),) * 2
     assert 0 < screened[0] < 199
@@ -286,8 +289,10 @@ ELEMENTWISE = [
     which=st.sampled_from(range(len(ELEMENTWISE))),
     rows=st.integers(1, 9),
     levels=st.sampled_from([0, 2]),
+    data=st.data(),
 )
-def test_evaluated_rows_are_the_stored_rows(seed, n, d, which, rows, levels):
+def test_evaluated_rows_are_the_stored_rows(seed, n, d, which, rows, levels, data):
+    perm = np.array(data.draw(st.permutations(range(n)), label="perm"), dtype=np.intp)
     kind, text = ELEMENTWISE[which]
     obj = _spec(kind, text)[kind]
     x = _sample(seed, n, d, 0.0, levels)[0]
@@ -298,8 +303,8 @@ def test_evaluated_rows_are_the_stored_rows(seed, n, d, which, rows, levels):
     assert np.array_equal(stored, stored.T)
     for i in range(0, n, rows):
         assert np.array_equal(matrix_rows(obj, x, i, min(i + rows, n), distance), stored[i : i + rows])
-    # the sides, centred or not, agree in blocks of ``rows`` rows, and so
-    # does their inner product
+    # the sides, centred or not, agree in blocks of ``rows`` rows, re-paired
+    # or not, and so does their inner product
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "_BLOCK_BYTES", 8 * n * rows)
         sides = [
@@ -312,10 +317,13 @@ def test_evaluated_rows_are_the_stored_rows(seed, n, d, which, rows, levels):
             for i in range(0, n, rows):
                 j = min(i + rows, n)
                 assert np.array_equal(evaluated.rows(i, j), kept.rows(i, j))
+                assert np.array_equal(evaluated.rows(i, j, perm), kept.rows(i, j, perm))
             for j in (0, n - 1):
                 assert np.array_equal(evaluated.centred_row(j), kept.centred_row(j))
         inner = [estimators._CenteredInner(a, b) for a, b in zip(*sides)]
         assert inner[0].observed == inner[1].observed == inner[0].permuted(np.arange(n)[None])[0]
+        assert inner[0].permuted(perm[None]) == inner[1].permuted(perm[None])
+    assert np.array_equal(kept.rows(0, n, perm), stored[perm][:, perm])
     assert np.array_equal(inner[0].row_sums, inner[1].row_sums)
 
 
@@ -399,27 +407,50 @@ def test_compute_and_test_give_the_same_bits(estimator, spec, statistic, d, rout
     assert inner.permuted(np.arange(n)[None])[0] == prepared.observed
 
 
-def test_all_ties_build_each_matrix_once(monkeypatch):
+@pytest.mark.parametrize("estimator,spec", [case[:2] for case in HSIC_DCOV])
+def test_a_taken_screen_recomputes_from_the_points(estimator, spec, monkeypatch):
     # with x constant HAH is 0, so every permuted statistic ties with the
-    # observed 0 and is recomputed; the matrices are stored on the first
-    # recomputation and gathered from then on
+    # observed 0 and is recomputed, from the points, with no matrix built
     n = 300
     _, y = _sample(10, n, 1, 0.0)
     x = np.zeros((n, 1))
-    built = []
-    gram = estimators.gram_matrix
+    recomputed = []
+    exact = estimators._CenteredInner.permuted
 
-    def counted(obj, pts):
-        built.append(len(pts))
-        return gram(obj, pts)
+    def fail(*args, **kwargs):
+        raise AssertionError("an n x n matrix was built")
 
-    monkeypatch.setattr(estimators, "gram_matrix", counted)
-    kernel = GaussianKernel(1.0)
-    prepared = estimators._prepare("hsic", x, y, kernel=kernel, permutations=199)
+    def counted(self, perms):
+        recomputed.append(len(perms))
+        return exact(self, perms)
+
+    monkeypatch.setattr(estimators, "gram_matrix", fail)
+    monkeypatch.setattr(estimators, "distance_matrix", fail)
+    monkeypatch.setattr(estimators._CenteredInner, "permuted", counted)
+    prepared = estimators._prepare(estimator, x, y, permutations=199, **spec)
     assert isinstance(prepared, estimators._Screened) and prepared.observed == 0.0
-    assert built == []
-    result = permutation_test(x, y, "hsic", kernel=kernel, B=199, seed=2)
+    result = permutation_test(x, y, estimator, B=199, seed=2, **spec)
     assert result.p_value == 1.0
+    assert sum(recomputed) == 199
+
+
+@pytest.mark.parametrize("estimator,spec", [case[:2] for case in HSIC_DCOV])
+def test_a_declined_screen_builds_each_matrix_once(estimator, spec, monkeypatch):
+    n = 300
+    x, y = _sample(14, n, 5, 0.3)
+    built = []
+    for name in ("gram_matrix", "distance_matrix"):
+        build = getattr(estimators, name)
+
+        def counted(obj, pts, build=build):
+            built.append(len(pts))
+            return build(obj, pts)
+
+        monkeypatch.setattr(estimators, name, counted)
+    prepared = estimators._prepare(estimator, x, y, permutations=99, **spec)
+    assert type(prepared) is estimators._CenteredInner
+    assert built == [n, n]
+    prepared.permuted(np.vstack(list(estimators._permutation_batches(1, n, 9, 9))))
     assert built == [n, n]
 
 
