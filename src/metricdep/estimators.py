@@ -33,9 +33,13 @@ re-pairing pi of the y side (the identity gives the statistic itself):
   sqrt(32 n) the screen declines and both matrices are stored, since
   every re-pairing is then gathered.  A matrix is stored there or up
   front (below n = 200, on explicit matrices, and for a side with a
-  feature map), nowhere else.  Before any n x n-route statistic, evaluated
-  or stored, the route checks that two n x n matrices fit in physical
-  memory; an allocation that fails all the same is an ``InputError``.
+  feature map), nowhere else.
+
+Memory is checked only where an array that grows faster than n is
+allocated, against physical memory: two n x n matrices where a side is
+stored, and, before any pass, the screen's factors at its rank cap.  A
+statistic that stores nothing is never refused; an allocation that fails
+all the same is an ``InputError``.
 """
 
 from __future__ import annotations
@@ -80,6 +84,20 @@ _CURTAILED_PIECE = 16
 # route: both stored matrices.  They are built, centred and gathered in
 # row blocks, so no temporary is n x n.
 _NXN_ARRAYS = 2
+
+# The screen's arrays that grow faster than n, in units of cap x n float64s
+# at the rank cap, cap = isqrt(_SCREEN_RANKS n): F' and G', the copy a
+# factor grows into when it doubles, and the last level's gather of a
+# piece.  A piece holds one permutation, or a first-level gather of at most
+# _BATCH_BYTES, so from n = 15888 on that gather is at most cap x n.
+_SCREEN_ARRAYS = 4
+
+# What holds no array that grows faster than n, named when memory is refused
+_MEMORY_HINT = (
+    "a statistic without permutations on vector data under a spec without a feature map "
+    "(gaussian, matern), or under specs with one (linear, euclid2) on both sides at p q <= n, "
+    "holds none"
+)
 
 # The low-rank screen of hsic and dcov permutations starts at this n.  On a
 # 2-core host (gaussian, median bandwidth, d = 2, B = 199, rank cap lifted,
@@ -173,6 +191,22 @@ def _resolve_sides(obj, obj_y, x, y):
         return resolve_bandwidth(obj, x), resolve_bandwidth(obj if obj_y is None else obj_y, y)
     obj = resolve_bandwidth(obj, x, y)
     return obj, obj if obj_y is None else resolve_bandwidth(obj_y, x, y)
+
+
+def _physical_memory():
+    """Bytes of physical memory."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_memory(n, floats, arrays):
+    """Refuse ``floats`` float64s of ``arrays``, for a sample of n, that
+    would not fit in physical memory.  Every memory decision is made here."""
+    need, have = 8 * floats, _physical_memory()
+    if need > have:
+        raise InputError(
+            f"n = {n} needs about {need / 2**30:.1f} GiB for {arrays}, more than the "
+            f"{have / 2**30:.1f} GiB of physical memory; {_MEMORY_HINT}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +303,9 @@ class _Side:
     points, re-paired by ``perm``.  A side without a feature map computes
     each entry from its two points alone, so both give the same bits.  M is
     symmetric, so with its row means mu a ``centred`` side's rows are those
-    of HMH = M - mu 1' - 1 mu' + mean(mu), stored centred in place.
+    of HMH = M - mu 1' - 1 mu' + mean(mu), stored centred in place.  Only
+    ``store`` does work when a side is built; an evaluated side's first
+    pass is its first read.
     """
 
     def __init__(self, obj, pts, distance, centred=False, stored=False):
@@ -277,21 +313,18 @@ class _Side:
         self._pts = pts
         self._evaluate = partial(matrix_rows, obj, distance=distance)
         self._build = partial(distance_matrix if distance else gram_matrix, obj, pts)
-        self._matrix, self._centred = None, False
+        self._matrix, self._centred = None, centred
         if stored:
             self.store()
-        if centred:
-            self.moments  # of M, before the rows are centred
-            self._centred = True
-            if stored:
-                self._centre(self._matrix)
 
     @cached_property
     def moments(self):
-        """mu, mean(mu) and the diagonal of HMH, from one pass over M."""
+        """mu, mean(mu) and the diagonal of HMH, from one pass over M, read
+        before any row is centred."""
         mu, diag = np.empty(self.n), np.empty(self.n)
         for i, j in _row_blocks(self.n, self.n):
-            _read_moments(mu, diag, i, self.rows(i, j))
+            rows = self._evaluate(self._pts, i, j) if self._matrix is None else self._matrix[i:j]
+            _read_moments(mu, diag, i, rows)
         return _moments(mu, diag)
 
     def _centre(self, rows, i=0, j=None, perm=None):
@@ -317,16 +350,15 @@ class _Side:
         return self.rows(j, j + 1)[0] - mu[j] - mu + m
 
     def store(self):
-        """Build M, or HMH on a centred side, unless it is built; a failed
-        allocation is an :class:`InputError` that names n."""
+        """Build M, or HMH on a centred side, unless it is built, once the
+        two n x n matrices pass :func:`_check_memory`; an allocation that
+        fails all the same is an :class:`InputError` that names n."""
         if self._matrix is None:
+            _check_memory(self.n, _NXN_ARRAYS * self.n**2, "n x n matrices")
             try:
                 self._matrix = self._build()
             except MemoryError:
-                raise InputError(
-                    f"n = {self.n}: out of memory for the n x n matrices; "
-                    "a spec with a feature map (linear, euclid2) builds none"
-                ) from None
+                raise InputError(f"n = {self.n}: out of memory for the n x n matrices; {_MEMORY_HINT}") from None
             if self._centred:
                 self._centre(self._matrix)
 
@@ -420,7 +452,11 @@ class _Screened(_Prepared):
     with gamma_m = m u / (1 - m u) <= m eps for the unit roundoff
     u = eps / 2, and ||B_pipi||_F = ||B||_F for every pi.  So each exact
     value, observed or permuted, is within eps m ||HAH||_F ||B||_F / n^2 of
-    its value in exact arithmetic on the same HAH and B.
+    its value in exact arithmetic on the same HAH and B.  This term is a
+    certificate only: no input tried needs it, because the centring term,
+    built from the computed row sums of HAH, already exceeds the exact
+    route's actual roundoff on each.  The margin rests on the bound, not on
+    that observation.
 
     The levels keep the leading k columns of F and of G, for k =
     ``_SCREEN_FIRST_RANK``, twice that, ... (each capped at its side's
@@ -428,12 +464,15 @@ class _Screened(_Prepared):
     join its residual, which stays PSD: E_x + F[:, k:] F[:, k:]', of trace
     e_x + ||F[:, k:]||_F^2, so the same bound holds.  ``permuted`` screens
     every re-pairing at the first level and takes to the next only the
-    values within the level's margin of the observed statistic or of its
-    negation; those still within the last level's margin, ``margin``, are
-    recomputed by ``inner``, which reads its sides as they are: a taken
-    screen stores nothing, and recomputes from the points.  So each
-    comparison with the observed statistic, signed or absolute, is the one
-    ``inner`` makes.  The observed statistic is ``inner``'s.
+    values strictly within the level's margin of the observed statistic or
+    of its negation; those still within the last level's margin,
+    ``margin``, are recomputed by ``inner``, which reads its sides as they
+    are: a taken screen stores nothing, and recomputes from the points.
+    A value at its margin, twice its error, is decided; a margin of 0
+    means F or G is 0 and HAH or B is 0, so that both values are exactly
+    0.  So each comparison with the observed statistic, signed or
+    absolute, is the one ``inner`` makes.  The observed statistic is
+    ``inner``'s.
     """
 
     def __init__(self, inner, c, x_factor, y_factor):
@@ -449,6 +488,7 @@ class _Screened(_Prepared):
         self.perm_bytes = 8 * (n * (1 + ky) + kx * ky)
 
         ff, gg = ft @ ft.T, gt @ gt.T
+        g = np.ascontiguousarray(gt.T)
         # the exact route pairs HAH with B, not HBH: the two differ by
         # terms in the row sums of HAH, which are zero up to roundoff
         centring = 3.0 * np.abs(inner.row_sums).sum() * np.abs(inner._b.moments[0]).max()
@@ -464,8 +504,9 @@ class _Screened(_Prepared):
             bound = s * (ex_k * (lam_g + ey_k) + ey_k * lam_f)
             roundoff = exact_roundoff + eps * s * (2 * n + kx * ky) * np.trace(ffk) * np.trace(ggk)
             margin = 2.0 * (bound + centring + roundoff) / n**2
-            # each level's G is contiguous: its gathers read whole rows
-            return ft[:kx], np.ascontiguousarray(gt[:ky].T), margin
+            # a level's G is a column view of one contiguous G, whose
+            # gathers read rows
+            return ft[:kx], g[:, :ky], margin
 
         self._levels = []
         k = _SCREEN_FIRST_RANK
@@ -492,7 +533,7 @@ class _Screened(_Prepared):
         obs = self._observed
         for level, (_, _, margin) in enumerate(self._levels):
             v = t[todo] = self.screen(level, perms[todo])
-            todo = todo[(np.abs(v - obs) <= margin) | (np.abs(v + obs) <= margin)]
+            todo = todo[(np.abs(v - obs) < margin) | (np.abs(v + obs) < margin)]
             if not todo.size:
                 return t
         t[todo] = self._inner.permuted(perms[todo])
@@ -502,7 +543,8 @@ class _Screened(_Prepared):
 def _screened(inner, c):
     """``inner`` screened through factors of both centred sides scaled by
     ``c``; or, when either side's rank passes the cap, ``inner`` itself
-    with both sides stored, since it then gathers every permutation."""
+    with both sides stored (each store checked for memory), since it then
+    gathers every permutation."""
     cap = isqrt(_SCREEN_RANKS * inner.n)
     factors = []
     for side in (inner._a, inner._b):
@@ -518,18 +560,6 @@ def _screened(inner, c):
 def _on_explicit(obj):
     """Whether a kernel or semimetric is built on an explicit matrix."""
     return isinstance(obj, ExplicitSemimetric) or (hasattr(obj, "base") and _on_explicit(obj.base))
-
-
-def _check_nxn_memory(n):
-    """Refuse an n x n route whose arrays would not fit in physical memory."""
-    need = _NXN_ARRAYS * 8 * n * n
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise InputError(
-            f"n = {n} needs about {need / 2**30:.1f} GiB for n x n matrices, more than the "
-            f"{have / 2**30:.1f} GiB of physical memory; a spec with a feature map "
-            "(linear, euclid2) builds no n x n matrix and fits"
-        )
 
 
 def _prepare(
@@ -564,7 +594,6 @@ def _prepare(
     if trace:
         return _PairedTrace(obj, x, y, -0.5 if on_metric else 1.0)
     n = len(x)
-    _check_nxn_memory(n)
     # The sides are stored here or, where the screen declines, by
     # _screened; nothing else stores them.  From _SCREEN_MIN_N on, vector
     # data are evaluated in row blocks.  A side with a feature map (on this
@@ -572,15 +601,18 @@ def _prepare(
     # small n: the linear kernel's matrix product rounds by the block's
     # shape.  An explicit matrix is of negative type only up to the
     # validation tolerance, so its centred Gram need not be PSD, as the
-    # screen's bound requires.
+    # screen's bound requires.  Memory is checked for the screen's factors
+    # here and for each store in _Side.store, all before the first pass
+    # over a side; a declined screen's stores come after its factorisations.
     vectors = n >= _SCREEN_MIN_N and not (_on_explicit(obj) or _on_explicit(obj_y))
+    screen = bool(permutations) and vectors
+    if screen:
+        _check_memory(n, _SCREEN_ARRAYS * isqrt(_SCREEN_RANKS * n) * n, "the screen's factors")
     inner = _CenteredInner(
         _Side(obj, x, on_metric, centred=True, stored=not vectors or phi is not None),
         _Side(obj_y, y, on_metric, stored=not vectors or phi_y is not None),
     )
-    if permutations and vectors:
-        return _screened(inner, -0.5 if on_metric else 1.0)
-    return inner
+    return _screened(inner, -0.5 if on_metric else 1.0) if screen else inner
 
 
 def mcov_plugin(x, y, metric) -> float:

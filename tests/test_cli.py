@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from metricdep import EuclideanSquared, cancellation_joint, distance_matrix
+from metricdep import EuclideanSquared, GaussianKernel, LinearKernel, cancellation_joint, distance_matrix
 from metricdep.cli import main
 
 
@@ -166,22 +166,6 @@ class TestTest:
         )
         assert result.exit_code == 2
 
-    def test_nxn_route_beyond_physical_memory_exits_2(self, runner, tmp_path, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("an n x n matrix was built")
-
-        monkeypatch.setattr("metricdep.estimators.gram_matrix", fail)
-        path = tmp_path / "big.csv"
-        path.write_text("x_1,y_1\n" + "".join(f"{i % 5},{i % 7}\n" for i in range(200_000)))
-        result = runner.invoke(
-            main, ["test", "--input", str(path), "--estimator", "hsic", "--kernel", "gaussian", "--B", "9"]
-        )
-        assert result.exit_code == 2
-        assert "Traceback" not in result.output
-        lines = result.output.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: n = 200000 needs about ")
-        assert "feature map (linear, euclid2)" in lines[0]
-
     def test_failed_allocation_exits_2(self, runner, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
             raise MemoryError
@@ -196,6 +180,58 @@ class TestTest:
         assert "Traceback" not in result.output
         lines = result.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: n = 50: out of memory ")
+
+
+def _refused(result, arrays):
+    """One ``error:`` line, exit 2, for the memory of ``arrays`` at n = 300."""
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: n = 300 needs about ") and arrays in lines[0]
+    assert "on vector data under a spec without a feature map" in lines[0]
+
+
+class TestMemory:
+    """Physical memory read below two n x n arrays at n = 300 (1.44 MB), and
+    above the screen's 4 isqrt(32 n) n floats (0.93 MB) unless a case lowers
+    it: what is stored is refused with one line, before it is built."""
+
+    @pytest.fixture
+    def run(self, runner, tmp_path, monkeypatch):
+        def run(args, d, have=12 * 300 * 300):
+            monkeypatch.setattr("metricdep.estimators._physical_memory", lambda: have)
+            rng = np.random.default_rng(3)
+            x = rng.standard_normal((300, d))
+            header = ",".join([f"x_{i + 1}" for i in range(d)] + [f"y_{i + 1}" for i in range(d)])
+            path = tmp_path / "sample.csv"
+            np.savetxt(path, np.hstack([x, 0.3 * x + rng.standard_normal((300, d))]),
+                       delimiter=",", header=header, comments="")
+            return runner.invoke(main, [args[0], "--input", str(path), *args[1:]])
+
+        return run
+
+    @pytest.fixture
+    def no_pairwise(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a matrix entry was evaluated")
+
+        for cls in (LinearKernel, EuclideanSquared, GaussianKernel):
+            monkeypatch.setattr(cls, "pairwise", fail)
+
+    @pytest.mark.usefixtures("no_pairwise")
+    @pytest.mark.parametrize("command", [["compute"], ["test", "--B", "9"]])
+    @pytest.mark.parametrize("spec", [["--estimator", "hsic", "--kernel", "linear"],
+                                      ["--estimator", "dcov", "--metric", "euclid2"]])
+    def test_a_wide_feature_side_is_refused_before_any_evaluation(self, run, command, spec):
+        _refused(run(command + spec, d=20), "for n x n matrices")
+
+    def test_a_declined_screen_is_refused_where_it_stores(self, run):
+        _refused(run(["test", "--estimator", "hsic", "--kernel", "gaussian", "--B", "9"], d=5), "for n x n matrices")
+
+    @pytest.mark.usefixtures("no_pairwise")
+    def test_a_screen_over_memory_is_refused_before_any_evaluation(self, run):
+        args = ["test", "--estimator", "hsic", "--kernel", "gaussian:sigma=1", "--B", "9"]
+        _refused(run(args, d=2, have=500_000), "for the screen's factors")
 
 
 class TestOracle:

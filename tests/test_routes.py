@@ -3,6 +3,8 @@ route for kernels and semimetrics with explicit feature maps, and the n x n
 route for the rest.  Each is checked against explicit formulas, against the
 other, and for independence from the batch and block sizes."""
 
+from math import isqrt
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -264,26 +266,36 @@ class TestBatching:
 
 
 class TestMemoryBudget:
-    @pytest.fixture
-    def no_matrix(self, monkeypatch):
+    def test_what_stores_nothing_is_not_refused(self, monkeypatch):
+        # physical memory read as 1.5 n x n arrays at n = 300: below the two
+        # a store needs, above the screen's 4 isqrt(32 n) n floats
+        n = 300
+        x, y = _sample(12, n, 2)
+        gaussian, induced = GaussianKernel(), parse_semimetric("induced_metric:base=(gaussian)")
+        calls = (
+            lambda: hsic_vstat(x, y, gaussian),
+            lambda: dcov_vstat(x, y, induced),
+            lambda: permutation_test(x, y, "hsic", kernel=gaussian, B=99, seed=1),
+            lambda: permutation_test(x, y, "dcov", metric=induced, B=99, seed=1),
+        )
+        assert isinstance(estimators._prepare("hsic", x, y, kernel=gaussian, permutations=99), estimators._Screened)
+        expected = [call() for call in calls]
+        monkeypatch.setattr(estimators, "_physical_memory", lambda: 12 * n * n)
+        assert 8 * estimators._SCREEN_ARRAYS * isqrt(estimators._SCREEN_RANKS * n) * n < 12 * n * n
+        assert [call() for call in calls] == expected
+
+    def test_a_stored_side_is_refused_before_any_pass(self, monkeypatch):
+        # the linear side is stored; the gaussian side, evaluated, is not
+        # read before the store's check
         def fail(*args, **kwargs):
-            raise AssertionError("an n x n matrix was built")
+            raise AssertionError("a matrix entry was evaluated")
 
-        for name in ("gram_matrix", "distance_matrix"):
-            monkeypatch.setattr(estimators, name, fail)
+        n = 300
+        x, y = _sample(13, n, 2)
         monkeypatch.setattr(GaussianKernel, "pairwise", fail)
-
-    @pytest.mark.usefixtures("no_matrix")
-    def test_nxn_route_beyond_physical_memory_is_refused_before_allocating(self):
-        n = 200_000
-        x, y = np.zeros(n), np.arange(n) % 7.0
-        for call in (
-            lambda: permutation_test(x, y, "hsic", kernel=GaussianKernel(1.0), B=9, seed=1),
-            lambda: hsic_vstat(x, y, GaussianKernel()),
-            lambda: dcov_vstat(x, y, parse_semimetric("induced_metric:base=(gaussian:sigma=1)")),
-        ):
-            with pytest.raises(InputError, match=r"n = 200000 needs about .* GiB.*feature map \(linear, euclid2\)"):
-                call()
+        monkeypatch.setattr(estimators, "_physical_memory", lambda: 12 * n * n)
+        with pytest.raises(InputError, match=r"n = 300 needs about .* for n x n matrices"):
+            hsic_vstat(x, y, GaussianKernel(1.0), LIN)
 
     def test_feature_route_takes_the_same_sample(self):
         n = 200_000

@@ -407,31 +407,63 @@ def test_compute_and_test_give_the_same_bits(estimator, spec, statistic, d, rout
     assert inner.permuted(np.arange(n)[None])[0] == prepared.observed
 
 
-@pytest.mark.parametrize("estimator,spec", [case[:2] for case in HSIC_DCOV])
-def test_a_taken_screen_recomputes_from_the_points(estimator, spec, monkeypatch):
-    # with x constant HAH is 0, so every permuted statistic ties with the
-    # observed 0 and is recomputed, from the points, with no matrix built
+@pytest.mark.parametrize("estimator,spec,sample", [
+    (*HSIC_DCOV[0][:2], lambda n: (_sample(10, n, 1, 0.0)[0], np.zeros((n, 1)))),
+    (*HSIC_DCOV[1][:2], lambda n: _two_and_three_levels(3, n)),
+])
+def test_a_taken_screen_recomputes_from_the_points(estimator, spec, sample, monkeypatch):
+    # with y constant HBH is 0, so every hsic screen value is 0 and within
+    # the centring term of every exact value; on two- and three-level data
+    # some dcov values tie with the observed one.  Both are recomputed from
+    # the points, with no matrix built, and keep the n x n counts
     n = 300
-    _, y = _sample(10, n, 1, 0.0)
-    x = np.zeros((n, 1))
+    x, y = sample(n)
+    perms = np.vstack(list(estimators._permutation_batches(2, n, 199, 199)))
+    exact = _counts(estimators._prepare(estimator, x, y, **spec), perms, 199)
     recomputed = []
-    exact = estimators._CenteredInner.permuted
+    permuted = estimators._CenteredInner.permuted
 
     def fail(*args, **kwargs):
         raise AssertionError("an n x n matrix was built")
 
     def counted(self, perms):
         recomputed.append(len(perms))
-        return exact(self, perms)
+        return permuted(self, perms)
 
     monkeypatch.setattr(estimators, "gram_matrix", fail)
     monkeypatch.setattr(estimators, "distance_matrix", fail)
     monkeypatch.setattr(estimators._CenteredInner, "permuted", counted)
     prepared = estimators._prepare(estimator, x, y, permutations=199, **spec)
-    assert isinstance(prepared, estimators._Screened) and prepared.observed == 0.0
+    assert isinstance(prepared, estimators._Screened) and prepared.margin > 0.0
+    assert _counts(prepared, perms, 64) == exact
+    assert (sum(recomputed) == 199) if estimator == "hsic" else (0 < sum(recomputed) < 199)
+
+
+@pytest.mark.parametrize("estimator,spec,constant", [
+    (*HSIC_DCOV[0][:2], "x"),
+    (*HSIC_DCOV[1][:2], "x"),
+    (*HSIC_DCOV[1][:2], "y"),
+])
+def test_a_zero_margin_decides_every_value(estimator, spec, constant, monkeypatch):
+    # a constant x makes HAH exactly 0, and a constant y B's distances: the
+    # margin is 0, every screen value and every exact value is exactly 0,
+    # and none reaches the exact route
+    n = 300
+    x, y = _sample(10, n, 1, 0.0)
+    if constant == "x":
+        x = np.zeros_like(x)
+    else:
+        y = np.zeros_like(y)
+
+    def exact(*args, **kwargs):
+        raise AssertionError("a value reached the exact route")
+
+    monkeypatch.setattr(estimators._CenteredInner, "permuted", exact)
+    prepared = estimators._prepare(estimator, x, y, permutations=199, **spec)
+    assert isinstance(prepared, estimators._Screened)
+    assert prepared.margin == 0.0 and prepared.observed == 0.0
     result = permutation_test(x, y, estimator, B=199, seed=2, **spec)
-    assert result.p_value == 1.0
-    assert sum(recomputed) == 199
+    assert result.statistic == 0.0 and result.p_value == 1.0
 
 
 @pytest.mark.parametrize("estimator,spec", [case[:2] for case in HSIC_DCOV])
