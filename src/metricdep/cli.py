@@ -9,9 +9,10 @@ scenario  power/level study or the norm-distribution check
 validate  Schoenberg negative-type check of a distance-matrix CSV
 
 Exit codes: 0 success; 1 a validate run whose matrix is not of negative
-type; 2 malformed input or usage.  Primary output is a deterministic JSON
-document (or an appended CSV row for scenario --format csv): identical
-configuration and seed give byte-identical output.
+type; 2 malformed input or usage, or a result that is not finite.  Primary
+output is a deterministic JSON document (or an appended CSV row for
+scenario --format csv): identical configuration and seed give
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import sys
 from dataclasses import asdict
 
 import click
+import numpy as np
 
 from . import estimators, io, oracle, scenarios
 from .kernels import (
@@ -41,7 +43,11 @@ def _fail(message, code=2):
     sys.exit(code)
 
 
-def _emit(text, output):
+def _emit(doc, output):
+    try:
+        text = io.render_json(doc)
+    except InputError as err:
+        _fail(err)
     if output is None:
         click.echo(text, nl=False)
     else:
@@ -83,6 +89,8 @@ def main():
     Metric specs: euclid2 | induced_metric:base=(KERNEL).
     A gaussian without sigma uses the median heuristic on the pooled sample.
     """
+    # no floating-point warnings: io.render_json refuses a non-finite result
+    click.get_current_context().with_resource(np.errstate(all="ignore"))
 
 
 _estimator_option = click.option(
@@ -128,7 +136,7 @@ def compute(input_path, estimator, kernel, metric, anchor, output):
         "n": int(x.shape[0]),
         "statistic": float(value),
     }
-    _emit(io.render_json(doc), output)
+    _emit(doc, output)
 
 
 @main.command("test")
@@ -164,10 +172,7 @@ def test_command(input_path, estimator, kernel, metric, anchor, b, seed, alterna
         )
     except InputError as err:
         _fail(err)
-    doc = result.to_dict()
-    doc["estimator"] = estimator
-    doc["kernel_or_metric"] = label
-    _emit(io.render_json(doc), output)
+    _emit({**result.to_dict(), "estimator": estimator, "kernel_or_metric": label}, output)
 
 
 @main.command("oracle")
@@ -218,7 +223,7 @@ def oracle_command(input_path, kernel, metric, anchor, decompose, output):
             doc["mcov_decomposition"], doc["hsic_decomposition"] = mdec, hdec
     except InputError as err:
         _fail(err)
-    _emit(io.render_json(doc), output)
+    _emit(doc, output)
 
 
 @main.command("scenario")
@@ -248,7 +253,7 @@ def scenario_command(config_path, fmt, output, **settings):
     try:
         if settings.pop("study") == "norms":
             result = scenarios.norm_distribution_check(settings["n"], settings["sigma"], settings["seed"])
-            _emit(io.render_json(asdict(result)), output)
+            _emit(asdict(result), output)
             return
         kernel, metric = _parse_specs(settings.pop("kernel"), settings.pop("metric"))
         settings["estimator"] = settings["estimator"].replace("-", "_")
@@ -256,7 +261,7 @@ def scenario_command(config_path, fmt, output, **settings):
     except InputError as err:
         _fail(err)
     if fmt == "json":
-        _emit(io.render_json(report.to_dict()), output)
+        _emit(report.to_dict(), output)
     else:
         _append_csv(report, output)
 
@@ -342,7 +347,7 @@ def validate_command(input_path, tol, output):
         "valid": bool(report.valid),
         "worst_eigenvalue": report.worst_eigenvalue,
     }
-    _emit(io.render_json(doc), output)
+    _emit(doc, output)
     if not report.valid:
         sys.exit(1)
 

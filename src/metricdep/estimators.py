@@ -19,27 +19,22 @@ re-pairing pi of the y side (the identity gives the statistic itself):
   that of d2), evaluated at the points; no n x n array is held;
 * n x n route for hsic and dcov otherwise: the centred inner product
   <HAH, B_pipi> / n^2 of the two sides' matrices, Gram matrices for hsic
-  and distance matrices for dcov, HAH centred by A's row means.
-  From n = 200 on, on vector data, a side without a feature map is
-  evaluated from the points in row blocks, with the bits of the stored
-  matrix, and holds no n x n array.  A permutation test of hsic or dcov
-  there screens its re-pairings through pivoted-Cholesky factors of both
-  centred sides, first through their leading 32 columns, then 64, ...,
-  then the whole factors, each level only the values its predecessor left
-  undecided.  It recomputes on the n x n route, from the points, every
-  value the last level cannot certify to fall on one side of the observed
-  statistic, so its counts and p-values are the n x n route's and it
-  holds no n x n array at any n.  Where a factor's rank passes
-  sqrt(32 n) the screen declines and both matrices are stored, since
-  every re-pairing is then gathered.  A matrix is stored there or up
-  front (below n = 200, on explicit matrices, and for a side with a
-  feature map), nowhere else.
+  and distance matrices for dcov, HAH centred by A's row means.  From
+  n = 200 on, on vector data, a side without a feature map is evaluated
+  from the points in row blocks, with the bits of the stored matrix.  A
+  permutation test there runs levels of a screen in front of the exact
+  inner product: pivoted-Cholesky factors of both centred sides, through
+  their leading 32 columns, then 64, ..., then all, each level taking only
+  the values its predecessor left undecided.  The exact inner product
+  recomputes, from the points, what the last level cannot certify, so
+  counts and p-values are exact and no n x n array is held at any n.
+  Where a factor's rank passes sqrt(32 n) there are no levels and both
+  matrices are stored; a matrix is stored there or up front (below
+  n = 200, on explicit matrices, and for a side with a feature map).
 
 Memory is checked only where an array that grows faster than n is
-allocated, against physical memory: two n x n matrices where a side is
-stored, and, before any pass, the screen's factors at its rank cap.  A
-statistic that stores nothing is never refused; an allocation that fails
-all the same is an ``InputError``.
+allocated (see :func:`_check_memory`): a statistic that stores nothing is
+never refused.
 """
 
 from __future__ import annotations
@@ -126,7 +121,7 @@ _SCREEN_MIN_N = 200
 _SCREEN_RANKS = 32
 
 # The screen's first level keeps this many leading columns of each factor,
-# and each later level twice as many (see _Screened).  On the test_n2000
+# and each later level twice as many (see _CenteredInner).  On the test_n2000
 # sample (gaussian, median bandwidth, d = 2, ranks 103 and 105) rank 32
 # decides every re-pairing; on an independent sample of that shape rank 32
 # decides none and rank 64 all or all but one of 199.
@@ -200,7 +195,9 @@ def _physical_memory():
 
 def _check_memory(n, floats, arrays):
     """Refuse ``floats`` float64s of ``arrays``, for a sample of n, that
-    would not fit in physical memory.  Every memory decision is made here."""
+    would not fit in physical memory: two n x n matrices where a side is
+    stored, and the screen's factors at its rank cap before any pass.  Every
+    memory decision is made here."""
     need, have = 8 * floats, _physical_memory()
     if need > have:
         raise InputError(
@@ -217,7 +214,7 @@ class _Prepared:
     """A statistic of the y-side re-pairing, its inputs computed once.
 
     ``permuted(perms)`` maps a (b, n) array of permutations to the b
-    statistics (screened ones only up to a margin, see :class:`_Screened`);
+    statistics (screened ones only up to a margin, see :class:`_CenteredInner`);
     ``perm_bytes`` is the memory one permutation of a batch takes.
     ``observed`` goes through the same arithmetic with the identity.
     """
@@ -228,7 +225,7 @@ class _Prepared:
     def permuted(self, perms: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    @property
+    @cached_property
     def observed(self) -> float:
         return float(self.permuted(np.arange(self.n)[None])[0])
 
@@ -299,111 +296,42 @@ class _Side:
     ``rows(i, j)`` gives M[i:j], and ``rows(i, j, perm)`` rows i:j of
     M_pipi = M[perm][:, perm].  A stored side takes them from M, built once
     by ``gram_matrix`` or ``distance_matrix`` (with ``stored``, or on a call
-    of ``store``); any other side evaluates them by ``matrix_rows`` at its
-    points, re-paired by ``perm``.  A side without a feature map computes
-    each entry from its two points alone, so both give the same bits.  M is
-    symmetric, so with its row means mu a ``centred`` side's rows are those
-    of HMH = M - mu 1' - 1 mu' + mean(mu), stored centred in place.  Only
-    ``store`` does work when a side is built; an evaluated side's first
-    pass is its first read.
+    of ``store``), and gives M[i:j] as a view of M, which the centred inner
+    product centres in place on its fixed side; any other side evaluates
+    them by ``matrix_rows`` at its points, re-paired by ``perm``.  A side
+    without a feature map computes each entry from its two points alone, so
+    both give the same bits.  Only ``store`` does work when a side is built;
+    an evaluated side's first pass is its first read.
     """
 
-    def __init__(self, obj, pts, distance, centred=False, stored=False):
+    def __init__(self, obj, pts, distance, stored=False):
         self.n = len(pts)
         self._pts = pts
         self._evaluate = partial(matrix_rows, obj, distance=distance)
         self._build = partial(distance_matrix if distance else gram_matrix, obj, pts)
-        self._matrix, self._centred = None, centred
+        self._matrix = None
         if stored:
             self.store()
 
-    @cached_property
-    def moments(self):
-        """mu, mean(mu) and the diagonal of HMH, from one pass over M, read
-        before any row is centred."""
-        mu, diag = np.empty(self.n), np.empty(self.n)
-        for i, j in _row_blocks(self.n, self.n):
-            rows = self._evaluate(self._pts, i, j) if self._matrix is None else self._matrix[i:j]
-            _read_moments(mu, diag, i, rows)
-        return _moments(mu, diag)
-
-    def _centre(self, rows, i=0, j=None, perm=None):
-        mu, m, _ = self.moments
-        if perm is not None:
-            mu = mu[perm]
-        rows -= mu[i:j, None]
-        rows -= mu
-        rows += m
-        return rows
+    @property
+    def stored(self):
+        return self._matrix is not None
 
     def rows(self, i, j, perm=None):
         if self._matrix is not None:
             return self._matrix[i:j] if perm is None else self._matrix.take(perm[i:j], 0).take(perm, 1)
-        rows = self._evaluate(self._pts if perm is None else self._pts[perm], i, j)
-        return self._centre(rows, i, j, perm) if self._centred else rows
-
-    def centred_row(self, j):
-        """Row j of HMH."""
-        if self._centred:
-            return self.rows(j, j + 1)[0]
-        mu, m, _ = self.moments
-        return self.rows(j, j + 1)[0] - mu[j] - mu + m
+        return self._evaluate(self._pts if perm is None else self._pts[perm], i, j)
 
     def store(self):
-        """Build M, or HMH on a centred side, unless it is built, once the
-        two n x n matrices pass :func:`_check_memory`; an allocation that
-        fails all the same is an :class:`InputError` that names n."""
+        """Build M, unless it is built, once the two n x n matrices pass
+        :func:`_check_memory`; an allocation that fails all the same is an
+        :class:`InputError` that names n."""
         if self._matrix is None:
             _check_memory(self.n, _NXN_ARRAYS * self.n**2, "n x n matrices")
             try:
                 self._matrix = self._build()
             except MemoryError:
                 raise InputError(f"n = {self.n}: out of memory for the n x n matrices; {_MEMORY_HINT}") from None
-            if self._centred:
-                self._centre(self._matrix)
-
-
-class _CenteredInner(_Prepared):
-    """<HAH, B_pipi> / n^2, which equals <HAH, HBH> / n^2 because H is a
-    projection; only the fixed side A is centred.
-
-    One pass over the row blocks ``blocks`` of both sides gives the observed
-    statistic, ||HAH||_F, ||B||_F, HAH's row sums and B's moments, with the
-    bits of B's own pass over the same blocks.  ``permuted`` only reads the
-    sides, stored or evaluated: for each block it reads A's rows once and
-    adds their inner product with B_pipi's rows to each permutation's sum,
-    so the identity gives the observed statistic.
-    """
-
-    def __init__(self, a, b):
-        n = self.n = a.n
-        self.perm_bytes = 8 * n
-        self._a, self._b = a, b
-        self.blocks = _row_blocks(n, n)
-        self.row_sums, mu, diag = np.empty(n), np.empty(n), np.empty(n)
-        total = square_a = square_b = 0.0
-        for i, j in self.blocks:
-            rows_a, rows_b = a.rows(i, j), b.rows(i, j)
-            total += np.vdot(rows_a, rows_b)
-            square_a += np.vdot(rows_a, rows_a)
-            square_b += np.vdot(rows_b, rows_b)
-            self.row_sums[i:j] = rows_a.sum(axis=1)
-            _read_moments(mu, diag, i, rows_b)
-        b.moments = _moments(mu, diag)
-        self._observed = float(total / n**2)
-        self.norm_a, self.norm_b = np.sqrt(square_a), np.sqrt(square_b)
-
-    @property
-    def observed(self):
-        return self._observed
-
-    def permuted(self, perms):
-        out = np.zeros(len(perms))
-        for i, j in self.blocks:
-            rows_a = self._a.rows(i, j)
-            for k, p in enumerate(perms):
-                out[k] += np.vdot(rows_a, self._b.rows(i, j, p))
-        return out / self.n**2
 
 
 def _pivoted_cholesky(row, diag, cap):
@@ -431,9 +359,25 @@ def _pivoted_cholesky(row, diag, cap):
         d -= ft[k] ** 2
 
 
-class _Screened(_Prepared):
-    """The centred inner product of ``inner``, screened through low-rank
-    factors of both centred sides (Bach & Jordan 2002).
+class _CenteredInner(_Prepared):
+    """<HAH, B_pipi> / n^2 of the sides A and B, which equals
+    <HAH, HBH> / n^2 because H is a projection: ``permuted`` runs the
+    screen's levels, none without ``c``, then computes the values still
+    undecided exactly, by ``_exact``.
+
+    A is symmetric, so with its row means mu, HAH = A - mu 1' - 1 mu' +
+    mean(mu).  A pass over A gives mu; a pass over the row blocks of both
+    sides gives the observed statistic, ||HAH||_F, ||B||_F, HAH's row sums
+    and B's moments, with the bits of a pass over B alone.  HAH's rows are
+    centred as they are read, a stored A's in place, once.  ``_exact`` only
+    reads the sides: for each block it reads HAH's rows once and adds their
+    inner product with B_pipi's rows to each permutation's sum, so the
+    identity gives the observed statistic.
+
+    With ``c``, the levels screen through low-rank factors of both centred
+    sides (Bach & Jordan 2002); where a factor's rank passes
+    sqrt(_SCREEN_RANKS n) there are none, and both sides are stored, since
+    every re-pairing is then gathered.
 
     With c HAH = F F' + E_x and c HBH = G G' + E_y (c = 1 for Gram
     matrices, -1/2 for distance matrices, whose centred form is -2 times
@@ -443,11 +387,11 @@ class _Screened(_Prepared):
     s (e_x (lmax(G'G) + e_y) + e_y lmax(F'F)) / n^2, e = tr E, for every pi.
     A level's margin is twice that plus the roundoff of both computations.
 
-    The exact route's roundoff: ``inner`` sums, for each of its row blocks
-    of at most r rows, one vdot of at most r n products, and adds the block
-    sums in order, so each product passes through at most
-    m = r n + (number of blocks) roundings.  Then, in any order of the
-    sums, |fl(<X, Y>) - <X, Y>| <= gamma_m sum_ij |X_ij Y_ij|
+    The exact route's roundoff: it sums, for each of its row blocks of at
+    most r rows, one vdot of at most r n products, and adds the block sums
+    in order, so each product passes through at most m = r n + (number of
+    blocks) roundings.  Then, in any order of the sums,
+    |fl(<X, Y>) - <X, Y>| <= gamma_m sum_ij |X_ij Y_ij|
     <= gamma_m ||X||_F ||Y||_F (Higham 2002, sec. 3.1, and Cauchy-Schwarz),
     with gamma_m = m u / (1 - m u) <= m eps for the unit roundoff
     u = eps / 2, and ||B_pipi||_F = ||B||_F for every pi.  So each exact
@@ -465,36 +409,89 @@ class _Screened(_Prepared):
     e_x + ||F[:, k:]||_F^2, so the same bound holds.  ``permuted`` screens
     every re-pairing at the first level and takes to the next only the
     values strictly within the level's margin of the observed statistic or
-    of its negation; those still within the last level's margin,
-    ``margin``, are recomputed by ``inner``, which reads its sides as they
-    are: a taken screen stores nothing, and recomputes from the points.
-    A value at its margin, twice its error, is decided; a margin of 0
-    means F or G is 0 and HAH or B is 0, so that both values are exactly
-    0.  So each comparison with the observed statistic, signed or
-    absolute, is the one ``inner`` makes.  The observed statistic is
-    ``inner``'s.
+    of its negation; those still within the last level's margin are
+    recomputed by the exact route, which reads the sides as they are: a
+    taken screen stores nothing, and recomputes from the points.  A value
+    at its margin, twice its error, is decided; a margin of 0 means F or G
+    is 0 and HAH or B is 0, so that both values are exactly 0.  So each
+    comparison with the observed statistic, signed or absolute, is the one
+    the exact route makes.
     """
 
-    def __init__(self, inner, c, x_factor, y_factor):
-        (ft, ex), (gt, ey) = x_factor, y_factor
-        n = self.n = inner.n
-        self._inner = inner
-        self._observed = inner.observed
-        self._scale = s = 1.0 / c**2
-        rx, ry = len(ft), len(gt)
-        # indices, gathered factor rows and F' G[pi] of the first level,
-        # the only one that every permutation reaches
-        kx, ky = min(_SCREEN_FIRST_RANK, rx), min(_SCREEN_FIRST_RANK, ry)
+    def __init__(self, a, b, c=None):
+        n = self.n = a.n
+        self._a, self._b = a, b
+        self._blocks = _row_blocks(n, n)
+        mu, diag = np.empty(n), np.empty(n)
+        for i, j in self._blocks:
+            _read_moments(mu, diag, i, a.rows(i, j))
+        self._moments = [_moments(mu, diag)]
+        row_sums, mu, diag = np.empty(n), np.empty(n), np.empty(n)
+        total = square_a = square_b = 0.0
+        for i, j in self._blocks:
+            # a stored A is centred here, in place, once
+            rows_a, rows_b = self._centre(a.rows(i, j), i, j), b.rows(i, j)
+            total += np.vdot(rows_a, rows_b)
+            square_a += np.vdot(rows_a, rows_a)
+            square_b += np.vdot(rows_b, rows_b)
+            row_sums[i:j] = rows_a.sum(axis=1)
+            _read_moments(mu, diag, i, rows_b)
+        self._moments.append(_moments(mu, diag))
+        self.observed = float(total / n**2)
+        self._levels = [] if c is None else self._screen(c, row_sums, np.sqrt(square_a), np.sqrt(square_b))
+        # indices, and the gathered factor rows and F' G[pi] of the first
+        # level, the only one that every permutation reaches
+        kx, ky = (len(self._levels[0][0]), self._levels[0][1].shape[1]) if self._levels else (0, 0)
         self.perm_bytes = 8 * (n * (1 + ky) + kx * ky)
 
+    def _centre(self, rows, i, j):
+        """Rows i:j of A centred in place into rows of HAH."""
+        mu, m, _ = self._moments[0]
+        rows -= mu[i:j, None]
+        rows -= mu
+        rows += m
+        return rows
+
+    def _hah(self, i, j):
+        """Rows i:j of HAH; a stored A is HAH."""
+        rows = self._a.rows(i, j)
+        return rows if self._a.stored else self._centre(rows, i, j)
+
+    def _centred_row(self, k, j):
+        """Row j of HAH (k = 0) or of HBH (k = 1)."""
+        mu, m, _ = self._moments[1]
+        return self._b.rows(j, j + 1)[0] - mu[j] - mu + m if k else self._hah(j, j + 1)[0]
+
+    def _store(self):
+        """Store both sides, each store checked for memory, and centre A in
+        place, a row block at a time."""
+        if not self._a.stored:
+            self._a.store()
+            for i, j in self._blocks:
+                self._centre(self._a.rows(i, j), i, j)
+        self._b.store()
+
+    def _screen(self, c, row_sums, norm_a, norm_b):
+        """The levels of the screen with ``c``, or none, with both sides
+        stored, where a factor's rank passes the cap."""
+        n, cap = self.n, isqrt(_SCREEN_RANKS * self.n)
+        factors = []
+        for k, (_, _, diag) in enumerate(self._moments):
+            factor = _pivoted_cholesky(lambda j: c * self._centred_row(k, j), c * diag, cap)
+            if factor is None:
+                self._store()
+                return []
+            factors.append(factor)
+        (ft, ex), (gt, ey) = factors
+        s = self._scale = 1.0 / c**2
         ff, gg = ft @ ft.T, gt @ gt.T
         g = np.ascontiguousarray(gt.T)
         # the exact route pairs HAH with B, not HBH: the two differ by
         # terms in the row sums of HAH, which are zero up to roundoff
-        centring = 3.0 * np.abs(inner.row_sums).sum() * np.abs(inner._b.moments[0]).max()
+        centring = 3.0 * np.abs(row_sums).sum() * np.abs(self._moments[1][0]).max()
         eps = np.finfo(float).eps
-        (i, j), blocks = inner.blocks[0], len(inner.blocks)
-        exact_roundoff = eps * ((j - i) * n + blocks) * inner.norm_a * inner.norm_b
+        (i, j), blocks = self._blocks[0], len(self._blocks)
+        exact_roundoff = eps * ((j - i) * n + blocks) * norm_a * norm_b
 
         def level(kx, ky):
             ffk, ggk = ff[:kx, :kx], gg[:ky, :ky]
@@ -508,17 +505,12 @@ class _Screened(_Prepared):
             # gathers read rows
             return ft[:kx], g[:, :ky], margin
 
-        self._levels = []
-        k = _SCREEN_FIRST_RANK
+        rx, ry = len(ft), len(gt)
+        levels, k = [], _SCREEN_FIRST_RANK
         while k < max(rx, ry):
-            self._levels.append(level(min(k, rx), min(k, ry)))
+            levels.append(level(min(k, rx), min(k, ry)))
             k *= 2
-        self._levels.append(level(rx, ry))
-        self.margin = self._levels[-1][2]
-
-    @property
-    def observed(self):
-        return self._observed
+        return levels + [level(rx, ry)]
 
     def screen(self, level, perms):
         """The screen values of ``perms`` at level ``level``."""
@@ -527,34 +519,26 @@ class _Screened(_Prepared):
         c = (ft @ g[perms.T].reshape(n, b * ry)).reshape(rx, b, ry)
         return self._scale * np.einsum("abc,abc->b", c, c) / n**2
 
+    def _exact(self, perms):
+        """The values of ``perms`` on the exact route."""
+        out = np.zeros(len(perms))
+        for i, j in self._blocks:
+            rows_a = self._hah(i, j)
+            for k, p in enumerate(perms):
+                out[k] += np.vdot(rows_a, self._b.rows(i, j, p))
+        return out / self.n**2
+
     def permuted(self, perms):
         t = np.empty(len(perms))
         todo = np.arange(len(perms))
-        obs = self._observed
+        obs = self.observed
         for level, (_, _, margin) in enumerate(self._levels):
             v = t[todo] = self.screen(level, perms[todo])
             todo = todo[(np.abs(v - obs) < margin) | (np.abs(v + obs) < margin)]
             if not todo.size:
                 return t
-        t[todo] = self._inner.permuted(perms[todo])
+        t[todo] = self._exact(perms[todo])
         return t
-
-
-def _screened(inner, c):
-    """``inner`` screened through factors of both centred sides scaled by
-    ``c``; or, when either side's rank passes the cap, ``inner`` itself
-    with both sides stored (each store checked for memory), since it then
-    gathers every permutation."""
-    cap = isqrt(_SCREEN_RANKS * inner.n)
-    factors = []
-    for side in (inner._a, inner._b):
-        factor = _pivoted_cholesky(lambda j: c * side.centred_row(j), c * side.moments[2], cap)
-        if factor is None:
-            inner._a.store()
-            inner._b.store()
-            return inner
-        factors.append(factor)
-    return _Screened(inner, c, *factors)
 
 
 def _on_explicit(obj):
@@ -595,24 +579,22 @@ def _prepare(
         return _PairedTrace(obj, x, y, -0.5 if on_metric else 1.0)
     n = len(x)
     # The sides are stored here or, where the screen declines, by
-    # _screened; nothing else stores them.  From _SCREEN_MIN_N on, vector
-    # data are evaluated in row blocks.  A side with a feature map (on this
-    # route only for wide data) is stored, as are explicit matrices and
-    # small n: the linear kernel's matrix product rounds by the block's
-    # shape.  An explicit matrix is of negative type only up to the
-    # validation tolerance, so its centred Gram need not be PSD, as the
-    # screen's bound requires.  Memory is checked for the screen's factors
-    # here and for each store in _Side.store, all before the first pass
-    # over a side; a declined screen's stores come after its factorisations.
+    # _CenteredInner.  From _SCREEN_MIN_N on, vector data are evaluated in
+    # row blocks.  A side with a feature map (here only for wide data) is
+    # stored, as are explicit matrices and small n: the linear kernel's
+    # matrix product rounds by the block's shape.  An explicit matrix is of
+    # negative type only up to the validation tolerance, so its centred Gram
+    # need not be PSD, as the screen's bound requires.  Memory is checked
+    # before the first pass for the screen's factors, and in _Side.store.
     vectors = n >= _SCREEN_MIN_N and not (_on_explicit(obj) or _on_explicit(obj_y))
     screen = bool(permutations) and vectors
     if screen:
         _check_memory(n, _SCREEN_ARRAYS * isqrt(_SCREEN_RANKS * n) * n, "the screen's factors")
-    inner = _CenteredInner(
-        _Side(obj, x, on_metric, centred=True, stored=not vectors or phi is not None),
+    return _CenteredInner(
+        _Side(obj, x, on_metric, stored=not vectors or phi is not None),
         _Side(obj_y, y, on_metric, stored=not vectors or phi_y is not None),
+        (-0.5 if on_metric else 1.0) if screen else None,
     )
-    return _screened(inner, -0.5 if on_metric else 1.0) if screen else inner
 
 
 def mcov_plugin(x, y, metric) -> float:

@@ -103,5 +103,9 @@ def _plain(value):
 
 
 def render_json(doc) -> str:
-    """Deterministic JSON: sorted keys, full-precision floats, newline-terminated."""
-    return json.dumps(doc, sort_keys=True, default=_plain) + "\n"
+    """Deterministic JSON: sorted keys, full-precision floats, newline-terminated.
+    JSON has no NaN or infinity, so a document that holds one is an InputError."""
+    try:
+        return json.dumps(doc, sort_keys=True, default=_plain, allow_nan=False) + "\n"
+    except ValueError:
+        raise InputError("the result is not finite (NaN or infinity): the data or a bandwidth is out of range") from None

@@ -56,11 +56,9 @@ def _as_single(x) -> np.ndarray:
     return a[None, :]
 
 
-def _check_same_dim(xs, ys, what="points"):
+def _check_same_dim(xs, ys):
     if xs.shape[1] != ys.shape[1]:
-        raise InputError(
-            f"dimension mismatch between {what}: {xs.shape[1]} vs {ys.shape[1]}"
-        )
+        raise InputError(f"dimension mismatch between points: {xs.shape[1]} vs {ys.shape[1]}")
 
 
 class _OnVectors:

@@ -35,14 +35,23 @@ from .scenarios import _rng
 _EIG_CUTOFF = 1e-12  # relative to the largest eigenvalue
 
 
+def _as_floats(value, name):
+    """``value`` as a finite float array, anything else an InputError."""
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"{name} must be a rectangular array of numbers") from None
+    if not np.all(np.isfinite(a)):
+        raise InputError(f"{name} must be finite")
+    return a
+
+
 def _as_support(points, name):
-    a = np.asarray(points, dtype=float)
+    a = _as_floats(points, name)
     if a.ndim == 1:
         a = a[:, None]
     if a.ndim != 2 or a.shape[0] == 0:
         raise InputError(f"{name} must be a nonempty (m, p) array, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InputError(f"{name} must be finite")
     return a
 
 
@@ -70,14 +79,12 @@ class DiscreteJoint:
     def __post_init__(self):
         sx = _as_support(self.support_x, "support_x")
         sy = _as_support(self.support_y, "support_y")
-        p = np.asarray(self.probs, dtype=float)
+        p = _as_floats(self.probs, "P")
         if p.shape != (sx.shape[0], sy.shape[0]):
             raise InputError(
                 f"probability matrix shape {p.shape} does not match supports "
                 f"({sx.shape[0]}, {sy.shape[0]})"
             )
-        if not np.all(np.isfinite(p)):
-            raise InputError("probabilities must be finite")
         if p.min() < 0:
             raise InputError(f"probabilities must be nonnegative, min is {p.min()}")
         total = p.sum()
@@ -113,6 +120,8 @@ class DiscreteJoint:
 
     @classmethod
     def from_dict(cls, doc):
+        if not isinstance(doc, dict):
+            raise InputError("joint document must be a JSON object")
         try:
             return cls(doc["support_x"], doc["support_y"], doc["P"])
         except KeyError as missing:

@@ -272,6 +272,27 @@ class TestOracle:
         assert result.exit_code == 2
         assert "0.7" in result.output
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"support_x": [[0], [1]], "support_y": [[0], [1]], "P": [[0.5, "a"], [0, 0.5]]}, "P must be"),
+            ({"support_x": [[0], [1]], "support_y": [[0], [1]], "P": [[0.5, 0], [0.5]]}, "P must be"),
+            ({"support_x": [[0], [1, 2]], "support_y": [[0], [1]], "P": [[0.5, 0], [0, 0.5]]}, "support_x must be"),
+            ({"support_x": "ab", "support_y": [[0], [1]], "P": [[0.5, 0], [0, 0.5]]}, "support_x must be"),
+            ([1, 2], "must be a JSON object"),
+            ("joint", "must be a JSON object"),
+        ],
+    )
+    def test_malformed_joint_exits_2(self, runner, tmp_path, doc, message):
+        # exit 1 is kept for a matrix that is not of negative type
+        path = tmp_path / "joint.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["oracle", "--input", str(path)])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
     def test_cancellation_joint_decomposition(self, runner, tmp_path):
         # the dependence sits in the repeated eigenvalue's two-dimensional
         # eigenspace E: the single sum's terms over E total 0 in any basis
@@ -494,6 +515,41 @@ class TestValidate:
         assert "Traceback" not in result.output
         lines = result.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "tolerance" in lines[0]
+
+
+class TestNonFiniteResults:
+    """JSON holds no NaN: a result that is not finite exits 2 with one line."""
+
+    @staticmethod
+    def _refused(result):
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: the result is not finite")
+
+    @pytest.mark.parametrize("estimator", ["hsic", "dcov", "mcov"])
+    def test_data_past_the_floating_point_range(self, runner, tmp_path, estimator):
+        # squared distances of points at 1e160 overflow to infinity
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((40, 2))
+        path = tmp_path / "huge.csv"
+        np.savetxt(path, 1e160 * np.hstack([x, x + rng.standard_normal((40, 2))]),
+                   delimiter=",", header="x_1,x_2,y_1,y_2", comments="")
+        self._refused(runner.invoke(main, ["compute", "--input", str(path), "--estimator", estimator]))
+
+    def test_a_vanishing_oracle_bandwidth(self, tmp_path):
+        # in a process of its own, so that no floating-point warning
+        # precedes the error line
+        path = tmp_path / "joint.json"
+        path.write_text(json.dumps({"support_x": [[0], [1]], "support_y": [[0], [1]], "P": [[0.5, 0], [0, 0.5]]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "metricdep", "oracle", "--input", str(path), "--kernel", "gaussian:sigma=1e-300"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: the result is not finite")
 
 
 class TestEntryPoint:

@@ -278,7 +278,7 @@ class TestMemoryBudget:
             lambda: permutation_test(x, y, "hsic", kernel=gaussian, B=99, seed=1),
             lambda: permutation_test(x, y, "dcov", metric=induced, B=99, seed=1),
         )
-        assert isinstance(estimators._prepare("hsic", x, y, kernel=gaussian, permutations=99), estimators._Screened)
+        assert estimators._prepare("hsic", x, y, kernel=gaussian, permutations=99)._levels
         expected = [call() for call in calls]
         monkeypatch.setattr(estimators, "_physical_memory", lambda: 12 * n * n)
         assert 8 * estimators._SCREEN_ARRAYS * isqrt(estimators._SCREEN_RANKS * n) * n < 12 * n * n

@@ -1,9 +1,9 @@
 """The screened n x n route: hsic and dcov permutations screened through
 nested levels of pivoted-Cholesky factors of both centred sides, with every
-value near the observed statistic recomputed on the n x n route.  Each
-level's screen values must lie within half its margin of the exact ones;
-the counts, and so the p-values, must be the n x n route's; the screen
-must decline where it cannot pay off.  Its rows are evaluated from the
+value near the observed statistic recomputed exactly; an unscreened centred
+inner product has no levels.  Each level's screen values must lie within
+half its margin of the exact ones; the counts, and so the p-values, must be
+the n x n route's; the screen must decline where it cannot pay off.  Its rows are evaluated from the
 points in blocks, with the bits of the stored matrices, each n x n entry
 three times.  A taken screen holds no n x n array: it recomputes its near
 ties from the points; a declined one stores both sides once."""
@@ -63,14 +63,19 @@ def _sample(seed, n, d, dep, levels=0):
     return x, y
 
 
-def _screened_from(first_rank, inner, c):
-    """``inner`` screened from levels of rank ``first_rank``, 2 ``first_rank``,
-    ..., with no rank cap."""
+def _screened(x, y, spec, c, first_rank=None):
+    """The centred inner product on both sides stored, as below n = 200,
+    screened with ``c``; with ``first_rank``, from levels of rank
+    ``first_rank``, 2 ``first_rank``, ..., and no rank cap."""
+    (kind, obj), = spec.items()
+    obj, obj_y = estimators._resolve_sides(obj, None, x, y)
+    sides = [estimators._Side(o, pts, kind == "metric", stored=True) for o, pts in ((obj, x), (obj_y, y))]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(estimators, "_SCREEN_FIRST_RANK", first_rank)
-        patch.setattr(estimators, "_SCREEN_RANKS", inner.n)
-        screened = estimators._screened(inner, c)
-    assert isinstance(screened, estimators._Screened)
+        if first_rank is not None:
+            patch.setattr(estimators, "_SCREEN_FIRST_RANK", first_rank)
+            patch.setattr(estimators, "_SCREEN_RANKS", len(x))
+        screened = estimators._CenteredInner(*sides, c)
+    assert first_rank is None or screened._levels
     return screened
 
 
@@ -95,13 +100,13 @@ def test_screened_counts_are_the_nxn_counts(seed, n, d, dep, levels, which, batc
     estimator, kind, text, c = SPECS[which]
     x, y = _sample(seed, n, d, dep, levels)
     inner = estimators._prepare(estimator, x, y, **_spec(kind, text))
-    assert type(inner) is estimators._CenteredInner
-    screened = estimators._screened(inner, c)
+    assert type(inner) is estimators._CenteredInner and not inner._levels
+    screened = _screened(x, y, _spec(kind, text), c)
     perms = np.vstack(list(estimators._permutation_batches(seed, n, 40, 40)))
     assert screened.observed == inner.observed
     assert _counts(screened, perms, batch) == _counts(inner, perms, 40)
     # a first rank of 1 gives levels of rank 1, 2, 4, ... and runs all of them
-    every_level = _screened_from(1, inner, c)
+    every_level = _screened(x, y, _spec(kind, text), c, first_rank=1)
     ranks = [max(len(ft), g.shape[1]) for ft, g, _ in every_level._levels]
     assert ranks[:-1] == [2**i for i in range(len(ranks) - 1)] and ranks == sorted(set(ranks))
     _assert_levels_hold(every_level, perms, inner.permuted(perms))
@@ -127,13 +132,13 @@ def test_near_ties_are_recomputed(estimator, kind, text, c, seed):
     n = 30
     x, y = _two_and_three_levels(seed, n)
     inner = estimators._prepare(estimator, x, y, **_spec(kind, text))
-    screened = estimators._screened(inner, c)
-    assert isinstance(screened, estimators._Screened)
+    screened = _screened(x, y, _spec(kind, text), c)
+    assert screened._levels
     perms = np.vstack(list(estimators._permutation_batches(seed, n, 300, 300)))
     t = inner.permuted(perms)
     assert np.count_nonzero(np.abs(t - inner.observed) <= 1e-12 * abs(inner.observed)) >= 20
     assert _counts(screened, perms, 300) == _counts(inner, perms, 300)
-    every_level = _screened_from(1, inner, c)
+    every_level = _screened(x, y, _spec(kind, text), c, first_rank=1)
     assert len(every_level._levels) > 1
     _assert_levels_hold(every_level, perms, t)
     assert _counts(every_level, perms, 300) == _counts(inner, perms, 300)
@@ -148,8 +153,8 @@ def test_a_constant_side_has_a_rank_zero_factor(constant):
     if constant in ("y", "both"):
         y = np.ones_like(y)
     inner = estimators._prepare("hsic", x, y, kernel=GaussianKernel(1.0))
-    screened = estimators._screened(inner, 1.0)
-    assert isinstance(screened, estimators._Screened)
+    screened = _screened(x, y, dict(kernel=GaussianKernel(1.0)), 1.0)
+    assert screened._levels
     perms = np.vstack(list(estimators._permutation_batches(8, n, 30, 30)))
     assert _counts(screened, perms, 7) == _counts(inner, perms, 30)
 
@@ -163,15 +168,15 @@ def _n2000(seed, rho):
 
 
 def _count_levels(monkeypatch):
-    """Patch ``_Screened.screen`` to count the values each level screens."""
+    """Patch ``_CenteredInner.screen`` to count the values each level screens."""
     reached = {}
-    screen = estimators._Screened.screen
+    screen = estimators._CenteredInner.screen
 
     def counted(self, level, perms):
         reached[level] = reached.get(level, 0) + len(perms)
         return screen(self, level, perms)
 
-    monkeypatch.setattr(estimators._Screened, "screen", counted)
+    monkeypatch.setattr(estimators._CenteredInner, "screen", counted)
     return reached
 
 
@@ -179,13 +184,13 @@ def test_the_first_levels_decide_a_dependent_n2000_test(monkeypatch):
     x, y = _n2000(1, 0.5)
     kernel = resolve_bandwidth(GaussianKernel(), x, y)
     prepared = estimators._prepare("hsic", x, y, kernel=kernel, permutations=199)
-    assert isinstance(prepared, estimators._Screened) and len(prepared._levels) >= 3
+    assert len(prepared._levels) >= 3
     reached = _count_levels(monkeypatch)
 
     def exact(perms):
         raise AssertionError("a permutation reached the exact route")
 
-    monkeypatch.setattr(prepared._inner, "permuted", exact)
+    monkeypatch.setattr(prepared, "_exact", exact)
     count = 0
     for perms in estimators._permutation_batches(7, 2000, 199, 64):
         count += np.count_nonzero(prepared.permuted(perms) >= prepared.observed)
@@ -197,14 +202,13 @@ def test_an_independent_n2000_test_keeps_the_nxn_counts(monkeypatch):
     x, y = _n2000(2, 0.0)
     kernel = resolve_bandwidth(GaussianKernel(), x, y)
     prepared = estimators._prepare("hsic", x, y, kernel=kernel, permutations=199)
-    assert isinstance(prepared, estimators._Screened)
+    assert prepared._levels
     perms = np.vstack(list(estimators._permutation_batches(3, 2000, 199, 199)))
     reached = _count_levels(monkeypatch)
     screened = _counts(prepared, perms, 8)
     # the stored gather has the evaluated bits and takes a fraction of the time
-    prepared._inner._a.store()
-    prepared._inner._b.store()
-    exact = prepared._inner.permuted(perms)
+    prepared._store()
+    exact = prepared._exact(perms)
     assert screened == (np.count_nonzero(exact >= prepared.observed),) * 2
     assert 0 < screened[0] < 199
     # the levels past the first decide what it cannot
@@ -223,13 +227,14 @@ class TestRouteChoice:
     def test_taken_for_gaussian_hsic_at_n_2000_in_two_dimensions(self):
         x, y = _sample(1, 2000, 2, 0.5)
         prepared = estimators._prepare("hsic", x, y, kernel=GaussianKernel(), permutations=199)
-        assert isinstance(prepared, estimators._Screened)
-        assert prepared.margin < 1e-6 * prepared.observed
+        assert prepared._levels
+        assert prepared._levels[-1][2] < 1e-6 * prepared.observed
 
     def test_declined_in_five_dimensions(self):
         x, y = _sample(2, 2000, 5, 0.5)
         prepared = estimators._prepare("hsic", x, y, kernel=GaussianKernel(), permutations=199)
-        assert type(prepared) is estimators._CenteredInner
+        assert type(prepared) is estimators._CenteredInner and not prepared._levels
+        assert prepared._a.stored and prepared._b.stored
 
     @pytest.mark.usefixtures("no_factorisation")
     def test_declined_below_the_crossover_without_factorising(self):
@@ -237,19 +242,19 @@ class TestRouteChoice:
         for estimator, spec in (("hsic", dict(kernel=GaussianKernel())),
                                 ("dcov", dict(metric=parse_semimetric("induced_metric:base=(gaussian)")))):
             prepared = estimators._prepare(estimator, x, y, permutations=199, **spec)
-            assert type(prepared) is estimators._CenteredInner
+            assert type(prepared) is estimators._CenteredInner and not prepared._levels
             permutation_test(x, y, estimator, B=19, seed=1, **spec)
 
     @pytest.mark.usefixtures("no_factorisation")
     def test_declined_without_permutations_and_on_explicit_matrices(self):
         x, y = _sample(4, 400, 1, 0.5)
-        assert type(estimators._prepare("hsic", x, y, kernel=GaussianKernel())) is estimators._CenteredInner
+        assert not estimators._prepare("hsic", x, y, kernel=GaussianKernel())._levels
         n = 200
         pts = np.random.default_rng(5).standard_normal((n, 2))
         metric = ExplicitSemimetric(distance_matrix(EuclideanSquared(), pts))
         idx = np.arange(n)
         prepared = estimators._prepare("dcov", idx, idx[::-1], metric=metric, permutations=99)
-        assert type(prepared) is estimators._CenteredInner
+        assert type(prepared) is estimators._CenteredInner and not prepared._levels
 
 
 def test_prepare_holds_no_nxn_array():
@@ -263,7 +268,7 @@ def test_prepare_holds_no_nxn_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert isinstance(prepared, estimators._Screened)
+    assert prepared._levels
     assert peak < 0.25 * 8 * n * n
 
 
@@ -303,44 +308,47 @@ def test_evaluated_rows_are_the_stored_rows(seed, n, d, which, rows, levels, dat
     assert np.array_equal(stored, stored.T)
     for i in range(0, n, rows):
         assert np.array_equal(matrix_rows(obj, x, i, min(i + rows, n), distance), stored[i : i + rows])
-    # the sides, centred or not, agree in blocks of ``rows`` rows, re-paired
-    # or not, and so does their inner product
+    # the sides agree in blocks of ``rows`` rows, re-paired or not, and so
+    # do the inner products on them, with their moments and centred rows
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "_BLOCK_BYTES", 8 * n * rows)
-        sides = [
-            [estimators._Side(obj, x, distance, centred=centred, stored=kept) for kept in (False, True)]
-            for centred in (True, False)
+        evaluated, kept = (estimators._Side(obj, x, distance, stored=stored) for stored in (False, True))
+        for i in range(0, n, rows):
+            j = min(i + rows, n)
+            assert np.array_equal(evaluated.rows(i, j), kept.rows(i, j))
+            assert np.array_equal(evaluated.rows(i, j, perm), kept.rows(i, j, perm))
+        assert np.array_equal(kept.rows(0, n, perm), stored[perm][:, perm])
+        inner = [
+            estimators._CenteredInner(*(estimators._Side(obj, x, distance, stored=stored) for _ in "ab"))
+            for stored in (False, True)
         ]
-        for evaluated, kept in sides:
-            for ours, theirs in zip(evaluated.moments, kept.moments):
-                assert np.array_equal(ours, theirs)
-            for i in range(0, n, rows):
-                j = min(i + rows, n)
-                assert np.array_equal(evaluated.rows(i, j), kept.rows(i, j))
-                assert np.array_equal(evaluated.rows(i, j, perm), kept.rows(i, j, perm))
-            for j in (0, n - 1):
-                assert np.array_equal(evaluated.centred_row(j), kept.centred_row(j))
-        inner = [estimators._CenteredInner(a, b) for a, b in zip(*sides)]
         assert inner[0].observed == inner[1].observed == inner[0].permuted(np.arange(n)[None])[0]
         assert inner[0].permuted(perm[None]) == inner[1].permuted(perm[None])
-    assert np.array_equal(kept.rows(0, n, perm), stored[perm][:, perm])
-    assert np.array_equal(inner[0].row_sums, inner[1].row_sums)
+        for ours, theirs in zip(inner[0]._moments, inner[1]._moments):
+            assert all(np.array_equal(u, v) for u, v in zip(ours, theirs))
+        for i in range(0, n, rows):
+            j = min(i + rows, n)
+            assert np.array_equal(inner[0]._hah(i, j), inner[1]._hah(i, j))
+        for k in (0, 1):
+            for j in (0, n - 1):
+                assert np.array_equal(inner[0]._centred_row(k, j), inner[1]._centred_row(k, j))
 
 
 @pytest.mark.parametrize("kind,text", ELEMENTWISE + [("kernel", "linear"), ("metric", "euclid2")])
 @pytest.mark.parametrize("stored", [False, True])
 def test_centred_side_rows_sum_to_zero(kind, text, stored):
-    # HMH 1 = 0: each centred row, evaluated or stored, sums to zero up to
-    # the roundoff of n terms of the size of M's entries
+    # HMH 1 = 0: each row of HAH and of HBH, evaluated or stored, sums to
+    # zero up to the roundoff of n terms of the size of M's entries
     n = 250
     obj = _spec(kind, text)[kind]
     x = _sample(13, n, 2, 0.0)[0]
     distance = kind == "metric"
-    side = estimators._Side(obj, x, distance, centred=True, stored=stored)
+    inner = estimators._CenteredInner(*(estimators._Side(obj, x, distance, stored=stored) for _ in "ab"))
     largest = np.abs((distance_matrix if distance else gram_matrix)(obj, x)).max()
-    sums = np.concatenate([side.rows(i, j).sum(axis=1) for i, j in kernels._row_blocks(n, n)])
+    sums = np.concatenate([inner._hah(i, j).sum(axis=1) for i, j in kernels._row_blocks(n, n)])
     assert np.abs(sums).max() <= 8 * n * np.finfo(float).eps * largest
-    assert np.abs(side.centred_row(n - 1).sum()) <= 8 * n * np.finfo(float).eps * largest
+    for k in (0, 1):
+        assert np.abs(inner._centred_row(k, n - 1).sum()) <= 8 * n * np.finfo(float).eps * largest
 
 
 @settings(max_examples=30, deadline=None)
@@ -352,17 +360,19 @@ def test_centred_side_rows_sum_to_zero(kind, text, stored):
     stored=st.booleans(),
 )
 def test_the_inner_pass_reads_the_moments_of_its_uncentred_side(seed, n, which, rows, stored):
+    # B's moments, read in the pass over both sides, have the bits of the
+    # pass over B alone that reads them when B is the centred side
     kind, text = ELEMENTWISE[which]
     obj = _spec(kind, text)[kind]
     x, y = _sample(seed, n, 2, 0.5)
     distance = kind == "metric"
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "_BLOCK_BYTES", 8 * n * rows)
-        b = estimators._Side(obj, y, distance, stored=stored)
-        estimators._CenteredInner(estimators._Side(obj, x, distance, centred=True), b)
-        assert "moments" in vars(b)
-        own_pass = estimators._Side(obj, y, distance, stored=stored).moments
-    for ours, theirs in zip(b.moments, own_pass):
+        a, b = (estimators._Side(obj, pts, distance, stored=stored) for pts in (x, y))
+        inner = estimators._CenteredInner(a, b)
+        a, b = (estimators._Side(obj, pts, distance, stored=stored) for pts in (x, y))
+        own_pass = estimators._CenteredInner(b, a)._moments[0]
+    for ours, theirs in zip(inner._moments[1], own_pass):
         assert np.array_equal(ours, theirs)
 
 
@@ -381,7 +391,7 @@ def test_prepare_evaluates_each_matrix_entry_three_times(monkeypatch):
     monkeypatch.setattr(estimators, "matrix_rows", counted)
     kernel = resolve_bandwidth(GaussianKernel(), x, y)
     prepared = estimators._prepare("hsic", x, y, kernel=kernel, permutations=99)
-    assert isinstance(prepared, estimators._Screened)
+    assert prepared._levels
     factor_rows = sum(len(ft) for ft in (prepared._levels[-1][0], prepared._levels[-1][1].T))
     assert sum(evaluated) == 3 * n + factor_rows
 
@@ -393,18 +403,18 @@ HSIC_DCOV = [
 
 
 @pytest.mark.parametrize("estimator,spec,statistic", HSIC_DCOV)
-@pytest.mark.parametrize("d,route", [(1, estimators._Screened), (5, estimators._CenteredInner)])
-def test_compute_and_test_give_the_same_bits(estimator, spec, statistic, d, route, monkeypatch):
+@pytest.mark.parametrize("d,screened", [(1, True), (5, False)])
+def test_compute_and_test_give_the_same_bits(estimator, spec, statistic, d, screened, monkeypatch):
     n = 300
     monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * n * 16)
     x, y = _sample(9, n, d, 0.3)
     prepared = estimators._prepare(estimator, x, y, permutations=99, **spec)
-    assert type(prepared) is route
+    assert bool(prepared._levels) is screened
     result = permutation_test(x, y, estimator, B=99, seed=4, **spec)
     assert statistic(x, y, *spec.values()) == result.statistic == prepared.observed
-    # the exact gather over the stored matrices gives the evaluated bits
-    inner = prepared._inner if route is estimators._Screened else prepared
-    assert inner.permuted(np.arange(n)[None])[0] == prepared.observed
+    # the exact route, over the evaluated sides or the stored matrices of a
+    # declined screen, gives the observed bits
+    assert prepared._exact(np.arange(n)[None])[0] == prepared.observed
 
 
 @pytest.mark.parametrize("estimator,spec,sample", [
@@ -421,7 +431,7 @@ def test_a_taken_screen_recomputes_from_the_points(estimator, spec, sample, monk
     perms = np.vstack(list(estimators._permutation_batches(2, n, 199, 199)))
     exact = _counts(estimators._prepare(estimator, x, y, **spec), perms, 199)
     recomputed = []
-    permuted = estimators._CenteredInner.permuted
+    permuted = estimators._CenteredInner._exact
 
     def fail(*args, **kwargs):
         raise AssertionError("an n x n matrix was built")
@@ -432,9 +442,9 @@ def test_a_taken_screen_recomputes_from_the_points(estimator, spec, sample, monk
 
     monkeypatch.setattr(estimators, "gram_matrix", fail)
     monkeypatch.setattr(estimators, "distance_matrix", fail)
-    monkeypatch.setattr(estimators._CenteredInner, "permuted", counted)
+    monkeypatch.setattr(estimators._CenteredInner, "_exact", counted)
     prepared = estimators._prepare(estimator, x, y, permutations=199, **spec)
-    assert isinstance(prepared, estimators._Screened) and prepared.margin > 0.0
+    assert prepared._levels and prepared._levels[-1][2] > 0.0
     assert _counts(prepared, perms, 64) == exact
     assert (sum(recomputed) == 199) if estimator == "hsic" else (0 < sum(recomputed) < 199)
 
@@ -458,10 +468,10 @@ def test_a_zero_margin_decides_every_value(estimator, spec, constant, monkeypatc
     def exact(*args, **kwargs):
         raise AssertionError("a value reached the exact route")
 
-    monkeypatch.setattr(estimators._CenteredInner, "permuted", exact)
+    monkeypatch.setattr(estimators._CenteredInner, "_exact", exact)
     prepared = estimators._prepare(estimator, x, y, permutations=199, **spec)
-    assert isinstance(prepared, estimators._Screened)
-    assert prepared.margin == 0.0 and prepared.observed == 0.0
+    assert prepared._levels
+    assert prepared._levels[-1][2] == 0.0 and prepared.observed == 0.0
     result = permutation_test(x, y, estimator, B=199, seed=2, **spec)
     assert result.statistic == 0.0 and result.p_value == 1.0
 
@@ -480,7 +490,7 @@ def test_a_declined_screen_builds_each_matrix_once(estimator, spec, monkeypatch)
 
         monkeypatch.setattr(estimators, name, counted)
     prepared = estimators._prepare(estimator, x, y, permutations=99, **spec)
-    assert type(prepared) is estimators._CenteredInner
+    assert not prepared._levels
     assert built == [n, n]
     prepared.permuted(np.vstack(list(estimators._permutation_batches(1, n, 9, 9))))
     assert built == [n, n]
