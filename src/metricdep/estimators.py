@@ -8,29 +8,30 @@ dCov = 4 HSIC under induced kernels) exact at every finite n, not just
 asymptotically.
 
 Every statistic is computed by one prepared core, as a function of a
-re-pairing pi of the y side (the identity gives the statistic itself):
+re-pairing pi of the y side (the identity gives the statistic itself).  No
+route sees an anchor: a kernel induced from a semimetric d runs as d.
 
-* feature route, when both sides have an explicit feature map (see
-  :func:`~metricdep.kernels.feature_map`): with the centred p- and
-  q-dimensional features and C_pi = Xc' Yc[pi] / n, mcov = mcov_trace =
-  tr C_pi, and hsic = ||C_pi||_F^2 and dcov = 4 ||C_pi||_F^2 while p q <= n;
+* feature route, when both sides are on the coordinates (linear, euclid2,
+  the linear kernel's semimetric): with the centred p- and q-dimensional
+  coordinates and C_pi = Xc' Yc[pi] / n, mcov = mcov_trace = tr C_pi, and
+  hsic = ||C_pi||_F^2 and dcov = 4 ||C_pi||_F^2 while p q <= n;
 * points route for mcov and mcov_trace otherwise: the mean of the n paired
-  values k(x_i, y_pi(i)) less the grand mean of k (for mcov, -1/2 times
-  that of d2), evaluated at the points; no n x n array is held;
-* n x n route for hsic and dcov otherwise: the centred inner product
-  <HAH, B_pipi> / n^2 of the two sides' matrices, Gram matrices for hsic
-  and distance matrices for dcov, HAH centred by A's row means.  From
-  n = 200 on, on vector data, a side without a feature map is evaluated
-  from the points in row blocks, with the bits of the stored matrix.  A
-  permutation test there runs levels of a screen in front of the exact
-  inner product: pivoted-Cholesky factors of both centred sides, through
-  their leading 32 columns, then 64, ..., then all, each level taking only
-  the values its predecessor left undecided.  The exact inner product
-  recomputes, from the points, what the last level cannot certify, so
-  counts and p-values are exact and no n x n array is held at any n.
-  Where a factor's rank passes sqrt(32 n) there are no levels and both
-  matrices are stored; a matrix is stored there or up front (below
-  n = 200, on explicit matrices, and for a side with a feature map).
+  values k(x_i, y_pi(i)) less the grand mean of k (for a semimetric d2,
+  -1/2 times that of d2), evaluated at the points; no n x n array is held;
+* n x n route for hsic and dcov otherwise: s c_a c_b <HAH, B_pipi> / n^2 of
+  the sides' Gram (c = 1) or distance (c = -1/2) matrices, s = 1 for hsic
+  and 4 for dcov, HAH centred by A's row means.  From n = 200 on, on vector
+  data, a side off the coordinates is evaluated from the points in row
+  blocks, with the bits of the stored matrix.  A permutation test there runs
+  levels of a screen in front of the exact inner product: pivoted-Cholesky
+  factors of both centred sides, through their leading 32 columns, then 64,
+  ..., then all, each level taking only the values its predecessor left
+  undecided.  The exact inner product recomputes, from the points, what the
+  last level cannot certify, so counts and p-values are exact and no n x n
+  array is held at any n.  Where a factor's rank passes sqrt(32 n) there
+  are no levels and both matrices are stored; a matrix is stored there or
+  up front (below n = 200, on explicit matrices, and for a side on the
+  coordinates).
 
 Memory is checked only where an array that grows faster than n is
 allocated (see :func:`_check_memory`): a statistic that stores nothing is
@@ -47,12 +48,13 @@ from math import isqrt
 import numpy as np
 
 from .kernels import (
+    DistanceInducedKernel,
     EuclideanSquared,
     ExplicitSemimetric,
     GaussianKernel,
     InputError,
+    LinearKernel,
     distance_matrix,
-    feature_map,
     gram_matrix,
     induced_kernel,
     induced_semimetric,
@@ -65,6 +67,8 @@ from .kernels import (
 ESTIMATORS = ("mcov", "mcov_trace", "hsic", "dcov")
 
 _MAX_SEED = 2**63
+
+_NOT_FINITE = "the result is not finite (NaN or infinity): the data or a bandwidth is out of range"
 
 # Bytes of permutation indices and gathered data held per piece of
 # permutations.  The n x n route reads its matrices in row blocks of about
@@ -160,7 +164,8 @@ def resolve_specs(estimator, kernel=None, metric=None, anchor=None):
     the given one, else the semimetric's induced kernel at ``anchor`` (a
     point, or an anchor spec string such as ``"origin"``), else a gaussian
     with the median-heuristic bandwidth.  An anchor is an error unless that
-    induced kernel is built from it.
+    induced kernel is built from it; the statistic checks it against the
+    points, then runs the induced kernel as its semimetric.
     """
     if anchor is not None:
         if estimator in ("mcov", "dcov") or kernel is not None or metric is None:
@@ -229,6 +234,13 @@ class _Prepared:
     def observed(self) -> float:
         return float(self.permuted(np.arange(self.n)[None])[0])
 
+    @property
+    def statistic(self) -> float:
+        """``observed``, a zero as +0.0; one that is not finite is refused."""
+        if not np.isfinite(self.observed):
+            raise InputError(_NOT_FINITE)
+        return self.observed + 0.0
+
 
 class _CrossCov(_Prepared):
     """tr C_pi, or ``scale`` * ||C_pi||_F^2, of C_pi = Xc' Yc[pi] / n.
@@ -290,8 +302,8 @@ def _moments(mu, diag):
 
 
 class _Side:
-    """One side's n x n matrix M, a Gram matrix or, with ``distance``, a
-    distance matrix, read in row blocks.
+    """One side's n x n matrix M, a Gram matrix (c = 1) or, with
+    ``distance``, a distance matrix (c = -1/2), read in row blocks.
 
     ``rows(i, j)`` gives M[i:j], and ``rows(i, j, perm)`` rows i:j of
     M_pipi = M[perm][:, perm].  A stored side takes them from M, built once
@@ -299,13 +311,14 @@ class _Side:
     of ``store``), and gives M[i:j] as a view of M, which the centred inner
     product centres in place on its fixed side; any other side evaluates
     them by ``matrix_rows`` at its points, re-paired by ``perm``.  A side
-    without a feature map computes each entry from its two points alone, so
+    off the coordinates computes each entry from its two points alone, so
     both give the same bits.  Only ``store`` does work when a side is built;
     an evaluated side's first pass is its first read.
     """
 
     def __init__(self, obj, pts, distance, stored=False):
         self.n = len(pts)
+        self.c = -0.5 if distance else 1.0
         self._pts = pts
         self._evaluate = partial(matrix_rows, obj, distance=distance)
         self._build = partial(distance_matrix if distance else gram_matrix, obj, pts)
@@ -360,10 +373,10 @@ def _pivoted_cholesky(row, diag, cap):
 
 
 class _CenteredInner(_Prepared):
-    """<HAH, B_pipi> / n^2 of the sides A and B, which equals
-    <HAH, HBH> / n^2 because H is a projection: ``permuted`` runs the
-    screen's levels, none without ``c``, then computes the values still
-    undecided exactly, by ``_exact``.
+    """f <HAH, B_pipi> / n^2 of the sides A and B, f = ``scale`` c_a c_b,
+    which equals f <HAH, HBH> / n^2 because H is a projection: ``permuted``
+    runs the screen's levels, none without ``screen``, then computes the
+    values still undecided exactly, by ``_exact``.
 
     A is symmetric, so with its row means mu, HAH = A - mu 1' - 1 mu' +
     mean(mu).  A pass over A gives mu; a pass over the row blocks of both
@@ -374,16 +387,15 @@ class _CenteredInner(_Prepared):
     inner product with B_pipi's rows to each permutation's sum, so the
     identity gives the observed statistic.
 
-    With ``c``, the levels screen through low-rank factors of both centred
-    sides (Bach & Jordan 2002); where a factor's rank passes
+    With ``screen``, the levels screen through low-rank factors of both
+    centred sides (Bach & Jordan 2002); where a factor's rank passes
     sqrt(_SCREEN_RANKS n) there are none, and both sides are stored, since
     every re-pairing is then gathered.
 
-    With c HAH = F F' + E_x and c HBH = G G' + E_y (c = 1 for Gram
-    matrices, -1/2 for distance matrices, whose centred form is -2 times
-    the induced centred Gram), a re-pairing's statistic is
-    T_pi = s <F F' + E_x, (G G' + E_y)_pipi> / n^2 with s = 1/c^2, and its
-    screen value s ||F' G[pi]||_F^2 / n^2 is below it by at most
+    With c_a HAH = F F' + E_x and c_b HBH = G G' + E_y (both PSD: -HDH/2
+    is the centred Gram of d's induced kernels), a re-pairing's statistic
+    is T_pi = s <F F' + E_x, (G G' + E_y)_pipi> / n^2, s = ``scale``, and
+    its screen value s ||F' G[pi]||_F^2 / n^2 is below it by at most
     s (e_x (lmax(G'G) + e_y) + e_y lmax(F'F)) / n^2, e = tr E, for every pi.
     A level's margin is twice that plus the roundoff of both computations.
 
@@ -396,11 +408,11 @@ class _CenteredInner(_Prepared):
     with gamma_m = m u / (1 - m u) <= m eps for the unit roundoff
     u = eps / 2, and ||B_pipi||_F = ||B||_F for every pi.  So each exact
     value, observed or permuted, is within eps m ||HAH||_F ||B||_F / n^2 of
-    its value in exact arithmetic on the same HAH and B.  This term is a
-    certificate only: no input tried needs it, because the centring term,
-    built from the computed row sums of HAH, already exceeds the exact
-    route's actual roundoff on each.  The margin rests on the bound, not on
-    that observation.
+    its value in exact arithmetic on the same HAH and B, as |f| <= 1 scales
+    exactly.  This term is a certificate only: no input tried needs it,
+    because the centring term, built from the computed row sums of HAH,
+    already exceeds the exact route's actual roundoff on each.  The margin
+    rests on the bound, not on that observation.
 
     The levels keep the leading k columns of F and of G, for k =
     ``_SCREEN_FIRST_RANK``, twice that, ... (each capped at its side's
@@ -418,9 +430,10 @@ class _CenteredInner(_Prepared):
     the exact route makes.
     """
 
-    def __init__(self, a, b, c=None):
+    def __init__(self, a, b, scale=1.0, screen=False):
         n = self.n = a.n
         self._a, self._b = a, b
+        self._factor = scale * a.c * b.c
         self._blocks = _row_blocks(n, n)
         mu, diag = np.empty(n), np.empty(n)
         for i, j in self._blocks:
@@ -437,8 +450,8 @@ class _CenteredInner(_Prepared):
             row_sums[i:j] = rows_a.sum(axis=1)
             _read_moments(mu, diag, i, rows_b)
         self._moments.append(_moments(mu, diag))
-        self.observed = float(total / n**2)
-        self._levels = [] if c is None else self._screen(c, row_sums, np.sqrt(square_a), np.sqrt(square_b))
+        self.observed = float(self._factor * total / n**2)
+        self._levels = self._screen(scale, row_sums, np.sqrt(square_a), np.sqrt(square_b)) if screen else []
         # indices, and the gathered factor rows and F' G[pi] of the first
         # level, the only one that every permutation reaches
         kx, ky = (len(self._levels[0][0]), self._levels[0][1].shape[1]) if self._levels else (0, 0)
@@ -471,19 +484,19 @@ class _CenteredInner(_Prepared):
                 self._centre(self._a.rows(i, j), i, j)
         self._b.store()
 
-    def _screen(self, c, row_sums, norm_a, norm_b):
-        """The levels of the screen with ``c``, or none, with both sides
+    def _screen(self, s, row_sums, norm_a, norm_b):
+        """The levels of the screen of scale ``s``, or none, with both sides
         stored, where a factor's rank passes the cap."""
         n, cap = self.n, isqrt(_SCREEN_RANKS * self.n)
         factors = []
-        for k, (_, _, diag) in enumerate(self._moments):
+        for k, ((_, _, diag), c) in enumerate(zip(self._moments, (self._a.c, self._b.c))):
             factor = _pivoted_cholesky(lambda j: c * self._centred_row(k, j), c * diag, cap)
             if factor is None:
                 self._store()
                 return []
             factors.append(factor)
         (ft, ex), (gt, ey) = factors
-        s = self._scale = 1.0 / c**2
+        self._scale = s
         ff, gg = ft @ ft.T, gt @ gt.T
         g = np.ascontiguousarray(gt.T)
         # the exact route pairs HAH with B, not HBH: the two differ by
@@ -526,7 +539,7 @@ class _CenteredInner(_Prepared):
             rows_a = self._hah(i, j)
             for k, p in enumerate(perms):
                 out[k] += np.vdot(rows_a, self._b.rows(i, j, p))
-        return out / self.n**2
+        return self._factor * out / self.n**2
 
     def permuted(self, perms):
         t = np.empty(len(perms))
@@ -541,9 +554,22 @@ class _CenteredInner(_Prepared):
         return t
 
 
-def _on_explicit(obj):
-    """Whether a kernel or semimetric is built on an explicit matrix."""
-    return isinstance(obj, ExplicitSemimetric) or (hasattr(obj, "base") and _on_explicit(obj.base))
+def _on_coordinates(obj):
+    """Whether the centred Gram, or -1/2 times the centred distance matrix,
+    is Xc Xc' for the centred points Xc: linear, euclid2, induced linear."""
+    return isinstance(obj, (LinearKernel, EuclideanSquared)) or isinstance(getattr(obj, "base", None), LinearKernel)
+
+
+def _without_anchors(obj, pts):
+    """``obj``, or d where ``obj`` is a kernel induced from a semimetric d or
+    that kernel's semimetric, once a value at the first point has checked
+    the anchor against ``pts``: at any anchor the centred Gram is -HDH/2."""
+    if isinstance(getattr(obj, "base", None), DistanceInducedKernel):
+        obj = obj.base
+    if isinstance(obj, DistanceInducedKernel):
+        obj.paired(pts[:1], pts[:1])
+        return _without_anchors(obj.base, pts)
+    return obj
 
 
 def _prepare(
@@ -559,41 +585,40 @@ def _prepare(
     if obj is None:
         raise InputError(f"{estimator} needs a {'semimetric' if on_metric else 'kernel'}")
     trace = estimator in ("mcov", "mcov_trace")
-    if trace:
-        # both sides live in the one space of the semimetric or kernel
-        if _dim(x) != _dim(y):
-            raise InputError(f"dimension mismatch between points: {_dim(x)} vs {_dim(y)}")
-        obj = obj_y = resolve_bandwidth(obj, x, y)
-    else:
-        obj, obj_y = _resolve_sides(obj, obj_y, x, y)
+    # both sides of mcov and mcov_trace live in the one space of their
+    # semimetric or kernel
+    if trace and _dim(x) != _dim(y):
+        raise InputError(f"dimension mismatch between points: {_dim(x)} vs {_dim(y)}")
+    obj, obj_y = _resolve_sides(obj, None if trace else obj_y, x, y)
+    distance, distance_y = (on_metric or isinstance(o, DistanceInducedKernel) for o in (obj, obj_y))
+    obj, obj_y = _without_anchors(obj, x), _without_anchors(obj_y, y)
 
-    phi, phi_y = feature_map(obj), feature_map(obj_y)
-    if phi is not None and phi_y is not None:
-        fx, fy = phi(x), phi_y(y)
-        # ||C_pi||^2 costs n p q per re-pairing against about 2 n^2 for the
-        # n x n gather, so wide features take the n x n route; the switch is
-        # cautious (3x faster here at p q = n)
-        if trace or fx.shape[1] * fy.shape[1] <= len(x):
-            return _CrossCov(fx, fy, trace, 4.0 if estimator == "dcov" else 1.0)
+    scale = 4.0 if estimator == "dcov" else 1.0
+    # ||C_pi||^2 costs n p q per re-pairing against about 2 n^2 for the
+    # n x n gather, so wide features take the n x n route; the switch is
+    # cautious (3x faster here at p q = n)
+    if _on_coordinates(obj) and _on_coordinates(obj_y) and (trace or _dim(x) * _dim(y) <= len(x)):
+        return _CrossCov(obj.coerce(x), obj_y.coerce(y), trace, scale)
     if trace:
-        return _PairedTrace(obj, x, y, -0.5 if on_metric else 1.0)
+        return _PairedTrace(obj, x, y, -0.5 if distance else 1.0)
     n = len(x)
     # The sides are stored here or, where the screen declines, by
     # _CenteredInner.  From _SCREEN_MIN_N on, vector data are evaluated in
-    # row blocks.  A side with a feature map (here only for wide data) is
+    # row blocks.  A side on the coordinates (here only for wide data) is
     # stored, as are explicit matrices and small n: the linear kernel's
     # matrix product rounds by the block's shape.  An explicit matrix is of
     # negative type only up to the validation tolerance, so its centred Gram
     # need not be PSD, as the screen's bound requires.  Memory is checked
     # before the first pass for the screen's factors, and in _Side.store.
-    vectors = n >= _SCREEN_MIN_N and not (_on_explicit(obj) or _on_explicit(obj_y))
+    vectors = n >= _SCREEN_MIN_N and not any(isinstance(o, ExplicitSemimetric) for o in (obj, obj_y))
     screen = bool(permutations) and vectors
     if screen:
         _check_memory(n, _SCREEN_ARRAYS * isqrt(_SCREEN_RANKS * n) * n, "the screen's factors")
     return _CenteredInner(
-        _Side(obj, x, on_metric, stored=not vectors or phi is not None),
-        _Side(obj_y, y, on_metric, stored=not vectors or phi_y is not None),
-        (-0.5 if on_metric else 1.0) if screen else None,
+        _Side(obj, x, distance, stored=not vectors or _on_coordinates(obj)),
+        _Side(obj_y, y, distance_y, stored=not vectors or _on_coordinates(obj_y)),
+        scale,
+        screen,
     )
 
 
@@ -608,7 +633,7 @@ def mcov_plugin(x, y, metric) -> float:
     The value is signed: coupled pairs closer than re-paired ones give a
     positive value, farther gives negative.
     """
-    return _prepare("mcov", x, y, metric=metric).observed
+    return _prepare("mcov", x, y, metric=metric).statistic
 
 
 def mcov_trace(x, y, kernel) -> float:
@@ -616,10 +641,10 @@ def mcov_trace(x, y, kernel) -> float:
 
         mean_i k(x_i, y_i) - mean_{i,j} k(x_i, y_j)
 
-    Equals :func:`mcov_plugin` with the kernel's induced semimetric, for any
-    anchor, since the expression depends on k only through the semimetric.
+    Equals :func:`mcov_plugin` with the kernel's induced semimetric; a
+    kernel induced from d runs as d at any anchor, so there bit for bit.
     """
-    return _prepare("mcov_trace", x, y, kernel=kernel).observed
+    return _prepare("mcov_trace", x, y, kernel=kernel).statistic
 
 
 def hsic_vstat(x, y, kernel, kernel_y=None) -> float:
@@ -627,9 +652,10 @@ def hsic_vstat(x, y, kernel, kernel_y=None) -> float:
 
         (1/n^2) Tr(K H L H),   H = I - (1/n) ones
 
-    Nonnegative up to roundoff.
+    Nonnegative up to roundoff.  A kernel induced from a semimetric d runs
+    as d, so 4 hsic under induced kernels is :func:`dcov_vstat` bit for bit.
     """
-    return _prepare("hsic", x, y, kernel=kernel, kernel_y=kernel_y).observed
+    return _prepare("hsic", x, y, kernel=kernel, kernel_y=kernel_y).statistic
 
 
 def dcov_vstat(x, y, metric, metric_y=None) -> float:
@@ -641,7 +667,7 @@ def dcov_vstat(x, y, metric, metric_y=None) -> float:
     (1/n^2) Tr(A H B H), the HSIC form, which is why dCov = 4 HSIC under
     the induced kernels (whose centred Grams are -HAH/2 and -HBH/2).
     """
-    return _prepare("dcov", x, y, metric=metric, metric_y=metric_y).observed
+    return _prepare("dcov", x, y, metric=metric, metric_y=metric_y).statistic
 
 
 @dataclass(frozen=True)
@@ -740,7 +766,7 @@ def _permutation_test(x, y, estimator, *, B, seed, alternative=None, alpha=None,
         raise InputError(f"unknown alternative {alternative!r}")
 
     prepared = _prepare(estimator, x, y, permutations=B, **specs)
-    observed = prepared.observed
+    observed = prepared.statistic
     size = max(1, _BATCH_BYTES // prepared.perm_bytes)
     if alpha is not None:
         size = min(size, _CURTAILED_PIECE)

@@ -13,6 +13,7 @@ import json
 
 import numpy as np
 
+from .estimators import _NOT_FINITE
 from .kernels import InputError
 from .oracle import DiscreteJoint
 
@@ -108,4 +109,4 @@ def render_json(doc) -> str:
     try:
         return json.dumps(doc, sort_keys=True, default=_plain, allow_nan=False) + "\n"
     except ValueError:
-        raise InputError("the result is not finite (NaN or infinity): the data or a bandwidth is out of range") from None
+        raise InputError(_NOT_FINITE) from None

@@ -56,11 +56,6 @@ def _as_single(x) -> np.ndarray:
     return a[None, :]
 
 
-def _check_same_dim(xs, ys):
-    if xs.shape[1] != ys.shape[1]:
-        raise InputError(f"dimension mismatch between points: {xs.shape[1]} vs {ys.shape[1]}")
-
-
 class _OnVectors:
     """Point handling shared by the kernels and semimetrics on R^p."""
 
@@ -72,7 +67,8 @@ class _OnVectors:
 
     def _pair(self, xs, ys):
         xs, ys = self.coerce(xs), self.coerce(ys)
-        _check_same_dim(xs, ys)
+        if xs.shape[1] != ys.shape[1]:
+            raise InputError(f"dimension mismatch between points: {xs.shape[1]} vs {ys.shape[1]}")
         return xs, ys
 
 
@@ -377,35 +373,6 @@ def induced_kernel(metric, anchor=None) -> DistanceInducedKernel:
     return DistanceInducedKernel(metric, anchor)
 
 
-def feature_map(obj):
-    """The explicit finite-dimensional feature map phi of a kernel or
-    semimetric, or None when it has none.
-
-    phi takes points to an (n, m) array with k(x, y) = <phi(x), phi(y)> for
-    a kernel and d2(x, y) = ||phi(x) - phi(y)||^2 for a semimetric.  The
-    linear kernel and euclid2 have the coordinates; a kernel-induced
-    semimetric has its kernel's map; a distance-induced kernel with anchor w
-    has phi(x) - phi(w), phi the base semimetric's map.
-    """
-    if isinstance(obj, (LinearKernel, EuclideanSquared)):
-        return as_points
-    if isinstance(obj, KernelInducedSemimetric):
-        return feature_map(obj.base)
-    if isinstance(obj, DistanceInducedKernel):
-        phi = feature_map(obj.base)
-        if phi is None:
-            return None
-
-        def shifted(pts):
-            xs = obj.base.coerce(pts)
-            f, fw = phi(xs), phi(obj._anchor_row(xs))
-            _check_same_dim(f, fw)
-            return f - fw
-
-        return shifted
-    return None
-
-
 def _row_blocks(n, width):
     """Row ranges (i, j) of the blocks of about ``_BLOCK_BYTES`` of an
     n x width float64 matrix."""
@@ -432,13 +399,18 @@ def _as_distances(m, start=0):
 def _symmetric(obj, pts):
     """``obj.pairwise(pts, pts)`` filled into one array in row blocks of about
     ``_BLOCK_BYTES``, so that the temporaries of an evaluation are the size
-    of a block rather than of the matrix; symmetrised where it is a product
-    of features, as any other ``pairwise`` computes k(x, y) and k(y, x) alike."""
+    of a block rather than of the matrix; symmetrised where it is built on
+    the linear kernel, whose matrix product rounds by the block's shape.
+    cdist, the radial profiles, an explicit matrix and the two induced forms
+    compute k(x, y) and k(y, x) alike."""
     pts = obj.coerce(pts)
     m = np.empty((len(pts), len(pts)))
     for i, j in _row_blocks(len(pts), len(pts)):
         m[i:j] = obj.pairwise(pts[i:j], pts)
-    return m if feature_map(obj) is None else _symmetrise(m)
+    base = obj
+    while hasattr(base, "base"):
+        base = base.base
+    return _symmetrise(m) if isinstance(base, LinearKernel) else m
 
 
 def gram_matrix(kernel, pts) -> np.ndarray:
@@ -461,8 +433,8 @@ def matrix_rows(obj, pts, i, j, distance=False) -> np.ndarray:
     matrix with ``distance``, evaluated by one ``pairwise`` call.
 
     Where ``pairwise`` computes each entry from its two points alone and
-    symmetrically, as every kernel and semimetric without a feature map
-    does, these are the rows of :func:`gram_matrix` or
+    symmetrically, as every kernel and semimetric not built on the linear
+    kernel does, these are the rows of :func:`gram_matrix` or
     :func:`distance_matrix` bit for bit.  The linear kernel's matrix
     product, and what is induced from it, rounds by the block's shape.
     """

@@ -132,6 +132,21 @@ class TestAnchor:
         label = json.loads(result.output)["kernel_or_metric"]
         assert label == "induced_kernel:base=(euclid2),anchor=(0.5)"
 
+    @pytest.mark.parametrize("command", [["compute"], ["test", "--B", "9"]])
+    @pytest.mark.parametrize("estimator", ["mcov-trace", "hsic"])
+    @pytest.mark.parametrize("metric", ["euclid2", "induced_metric:base=(gaussian)"])
+    def test_anchor_of_the_wrong_dimension_exits_2(self, runner, tmp_path, command, estimator, metric):
+        path = tmp_path / "plane.csv"
+        path.write_text("x_1,x_2,y_1,y_2\n0,1,2,3\n1,0,3,1\n2,2,0,1\n")
+        result = runner.invoke(
+            main,
+            [*command, "--input", str(path), "--estimator", estimator, "--metric", metric, "--anchor", "(1;2;3)"],
+        )
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: dimension mismatch")
+
     def test_oracle_unused_anchor_exits_2(self, runner, tmp_path):
         path = tmp_path / "cancel.json"
         path.write_text(json.dumps(cancellation_joint().to_dict()))
@@ -550,6 +565,24 @@ class TestNonFiniteResults:
         assert proc.returncode == 2 and proc.stdout == ""
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: the result is not finite")
+
+
+class TestSignedZero:
+    @pytest.mark.parametrize("command", [["compute"], ["test", "--B", "9"]])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--estimator", "mcov", "--kernel", "gaussian"],
+            ["--estimator", "mcov-trace", "--metric", "induced_metric:base=(gaussian)"],
+        ],
+    )
+    def test_a_zero_statistic_prints_as_plus_zero(self, runner, tmp_path, command, args):
+        # a constant x makes mcov -1/2 times an exact 0.0
+        path = tmp_path / "constant_x.csv"
+        path.write_text("x_1,y_1\n0,0\n0,1\n")
+        result = runner.invoke(main, [*command, "--input", str(path), *args])
+        assert result.exit_code == 0
+        assert '"statistic": 0.0' in result.output
 
 
 class TestEntryPoint:

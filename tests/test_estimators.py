@@ -250,6 +250,18 @@ class TestPermutationTest:
             result = permutation_test(x, y, estimator, B=5, seed=1, **kw)
             assert result.statistic == pytest.approx(direct, rel=1e-12)
 
+    def test_a_statistic_that_is_not_finite_is_refused(self):
+        # squared distances of points at 1e160 overflow to infinity: hsic
+        # reads NaN, which no permuted value would reach, and dcov infinity
+        rng = np.random.default_rng(4)
+        x = 1e160 * rng.standard_normal((50, 2))
+        y = x + 1e160 * rng.standard_normal((50, 2))
+        with np.errstate(all="ignore"):
+            with pytest.raises(InputError, match="the result is not finite"):
+                permutation_test(x, y, "hsic", kernel=GaussianKernel(), B=19, seed=1)
+            with pytest.raises(InputError, match="the result is not finite"):
+                dcov_vstat(x, y, E2)
+
     def test_unknown_estimator_and_missing_spec(self):
         x = np.zeros((4, 1))
         with pytest.raises(InputError):

@@ -16,10 +16,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from metricdep import (  # noqa: E402
     DiscreteJoint,
     EuclideanSquared,
+    ExplicitSemimetric,
     GaussianKernel,
     LinearKernel,
     MaternKernel,
     dcov_vstat,
+    distance_matrix,
     empirical_joint,
     estimators,
     exact_dcov,
@@ -180,11 +182,77 @@ def test_empirical_joint_matches_the_estimator_on_both_routes(seed, m, m2, p, n,
 
     feature = estimators._prepare(estimator, x, y, **spec)
     assert isinstance(feature, estimators._CrossCov)
-    with mock.patch.object(estimators, "feature_map", lambda obj: None):
+    with mock.patch.object(estimators, "_on_coordinates", lambda obj: False):
         nxn = estimators._prepare(estimator, x, y, **spec)
     assert not isinstance(nxn, estimators._CrossCov)
     assert _close(feature.observed, target), estimator
     assert _close(nxn.observed, target), estimator
+
+
+# ---------------------------------------------------------------------------
+# the trace identity and dCov = 4 HSIC, bit for bit
+
+CATALOGUE = {
+    "euclid2": EuclideanSquared(),
+    "induced linear": induced_semimetric(LinearKernel()),
+    "induced gaussian": induced_semimetric(GaussianKernel()),
+    "induced matern": induced_semimetric(MaternKernel(1.5, 1.0)),
+    "explicit": None,
+}
+
+# (semimetric of x, of y, n, dimension, the mcov route, the dcov route of a
+# permutation test); "stored" and "screened" are the n x n route without
+# and with the screen's levels
+IDENTITY_CASES = [
+    ("euclid2", "euclid2", 40, 2, "_CrossCov", "_CrossCov"),
+    ("induced linear", "euclid2", 40, 3, "_CrossCov", "_CrossCov"),
+    ("euclid2", "induced linear", 6, 3, "_CrossCov", "stored"),
+    ("induced gaussian", "induced gaussian", 40, 2, "_PairedTrace", "stored"),
+    ("induced matern", "euclid2", 40, 1, "_PairedTrace", "stored"),
+    ("explicit", "explicit", 40, None, "_PairedTrace", "stored"),
+    ("induced gaussian", "induced gaussian", 220, 1, "_PairedTrace", "screened"),
+]
+
+
+def _route(prepared):
+    if isinstance(prepared, estimators._CenteredInner):
+        return "screened" if prepared._levels else "stored"
+    return type(prepared).__name__
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dep=st.sampled_from([0.0, 0.5]), data=st.data())
+@pytest.mark.parametrize("case", IDENTITY_CASES, ids=lambda case: f"{case[0]}-{case[1]}-{case[2]}")
+def test_induced_kernels_give_the_semimetric_statistics_bit_for_bit(case, seed, dep, data):
+    # an induced kernel runs as its semimetric at any anchor, so mcov_trace
+    # under it is mcov under the semimetric, and hsic under the induced
+    # kernels of both sides is a quarter of dcov, with equal p-values
+    name_x, name_y, n, p, mcov_route, dcov_route = case
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p or 2))
+    y = dep * x + rng.standard_normal((n, p or 2))
+    if p is None:
+        explicit = ExplicitSemimetric(distance_matrix(EuclideanSquared(), np.vstack([x, y])))
+        dx = dy = explicit
+        x, y = np.arange(n), np.arange(n, 2 * n)
+        anchor = st.integers(0, 2 * n - 1)
+    else:
+        dx, dy = CATALOGUE[name_x], CATALOGUE[name_y]
+        anchor = st.lists(st.floats(-1e3, 1e3), min_size=p, max_size=p).map(np.array)
+    wx, wy = data.draw(anchor, label="wx"), data.draw(anchor, label="wy")
+    kx, ky = induced_kernel(dx, wx), induced_kernel(dy, wy)
+    B = 19
+    assert _route(estimators._prepare("mcov", x, y, metric=dx)) == mcov_route
+    assert _route(estimators._prepare("dcov", x, y, metric=dx, metric_y=dy, permutations=B)) == dcov_route
+
+    assert mcov_trace(x, y, kx) == mcov_plugin(x, y, dx)
+    assert 4 * hsic_vstat(x, y, kx, ky) == dcov_vstat(x, y, dx, dy)
+    trace = permutation_test(x, y, "mcov_trace", kernel=kx, B=B, seed=seed)
+    mcov = permutation_test(x, y, "mcov", metric=dx, B=B, seed=seed)
+    assert (trace.statistic, trace.p_value) == (mcov.statistic, mcov.p_value)
+    hsic = permutation_test(x, y, "hsic", kernel=kx, kernel_y=ky, B=B, seed=seed)
+    dcov = permutation_test(x, y, "dcov", metric=dx, metric_y=dy, B=B, seed=seed)
+    assert (4 * hsic.statistic, hsic.p_value) == (dcov.statistic, dcov.p_value)
 
 
 # ---------------------------------------------------------------------------

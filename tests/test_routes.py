@@ -28,7 +28,6 @@ from metricdep import (
     permutation_test,
 )
 from metricdep import estimators, kernels
-from metricdep.kernels import feature_map
 
 E2 = EuclideanSquared()
 LIN = LinearKernel()
@@ -57,30 +56,46 @@ def _rel(a, b):
 
 
 class TestFeatureMap:
-    def test_specs_with_and_without_a_feature_map(self):
-        for spec in ("linear", "induced_kernel:base=euclid2", "induced_kernel:base=(induced_metric:base=(linear))"):
-            assert feature_map(parse_kernel(spec)) is not None, spec
-        assert feature_map(parse_semimetric("euclid2")) is not None
-        assert feature_map(parse_semimetric("induced_metric:base=(linear)")) is not None
-        for spec in ("gaussian:sigma=1", "matern:nu=1.5", "induced_kernel:base=(induced_metric:base=(gaussian:sigma=1))"):
-            assert feature_map(parse_kernel(spec)) is None, spec
-        assert feature_map(parse_semimetric("induced_metric:base=(gaussian:sigma=1)")) is None
+    """The coordinates are the one feature map: the sides that take them
+    are the linear kernel, euclid2, the linear kernel's semimetric and the
+    kernels induced from the last two, at any anchor."""
 
-    def test_features_reproduce_the_gram_and_distance_matrices(self):
+    def test_specs_with_and_without_a_feature_map(self):
+        x, y = _sample(0, 30, 2)
+        anchored = "induced_kernel:base=(induced_metric:base=(linear)),anchor=(1;-2)"
+        for spec in ("linear", "induced_kernel:base=euclid2", anchored):
+            assert isinstance(estimators._prepare("hsic", x, y, kernel=parse_kernel(spec)), estimators._CrossCov), spec
+        for spec in ("euclid2", "induced_metric:base=(linear)", "induced_metric:base=(induced_kernel:base=euclid2)"):
+            assert isinstance(estimators._prepare("dcov", x, y, metric=parse_semimetric(spec)), estimators._CrossCov), spec
+        for spec in ("gaussian:sigma=1", "matern:nu=1.5", "induced_kernel:base=(induced_metric:base=(gaussian:sigma=1))"):
+            assert not isinstance(estimators._prepare("hsic", x, y, kernel=parse_kernel(spec)), estimators._CrossCov), spec
+        metric = parse_semimetric("induced_metric:base=(gaussian:sigma=1)")
+        assert not isinstance(estimators._prepare("dcov", x, y, metric=metric), estimators._CrossCov)
+
+    def test_centred_coordinates_reproduce_the_centred_matrices(self):
+        # H K H = Xc Xc' for the linear kernel and the kernels induced from
+        # euclid2 or the linear kernel's semimetric at any anchor, and
+        # -1/2 H D H = Xc Xc' for those two semimetrics
         rng = np.random.default_rng(0)
         pts = rng.standard_normal((12, 3))
         w = rng.standard_normal(3)
+        xc = pts - pts.mean(axis=0)
         for kernel in (LIN, induced_kernel(E2, w), induced_kernel(induced_semimetric(LIN), w)):
-            f = feature_map(kernel)(pts)
-            np.testing.assert_allclose(f @ f.T, kernel.pairwise(pts, pts), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(_centred(kernel.pairwise(pts, pts)), xc @ xc.T, rtol=0, atol=1e-12)
         for metric in (E2, induced_semimetric(LIN)):
-            f = feature_map(metric)(pts)
-            np.testing.assert_allclose(cdist(f, f, "sqeuclidean"), metric.pairwise(pts, pts), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(-0.5 * _centred(metric.pairwise(pts, pts)), xc @ xc.T, rtol=0, atol=1e-12)
 
     def test_anchor_of_the_wrong_dimension_is_rejected(self):
         x, y = _sample(1, 10, 2)
         with pytest.raises(InputError, match="dimension mismatch"):
             hsic_vstat(x, y, induced_kernel(E2, np.ones(3)))
+
+    def test_explicit_anchor_out_of_range_is_rejected(self):
+        metric = ExplicitSemimetric(distance_matrix(E2, np.arange(6.0)))
+        x, y = np.arange(3), np.arange(3, 6)
+        for statistic in (hsic_vstat, mcov_trace):
+            with pytest.raises(InputError, match="index out of range"):
+                statistic(x, y, induced_kernel(metric, 6))
 
 
 class TestFeatureRouteAgainstExplicitFormulas:
@@ -219,7 +234,7 @@ CASES = [
 
 
 def _nxn_only(monkeypatch):
-    monkeypatch.setattr(estimators, "feature_map", lambda obj: None)
+    monkeypatch.setattr(estimators, "_on_coordinates", lambda obj: False)
 
 
 class TestRoutesAgree:

@@ -32,12 +32,13 @@ from metricdep import (  # noqa: E402
 from metricdep.kernels import EuclideanSquared, matrix_rows, resolve_bandwidth  # noqa: E402
 
 # (estimator, spec keyword, spec, c): the induced centred Gram is c times
-# the centred matrix the n x n route holds
+# the centred matrix the n x n route holds; an induced kernel runs as its
+# semimetric
 SPECS = [
     ("hsic", "kernel", "gaussian", 1.0),
     ("hsic", "kernel", "gaussian:sigma=3", 1.0),
     ("hsic", "kernel", "matern:nu=2.5,ell=4", 1.0),
-    ("hsic", "kernel", "induced_kernel:base=(induced_metric:base=(gaussian:sigma=2))", 1.0),
+    ("hsic", "kernel", "induced_kernel:base=(induced_metric:base=(gaussian:sigma=2))", -0.5),
     ("dcov", "metric", "induced_metric:base=(gaussian)", -0.5),
     ("dcov", "metric", "induced_metric:base=(matern:nu=1.5,ell=3)", -0.5),
 ]
@@ -63,19 +64,23 @@ def _sample(seed, n, d, dep, levels=0):
     return x, y
 
 
-def _screened(x, y, spec, c, first_rank=None):
-    """The centred inner product on both sides stored, as below n = 200,
-    screened with ``c``; with ``first_rank``, from levels of rank
-    ``first_rank``, 2 ``first_rank``, ..., and no rank cap."""
-    (kind, obj), = spec.items()
-    obj, obj_y = estimators._resolve_sides(obj, None, x, y)
-    sides = [estimators._Side(o, pts, kind == "metric", stored=True) for o, pts in ((obj, x), (obj_y, y))]
+def _screened(x, y, estimator, spec, c, first_rank=None, stored=False):
+    """The centred inner product that ``_prepare`` screens from n = 200 on,
+    here at any n, its sides ``c`` times a centred Gram; with
+    ``first_rank``, from levels of rank ``first_rank``, 2 ``first_rank``,
+    ..., and no rank cap; with ``stored``, its sides then stored, as where
+    a screen declines."""
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimators, "_SCREEN_MIN_N", 0)
         if first_rank is not None:
             patch.setattr(estimators, "_SCREEN_FIRST_RANK", first_rank)
             patch.setattr(estimators, "_SCREEN_RANKS", len(x))
-        screened = estimators._CenteredInner(*sides, c)
+        screened = estimators._prepare(estimator, x, y, permutations=1, **spec)
+    assert type(screened) is estimators._CenteredInner
+    assert screened._a.c == screened._b.c == c
     assert first_rank is None or screened._levels
+    if stored:
+        screened._store()
     return screened
 
 
@@ -95,18 +100,19 @@ def _assert_levels_hold(screened, perms, exact):
     levels=st.sampled_from([0, 2, 3]),
     which=st.sampled_from(range(len(SPECS))),
     batch=st.integers(1, 8),
+    stored=st.booleans(),
 )
-def test_screened_counts_are_the_nxn_counts(seed, n, d, dep, levels, which, batch):
+def test_screened_counts_are_the_nxn_counts(seed, n, d, dep, levels, which, batch, stored):
     estimator, kind, text, c = SPECS[which]
     x, y = _sample(seed, n, d, dep, levels)
     inner = estimators._prepare(estimator, x, y, **_spec(kind, text))
     assert type(inner) is estimators._CenteredInner and not inner._levels
-    screened = _screened(x, y, _spec(kind, text), c)
+    screened = _screened(x, y, estimator, _spec(kind, text), c, stored=stored)
     perms = np.vstack(list(estimators._permutation_batches(seed, n, 40, 40)))
     assert screened.observed == inner.observed
     assert _counts(screened, perms, batch) == _counts(inner, perms, 40)
     # a first rank of 1 gives levels of rank 1, 2, 4, ... and runs all of them
-    every_level = _screened(x, y, _spec(kind, text), c, first_rank=1)
+    every_level = _screened(x, y, estimator, _spec(kind, text), c, first_rank=1, stored=stored)
     ranks = [max(len(ft), g.shape[1]) for ft, g, _ in every_level._levels]
     assert ranks[:-1] == [2**i for i in range(len(ranks) - 1)] and ranks == sorted(set(ranks))
     _assert_levels_hold(every_level, perms, inner.permuted(perms))
@@ -132,13 +138,13 @@ def test_near_ties_are_recomputed(estimator, kind, text, c, seed):
     n = 30
     x, y = _two_and_three_levels(seed, n)
     inner = estimators._prepare(estimator, x, y, **_spec(kind, text))
-    screened = _screened(x, y, _spec(kind, text), c)
+    screened = _screened(x, y, estimator, _spec(kind, text), c)
     assert screened._levels
     perms = np.vstack(list(estimators._permutation_batches(seed, n, 300, 300)))
     t = inner.permuted(perms)
     assert np.count_nonzero(np.abs(t - inner.observed) <= 1e-12 * abs(inner.observed)) >= 20
     assert _counts(screened, perms, 300) == _counts(inner, perms, 300)
-    every_level = _screened(x, y, _spec(kind, text), c, first_rank=1)
+    every_level = _screened(x, y, estimator, _spec(kind, text), c, first_rank=1)
     assert len(every_level._levels) > 1
     _assert_levels_hold(every_level, perms, t)
     assert _counts(every_level, perms, 300) == _counts(inner, perms, 300)
@@ -153,7 +159,7 @@ def test_a_constant_side_has_a_rank_zero_factor(constant):
     if constant in ("y", "both"):
         y = np.ones_like(y)
     inner = estimators._prepare("hsic", x, y, kernel=GaussianKernel(1.0))
-    screened = _screened(x, y, dict(kernel=GaussianKernel(1.0)), 1.0)
+    screened = _screened(x, y, "hsic", dict(kernel=GaussianKernel(1.0)), 1.0)
     assert screened._levels
     perms = np.vstack(list(estimators._permutation_batches(8, n, 30, 30)))
     assert _counts(screened, perms, 7) == _counts(inner, perms, 30)
