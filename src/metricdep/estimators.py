@@ -21,17 +21,17 @@ route sees an anchor: a kernel induced from a semimetric d runs as d.
 * n x n route for hsic and dcov otherwise: s c_a c_b <HAH, B_pipi> / n^2 of
   the sides' Gram (c = 1) or distance (c = -1/2) matrices, s = 1 for hsic
   and 4 for dcov, HAH centred by A's row means.  From n = 200 on, on vector
-  data, a side off the coordinates is evaluated from the points in row
-  blocks, with the bits of the stored matrix.  A permutation test there runs
-  levels of a screen in front of the exact inner product: pivoted-Cholesky
-  factors of both centred sides, through their leading 32 columns, then 64,
-  ..., then all, each level taking only the values its predecessor left
-  undecided.  The exact inner product recomputes, from the points, what the
-  last level cannot certify, so counts and p-values are exact and no n x n
-  array is held at any n.  Where a factor's rank passes sqrt(32 n) there
-  are no levels and both matrices are stored; a matrix is stored there or
-  up front (below n = 200, on explicit matrices, and for a side on the
-  coordinates).
+  data, a side not built on the linear kernel is evaluated from the points
+  in row blocks, with the bits of the stored matrix.  A permutation test
+  there runs levels of a screen in front of the exact inner product:
+  pivoted-Cholesky factors of both centred sides, through their leading 32
+  columns, then 64, ..., then all, each level taking only the values its
+  predecessor left undecided.  The exact inner product recomputes, from the
+  points, what the last level cannot certify, so counts and p-values are
+  exact and no n x n array is held at any n.  Where a factor's rank passes
+  sqrt(32 n) there are no levels and both matrices are stored; a matrix is
+  stored there or up front (below n = 200, on explicit matrices, and for a
+  side built on the linear kernel).
 
 Memory is checked only where an array that grows faster than n is
 allocated (see :func:`_check_memory`): a statistic that stores nothing is
@@ -59,6 +59,7 @@ from .kernels import (
     induced_kernel,
     induced_semimetric,
     matrix_rows,
+    _innermost,
     _row_blocks,
     parse_anchor,
     resolve_bandwidth,
@@ -311,9 +312,9 @@ class _Side:
     of ``store``), and gives M[i:j] as a view of M, which the centred inner
     product centres in place on its fixed side; any other side evaluates
     them by ``matrix_rows`` at its points, re-paired by ``perm``.  A side
-    off the coordinates computes each entry from its two points alone, so
-    both give the same bits.  Only ``store`` does work when a side is built;
-    an evaluated side's first pass is its first read.
+    not built on the linear kernel computes each entry from its two points
+    alone, so both give the same bits.  Only ``store`` does work when a
+    side is built; an evaluated side's first pass is its first read.
     """
 
     def __init__(self, obj, pts, distance, stored=False):
@@ -560,14 +561,28 @@ def _on_coordinates(obj):
     return isinstance(obj, (LinearKernel, EuclideanSquared)) or isinstance(getattr(obj, "base", None), LinearKernel)
 
 
+def _check_anchor(k, pts):
+    """Refuse an anchor of the induced kernel k that is not a point of the
+    space of ``pts``, naming it, then evaluate k at the first point."""
+    if k.anchor is not None:
+        base = _innermost(k)
+        given = f"the anchor {k.anchor_spec} given by --anchor or induced_kernel"
+        if not isinstance(base, ExplicitSemimetric):
+            if np.size(k.anchor) != _dim(pts):
+                raise InputError(f"dimension mismatch between points and {given}: {_dim(pts)} vs {np.size(k.anchor)}")
+        elif np.ndim(k.anchor) == 0 and not 0 <= k.anchor < base.n:
+            raise InputError(f"{given}: index out of range for explicit {base.n}x{base.n} matrix, rows 0 to {base.n - 1}")
+    k.paired(pts[:1], pts[:1])
+
+
 def _without_anchors(obj, pts):
     """``obj``, or d where ``obj`` is a kernel induced from a semimetric d or
-    that kernel's semimetric, once a value at the first point has checked
-    the anchor against ``pts``: at any anchor the centred Gram is -HDH/2."""
+    that kernel's semimetric, once the anchor is checked against ``pts``: at
+    any anchor the centred Gram is -HDH/2."""
     if isinstance(getattr(obj, "base", None), DistanceInducedKernel):
         obj = obj.base
     if isinstance(obj, DistanceInducedKernel):
-        obj.paired(pts[:1], pts[:1])
+        _check_anchor(obj, pts)
         return _without_anchors(obj.base, pts)
     return obj
 
@@ -604,19 +619,19 @@ def _prepare(
     n = len(x)
     # The sides are stored here or, where the screen declines, by
     # _CenteredInner.  From _SCREEN_MIN_N on, vector data are evaluated in
-    # row blocks.  A side on the coordinates (here only for wide data) is
-    # stored, as are explicit matrices and small n: the linear kernel's
-    # matrix product rounds by the block's shape.  An explicit matrix is of
-    # negative type only up to the validation tolerance, so its centred Gram
-    # need not be PSD, as the screen's bound requires.  Memory is checked
+    # row blocks.  A side built on the linear kernel is stored, as are
+    # explicit matrices and small n: the linear kernel's matrix product
+    # rounds by the block's shape.  An explicit matrix is of negative type
+    # only up to the validation tolerance, so its centred Gram need not be
+    # PSD, as the screen's bound requires.  Memory is checked
     # before the first pass for the screen's factors, and in _Side.store.
     vectors = n >= _SCREEN_MIN_N and not any(isinstance(o, ExplicitSemimetric) for o in (obj, obj_y))
     screen = bool(permutations) and vectors
     if screen:
         _check_memory(n, _SCREEN_ARRAYS * isqrt(_SCREEN_RANKS * n) * n, "the screen's factors")
     return _CenteredInner(
-        _Side(obj, x, distance, stored=not vectors or _on_coordinates(obj)),
-        _Side(obj_y, y, distance_y, stored=not vectors or _on_coordinates(obj_y)),
+        _Side(obj, x, distance, stored=not vectors or isinstance(_innermost(obj), LinearKernel)),
+        _Side(obj_y, y, distance_y, stored=not vectors or isinstance(_innermost(obj_y), LinearKernel)),
         scale,
         screen,
     )

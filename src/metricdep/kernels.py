@@ -11,6 +11,11 @@ so every kernel induces a semimetric of negative type and every semimetric
 of negative type induces a kernel (up to the choice of anchor).  Negative
 type of a finite distance matrix D is certified by positive semidefiniteness
 of -0.5 * J D J with J the centering projection (Schoenberg's condition).
+
+scipy is imported where it is called, not with this module: the radial
+kernels and semimetrics (gaussian, matern, euclid2) import ``cdist`` in
+``pairwise`` and :func:`median_heuristic` imports ``pdist``, so a process
+that evaluates neither, such as one on the feature route, loads no scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 _MATERN_NUS = (0.5, 1.5, 2.5)
 
@@ -77,6 +81,8 @@ class _Radial(_OnVectors):
     ``profile`` f, which may overwrite its argument."""
 
     def pairwise(self, xs, ys):
+        from scipy.spatial.distance import cdist
+
         return self.profile(cdist(*self._pair(xs, ys), "sqeuclidean"))
 
     def paired(self, xs, ys):
@@ -212,12 +218,14 @@ class DistanceInducedKernel:
         return 0.5 * (self._to_anchor(xs) + self._to_anchor(ys) - d)
 
     @property
-    def spec(self):
+    def anchor_spec(self):
         if self.anchor is None:
-            anchor = "origin"
-        else:
-            anchor = "(" + ";".join(repr(float(v)) for v in np.atleast_1d(self.anchor)) + ")"
-        return f"induced_kernel:base=({self.base.spec}),anchor={anchor}"
+            return "origin"
+        return "(" + ";".join(repr(float(v)) for v in np.atleast_1d(self.anchor)) + ")"
+
+    @property
+    def spec(self):
+        return f"induced_kernel:base=({self.base.spec}),anchor={self.anchor_spec}"
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +404,13 @@ def _as_distances(m, start=0):
     return np.maximum(m, 0.0, out=m)
 
 
+def _innermost(obj):
+    """The kernel or semimetric that ``obj``'s induced forms are built on."""
+    while hasattr(obj, "base"):
+        obj = obj.base
+    return obj
+
+
 def _symmetric(obj, pts):
     """``obj.pairwise(pts, pts)`` filled into one array in row blocks of about
     ``_BLOCK_BYTES``, so that the temporaries of an evaluation are the size
@@ -407,10 +422,7 @@ def _symmetric(obj, pts):
     m = np.empty((len(pts), len(pts)))
     for i, j in _row_blocks(len(pts), len(pts)):
         m[i:j] = obj.pairwise(pts[i:j], pts)
-    base = obj
-    while hasattr(base, "base"):
-        base = base.base
-    return _symmetrise(m) if isinstance(base, LinearKernel) else m
+    return _symmetrise(m) if isinstance(_innermost(obj), LinearKernel) else m
 
 
 def gram_matrix(kernel, pts) -> np.ndarray:
@@ -494,6 +506,8 @@ def median_heuristic(*samples, max_points: int = 2000) -> float:
         pooled = pooled[(np.arange(max_points) * step).astype(int)]
     if pooled.shape[0] < 2:
         return 1.0
+    from scipy.spatial.distance import pdist
+
     # the distances are a temporary, so one selection may reorder them in
     # place; this gives np.median's bits (finite points give no NaN)
     d = pdist(pooled)

@@ -17,6 +17,10 @@ Two dependent constructions are provided:
   under independence.
 
 ``independent_normal`` is the null control for level checks.
+
+Only :func:`norm_distribution_check` uses scipy (``scipy.stats.ks_2samp``),
+and it imports it when called, so the power studies never load
+``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .estimators import _check_integer, _check_seed, _document, _permutation_test, resolve_specs
 from .kernels import InputError
@@ -132,6 +135,8 @@ def norm_distribution_check(
     uniform; asymmetric ``means_y`` breaks the equality and the test rejects.
     The asymptotic KS p-value is used.
     """
+    from scipy.stats import ks_2samp
+
     n = _check_n(n)
     rng = _rng(seed)
     x1, y1 = gen_coupled_mixture(n, sigma, rng, means_y=means_y)

@@ -147,6 +147,17 @@ class TestAnchor:
         lines = result.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: dimension mismatch")
 
+    def test_anchor_error_names_the_anchor(self, runner, tmp_path):
+        path = tmp_path / "plane.csv"
+        path.write_text("x_1,x_2,y_1,y_2\n0,1,2,3\n1,0,3,1\n2,2,0,1\n")
+        args = ["compute", "--input", str(path), "--estimator", "hsic", "--metric", "euclid2", "--anchor", "(1;2;3)"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.output == (
+            "error: dimension mismatch between points and the anchor (1.0;2.0;3.0) "
+            "given by --anchor or induced_kernel: 2 vs 3\n"
+        )
+
     def test_oracle_unused_anchor_exits_2(self, runner, tmp_path):
         path = tmp_path / "cancel.json"
         path.write_text(json.dumps(cancellation_joint().to_dict()))
@@ -236,9 +247,19 @@ class TestMemory:
     @pytest.mark.usefixtures("no_pairwise")
     @pytest.mark.parametrize("command", [["compute"], ["test", "--B", "9"]])
     @pytest.mark.parametrize("spec", [["--estimator", "hsic", "--kernel", "linear"],
-                                      ["--estimator", "dcov", "--metric", "euclid2"]])
+                                      ["--estimator", "dcov", "--metric", "induced_metric:base=(linear)"]])
     def test_a_wide_feature_side_is_refused_before_any_evaluation(self, run, command, spec):
         _refused(run(command + spec, d=20), "for n x n matrices")
+
+    @pytest.mark.parametrize("command", [["compute"], ["test", "--B", "9"]])
+    def test_a_wide_euclid2_side_is_evaluated_within_the_cap(self, run, command):
+        # cdist computes each entry from its two points, so the sides are
+        # read from the points, with the bits of the stored matrices
+        args = [*command, "--estimator", "dcov", "--metric", "euclid2"]
+        uncapped = run(args, d=20, have=2**40)
+        capped = run(args, d=20)
+        assert capped.exit_code == 0
+        assert capped.output == uncapped.output
 
     def test_a_declined_screen_is_refused_where_it_stores(self, run):
         _refused(run(["test", "--estimator", "hsic", "--kernel", "gaussian", "--B", "9"], d=5), "for n x n matrices")
