@@ -8,27 +8,33 @@ dCov = 4 HSIC under induced kernels) exact at every finite n, not just
 asymptotically.
 
 Every statistic is computed by one prepared core, as a function of a
-re-pairing pi of the y side (the identity gives the statistic itself).  No
-route sees an anchor: a kernel induced from a semimetric d runs as d.
+re-pairing pi of the y side (the identity gives the statistic itself).
+One reduction per side decides what runs (see :func:`_reduced`): no route
+sees an anchor, as a kernel induced from a semimetric d runs as d, and for
+mcov and mcov_trace the semimetric induced from a kernel k runs as k.  The
+object that runs gives its side's c (see :func:`_c`): 1 for a kernel, -1/2
+for a semimetric.  So each estimator takes a spec of either kind, read
+through the conversion formulas.
 
 * feature route, when both sides are on the coordinates (linear, euclid2,
   the linear kernel's semimetric): with the centred p- and q-dimensional
   coordinates and C_pi = Xc' Yc[pi] / n, mcov = mcov_trace = tr C_pi, and
   hsic = ||C_pi||_F^2 and dcov = 4 ||C_pi||_F^2 while p q <= n;
-* points route for mcov and mcov_trace otherwise: the mean of the n paired
-  values k(x_i, y_pi(i)) less the grand mean of k (for a semimetric d2,
-  -1/2 times that of d2), evaluated at the points; no n x n array is held;
+* points route for mcov and mcov_trace otherwise: c times the mean of the
+  n paired values k(x_i, y_pi(i)) less the grand mean of k, evaluated at
+  the points; no n x n array is held.  Only an explicit matrix runs here as
+  a semimetric (c = -1/2);
 * n x n route for hsic and dcov otherwise: s c_a c_b <HAH, B_pipi> / n^2 of
-  the sides' Gram (c = 1) or distance (c = -1/2) matrices, s = 1 for hsic
-  and 4 for dcov, HAH centred by A's row means.  From n = 200 on, on vector
-  data, a side not built on the linear kernel is evaluated from the points
-  in row blocks, with the bits of the stored matrix.  A permutation test
-  there runs levels of a screen in front of the exact inner product:
-  pivoted-Cholesky factors of both centred sides, through their leading 32
-  columns, then 64, ..., then all, each level taking only the values its
-  predecessor left undecided.  The exact inner product recomputes, from the
-  points, what the last level cannot certify, so counts and p-values are
-  exact and no n x n array is held at any n.  Where a factor's rank passes
+  the sides' Gram or distance matrices, s = 1 for hsic and 4 for dcov, HAH
+  centred by A's row means.  From n = 200 on, on vector data, a side not
+  built on the linear kernel is evaluated from the points in row blocks,
+  with the bits of the stored matrix.  A permutation test there runs
+  levels of a screen in front of the exact inner product: pivoted-Cholesky
+  factors of both centred sides, through their leading 32 columns, then
+  64, ..., then all, each level taking only the values its predecessor
+  left undecided.  The exact inner product recomputes, from the points,
+  what the last level cannot certify, so counts and p-values are exact and
+  no n x n array is held at any n.  Where a factor's rank passes
   sqrt(32 n) there are no levels and both matrices are stored; a matrix is
   stored there or up front (below n = 200, on explicit matrices, and for a
   side built on the linear kernel).
@@ -53,6 +59,7 @@ from .kernels import (
     ExplicitSemimetric,
     GaussianKernel,
     InputError,
+    KernelInducedSemimetric,
     LinearKernel,
     distance_matrix,
     gram_matrix,
@@ -166,7 +173,10 @@ def resolve_specs(estimator, kernel=None, metric=None, anchor=None):
     point, or an anchor spec string such as ``"origin"``), else a gaussian
     with the median-heuristic bandwidth.  An anchor is an error unless that
     induced kernel is built from it; the statistic checks it against the
-    points, then runs the induced kernel as its semimetric.
+    points, then runs the induced kernel as its semimetric.  The statistic
+    reduces what is returned here (see :func:`_reduced`): mcov on a
+    kernel's induced semimetric runs as mcov_trace on the kernel, bit for
+    bit, and the estimators read a spec of the other kind as this does.
     """
     if anchor is not None:
         if estimator in ("mcov", "dcov") or kernel is not None or metric is None:
@@ -269,26 +279,32 @@ class _CrossCov(_Prepared):
         return self._scale * np.einsum("bpq,bpq->b", c, c)
 
 
-class _PairedTrace(_Prepared):
-    """``scale`` * (mean_i k(x_i, y_pi(i)) - mean_ij k(x_i, y_j)) for the
-    kernel or semimetric k of ``obj``, evaluated at the points: a re-pairing
-    costs n ``obj.paired`` values, each computed from its pair alone, and
-    the grand mean is read once, in row blocks."""
+def _c(obj):
+    """c = 1 for a kernel, and -1/2 for a semimetric d, whose -1/2 H D H is
+    the centred Gram of its induced kernels."""
+    return -0.5 if isinstance(obj, (EuclideanSquared, KernelInducedSemimetric, ExplicitSemimetric)) else 1.0
 
-    def __init__(self, obj, x, y, scale):
+
+class _PairedTrace(_Prepared):
+    """c (mean_i k(x_i, y_pi(i)) - mean_ij k(x_i, y_j)) for the kernel or
+    semimetric k of ``obj`` and its :func:`_c`, evaluated at the points: a
+    re-pairing costs n ``obj.paired`` values, each computed from its pair
+    alone, and the grand mean is read once, in row blocks."""
+
+    def __init__(self, obj, x, y):
         self._obj, self._x, self._y = obj, obj.coerce(x), obj.coerce(y)
         n = self.n = len(self._x)
         # indices of both sides, their gathered points and difference, and
         # the n paired values
         self.perm_bytes = 8 * n * (3 + 3 * (self._x.size // n))
         self._grand = sum(obj.pairwise(self._x[i:j], self._y).sum() for i, j in _row_blocks(n, n)) / n**2
-        self._scale = scale
+        self._c = _c(obj)
 
     def permuted(self, perms):
         b, n = perms.shape
         xs, ys = self._x.take(np.tile(np.arange(n), b), 0), self._y.take(perms.ravel(), 0)
         k = self._obj.paired(xs, ys)
-        return self._scale * (k.reshape(b, n).mean(axis=1) - self._grand)
+        return self._c * (k.reshape(b, n).mean(axis=1) - self._grand)
 
 
 def _read_moments(mu, diag, i, rows):
@@ -303,8 +319,8 @@ def _moments(mu, diag):
 
 
 class _Side:
-    """One side's n x n matrix M, a Gram matrix (c = 1) or, with
-    ``distance``, a distance matrix (c = -1/2), read in row blocks.
+    """One side's n x n matrix M, read in row blocks: the Gram matrix of a
+    kernel or the distance matrix of a semimetric, with its :func:`_c`.
 
     ``rows(i, j)`` gives M[i:j], and ``rows(i, j, perm)`` rows i:j of
     M_pipi = M[perm][:, perm].  A stored side takes them from M, built once
@@ -317,12 +333,12 @@ class _Side:
     side is built; an evaluated side's first pass is its first read.
     """
 
-    def __init__(self, obj, pts, distance, stored=False):
+    def __init__(self, obj, pts, stored=False):
         self.n = len(pts)
-        self.c = -0.5 if distance else 1.0
+        self.c = _c(obj)
         self._pts = pts
-        self._evaluate = partial(matrix_rows, obj, distance=distance)
-        self._build = partial(distance_matrix if distance else gram_matrix, obj, pts)
+        self._evaluate = partial(matrix_rows, obj, distance=self.c < 0)
+        self._build = partial(distance_matrix if self.c < 0 else gram_matrix, obj, pts)
         self._matrix = None
         if stored:
             self.store()
@@ -408,12 +424,13 @@ class _CenteredInner(_Prepared):
     <= gamma_m ||X||_F ||Y||_F (Higham 2002, sec. 3.1, and Cauchy-Schwarz),
     with gamma_m = m u / (1 - m u) <= m eps for the unit roundoff
     u = eps / 2, and ||B_pipi||_F = ||B||_F for every pi.  So each exact
-    value, observed or permuted, is within eps m ||HAH||_F ||B||_F / n^2 of
-    its value in exact arithmetic on the same HAH and B, as |f| <= 1 scales
-    exactly.  This term is a certificate only: no input tried needs it,
-    because the centring term, built from the computed row sums of HAH,
-    already exceeds the exact route's actual roundoff on each.  The margin
-    rests on the bound, not on that observation.
+    value, observed or permuted, is within |f| eps m ||HAH||_F ||B||_F / n^2
+    of its value in exact arithmetic on the same HAH and B, as f, a power of
+    2, scales exactly; the centring term below carries |f| too.  This term
+    is a certificate only: no input tried needs it, because the centring
+    term, built from the computed row sums of HAH, already exceeds the exact
+    route's actual roundoff on each.  The margin rests on the bound, not on
+    that observation.
 
     The levels keep the leading k columns of F and of G, for k =
     ``_SCREEN_FIRST_RANK``, twice that, ... (each capped at its side's
@@ -502,10 +519,10 @@ class _CenteredInner(_Prepared):
         g = np.ascontiguousarray(gt.T)
         # the exact route pairs HAH with B, not HBH: the two differ by
         # terms in the row sums of HAH, which are zero up to roundoff
-        centring = 3.0 * np.abs(row_sums).sum() * np.abs(self._moments[1][0]).max()
+        centring = abs(self._factor) * 3.0 * np.abs(row_sums).sum() * np.abs(self._moments[1][0]).max()
         eps = np.finfo(float).eps
         (i, j), blocks = self._blocks[0], len(self._blocks)
-        exact_roundoff = eps * ((j - i) * n + blocks) * norm_a * norm_b
+        exact_roundoff = abs(self._factor) * eps * ((j - i) * n + blocks) * norm_a * norm_b
 
         def level(kx, ky):
             ffk, ggk = ff[:kx, :kx], gg[:ky, :ky]
@@ -565,25 +582,33 @@ def _check_anchor(k, pts):
     """Refuse an anchor of the induced kernel k that is not a point of the
     space of ``pts``, naming it, then evaluate k at the first point."""
     if k.anchor is not None:
-        base = _innermost(k)
         given = f"the anchor {k.anchor_spec} given by --anchor or induced_kernel"
-        if not isinstance(base, ExplicitSemimetric):
-            if np.size(k.anchor) != _dim(pts):
-                raise InputError(f"dimension mismatch between points and {given}: {_dim(pts)} vs {np.size(k.anchor)}")
-        elif np.ndim(k.anchor) == 0 and not 0 <= k.anchor < base.n:
-            raise InputError(f"{given}: index out of range for explicit {base.n}x{base.n} matrix, rows 0 to {base.n - 1}")
+        try:
+            k.one(k.anchor)
+        except InputError as error:
+            raise InputError(f"{given}: {error}") from None
+        if np.size(k.anchor) != _dim(pts):
+            raise InputError(f"dimension mismatch between points and {given}: {_dim(pts)} vs {np.size(k.anchor)}")
     k.paired(pts[:1], pts[:1])
 
 
-def _without_anchors(obj, pts):
-    """``obj``, or d where ``obj`` is a kernel induced from a semimetric d or
-    that kernel's semimetric, once the anchor is checked against ``pts``: at
-    any anchor the centred Gram is -HDH/2."""
-    if isinstance(getattr(obj, "base", None), DistanceInducedKernel):
-        obj = obj.base
+def _reduced(obj, pts, trace):
+    """The kernel or semimetric that runs for the side ``obj`` on ``pts``.
+
+    A kernel induced from a semimetric d runs as d, once its anchor is
+    checked against ``pts``: at any anchor its centred Gram is -HDH/2.  So
+    the semimetric induced from that kernel runs as d too.  For mcov and
+    mcov_trace (``trace``), the semimetric induced from a kernel k runs as
+    k: the k(x, x) and k(y, y) terms of d2 cancel between the paired and
+    the grand mean, and -1/2 of -2 k(x, y) is k.  Not for hsic or dcov: a
+    constant side's distance matrix is exactly 0, its Gram matrix only
+    once centred.
+    """
     if isinstance(obj, DistanceInducedKernel):
         _check_anchor(obj, pts)
-        return _without_anchors(obj.base, pts)
+        return _reduced(obj.base, pts, trace)
+    if isinstance(obj, KernelInducedSemimetric) and (trace or isinstance(obj.base, DistanceInducedKernel)):
+        return _reduced(obj.base, pts, trace)
     return obj
 
 
@@ -605,8 +630,7 @@ def _prepare(
     if trace and _dim(x) != _dim(y):
         raise InputError(f"dimension mismatch between points: {_dim(x)} vs {_dim(y)}")
     obj, obj_y = _resolve_sides(obj, None if trace else obj_y, x, y)
-    distance, distance_y = (on_metric or isinstance(o, DistanceInducedKernel) for o in (obj, obj_y))
-    obj, obj_y = _without_anchors(obj, x), _without_anchors(obj_y, y)
+    obj, obj_y = _reduced(obj, x, trace), _reduced(obj_y, y, trace)
 
     scale = 4.0 if estimator == "dcov" else 1.0
     # ||C_pi||^2 costs n p q per re-pairing against about 2 n^2 for the
@@ -615,7 +639,7 @@ def _prepare(
     if _on_coordinates(obj) and _on_coordinates(obj_y) and (trace or _dim(x) * _dim(y) <= len(x)):
         return _CrossCov(obj.coerce(x), obj_y.coerce(y), trace, scale)
     if trace:
-        return _PairedTrace(obj, x, y, -0.5 if distance else 1.0)
+        return _PairedTrace(obj, x, y)
     n = len(x)
     # The sides are stored here or, where the screen declines, by
     # _CenteredInner.  From _SCREEN_MIN_N on, vector data are evaluated in
@@ -630,8 +654,8 @@ def _prepare(
     if screen:
         _check_memory(n, _SCREEN_ARRAYS * isqrt(_SCREEN_RANKS * n) * n, "the screen's factors")
     return _CenteredInner(
-        _Side(obj, x, distance, stored=not vectors or isinstance(_innermost(obj), LinearKernel)),
-        _Side(obj_y, y, distance_y, stored=not vectors or isinstance(_innermost(obj_y), LinearKernel)),
+        _Side(obj, x, stored=not vectors or isinstance(_innermost(obj), LinearKernel)),
+        _Side(obj_y, y, stored=not vectors or isinstance(_innermost(obj_y), LinearKernel)),
         scale,
         screen,
     )
@@ -646,7 +670,10 @@ def mcov_plugin(x, y, metric) -> float:
 
     which is the plug-in of (1/4) E E' { d2(X,Y') + d2(X',Y) - 2 d2(X,Y) }.
     The value is signed: coupled pairs closer than re-paired ones give a
-    positive value, farther gives negative.
+    positive value, farther gives negative.  A kernel k is read through its
+    induced semimetric; that semimetric, given or read, runs as
+    :func:`mcov_trace` under k, bit for bit, as the k(x, x) and k(y, y)
+    terms cancel.
     """
     return _prepare("mcov", x, y, metric=metric).statistic
 
@@ -656,8 +683,10 @@ def mcov_trace(x, y, kernel) -> float:
 
         mean_i k(x_i, y_i) - mean_{i,j} k(x_i, y_j)
 
-    Equals :func:`mcov_plugin` with the kernel's induced semimetric; a
-    kernel induced from d runs as d at any anchor, so there bit for bit.
+    Equals :func:`mcov_plugin` with the kernel's induced semimetric, bit
+    for bit, as both run this form; a kernel induced from d runs as d at any
+    anchor, so there bit for bit too.  A semimetric is read through its
+    induced kernel, so it gives :func:`mcov_plugin` under it.
     """
     return _prepare("mcov_trace", x, y, kernel=kernel).statistic
 
@@ -669,6 +698,8 @@ def hsic_vstat(x, y, kernel, kernel_y=None) -> float:
 
     Nonnegative up to roundoff.  A kernel induced from a semimetric d runs
     as d, so 4 hsic under induced kernels is :func:`dcov_vstat` bit for bit.
+    A semimetric d is read through its induced kernel, whose centred Gram
+    is -HDH/2, so 4 hsic under d is :func:`dcov_vstat` under d, bit for bit.
     """
     return _prepare("hsic", x, y, kernel=kernel, kernel_y=kernel_y).statistic
 
@@ -680,7 +711,9 @@ def dcov_vstat(x, y, metric, metric_y=None) -> float:
 
     with A, B the semimetric matrices of the two sides.  This equals
     (1/n^2) Tr(A H B H), the HSIC form, which is why dCov = 4 HSIC under
-    the induced kernels (whose centred Grams are -HAH/2 and -HBH/2).
+    the induced kernels (whose centred Grams are -HAH/2 and -HBH/2).  A
+    kernel is read through its induced semimetric, so dcov under a kernel
+    is 4 :func:`hsic_vstat` under it, bit for bit.
     """
     return _prepare("dcov", x, y, metric=metric, metric_y=metric_y).statistic
 

@@ -306,13 +306,9 @@ class ExplicitSemimetric:
         return self.matrix.shape[0]
 
     def one(self, x):
-        idx = np.asarray(x)
-        if idx.ndim != 0 or not np.issubdtype(idx.dtype, np.integer):
-            f = np.asarray(x, dtype=float)
-            if f.ndim != 0 or f != int(f):
-                raise InputError("points of an explicit semimetric are integer indices")
-            idx = np.asarray(int(f))
-        return self.coerce(idx[None])
+        if np.ndim(x) != 0:
+            raise InputError("a point of an explicit semimetric is one integer index")
+        return self.coerce(np.reshape(x, 1))
 
     def coerce(self, pts):
         idx = np.asarray(pts)
@@ -320,14 +316,14 @@ class ExplicitSemimetric:
             idx = idx.reshape(-1)
         if not np.issubdtype(idx.dtype, np.integer):
             f = np.asarray(idx, dtype=float)
-            if np.any(f != np.round(f)):
+            if not np.all(np.isfinite(f) & (f == np.round(f))):
                 raise InputError("points of an explicit semimetric are integer indices")
             idx = np.round(f).astype(np.intp)
         if idx.size == 0:
             raise InputError("empty point set")
         if idx.min() < 0 or idx.max() >= self.n:
             raise InputError(
-                f"index out of range for explicit {self.n}x{self.n} matrix: "
+                f"index out of range for explicit {self.n}x{self.n} matrix, rows 0 to {self.n - 1}: "
                 f"[{idx.min()}, {idx.max()}]"
             )
         return idx.astype(np.intp)

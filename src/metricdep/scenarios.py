@@ -206,7 +206,8 @@ def power_study(
     The kernel or semimetric that runs is chosen by
     :func:`~metricdep.estimators.resolve_specs`, as for a single test:
     ``mcov`` with a kernel argument runs on the kernel's induced semimetric,
-    which by the trace identity is the same statistic as ``mcov_trace``.
+    which runs as ``mcov_trace`` under the kernel: the same code path, bit
+    for bit.
     """
     reps = _check_integer("reps", reps)
     if reps < 1:

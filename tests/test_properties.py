@@ -18,6 +18,7 @@ from metricdep import (  # noqa: E402
     EuclideanSquared,
     ExplicitSemimetric,
     GaussianKernel,
+    KernelInducedSemimetric,
     LinearKernel,
     MaternKernel,
     dcov_vstat,
@@ -36,6 +37,7 @@ from metricdep import (  # noqa: E402
     mercer_hsic_decomposition,
     mercer_mcov_decomposition,
     permutation_test,
+    resolve_bandwidth,
     semimetric_eval,
 )
 
@@ -226,7 +228,9 @@ def _route(prepared):
 def test_induced_kernels_give_the_semimetric_statistics_bit_for_bit(case, seed, dep, data):
     # an induced kernel runs as its semimetric at any anchor, so mcov_trace
     # under it is mcov under the semimetric, and hsic under the induced
-    # kernels of both sides is a quarter of dcov, with equal p-values
+    # kernels of both sides is a quarter of dcov, with equal p-values; and
+    # mcov under a kernel's induced semimetric runs as mcov_trace under the
+    # kernel, also inside an induced kernel
     name_x, name_y, n, p, mcov_route, dcov_route = case
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, p or 2))
@@ -253,6 +257,15 @@ def test_induced_kernels_give_the_semimetric_statistics_bit_for_bit(case, seed, 
     hsic = permutation_test(x, y, "hsic", kernel=kx, kernel_y=ky, B=B, seed=seed)
     dcov = permutation_test(x, y, "dcov", metric=dx, metric_y=dy, B=B, seed=seed)
     assert (4 * hsic.statistic, hsic.p_value) == (dcov.statistic, dcov.p_value)
+
+    if isinstance(dx, KernelInducedSemimetric):
+        k = dx.base
+        prepared = estimators._prepare("mcov", x, y, metric=dx)
+        if mcov_route == "_PairedTrace":
+            assert prepared._obj == resolve_bandwidth(k, x, y)
+        assert mcov_trace(x, y, k) == mcov_plugin(x, y, dx) == mcov_trace(x, y, kx)
+        direct = permutation_test(x, y, "mcov_trace", kernel=k, B=B, seed=seed)
+        assert (direct.statistic, direct.p_value) == (mcov.statistic, mcov.p_value)
 
 
 # ---------------------------------------------------------------------------

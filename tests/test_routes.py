@@ -15,6 +15,7 @@ from metricdep import (
     GaussianKernel,
     InputError,
     LinearKernel,
+    MaternKernel,
     dcov_vstat,
     distance_matrix,
     gen_orthogonal_linear,
@@ -91,13 +92,54 @@ class TestFeatureMap:
             hsic_vstat(x, y, induced_kernel(E2, np.ones(3)))
 
     def test_explicit_anchor_out_of_range_is_rejected(self):
+        # an anchor past the rows, or not a scalar integer, is named
         metric = ExplicitSemimetric(distance_matrix(E2, np.arange(6.0)))
         x, y = np.arange(3), np.arange(3, 6)
-        message = "the anchor (6.0) given by --anchor or induced_kernel: index out of range for explicit 6x6 matrix, rows 0 to 5"
-        for statistic in (hsic_vstat, mcov_trace):
-            with pytest.raises(InputError) as info:
-                statistic(x, y, induced_kernel(metric, 6))
-            assert str(info.value) == message
+        given = "the anchor {} given by --anchor or induced_kernel: "
+        for anchor, message in (
+            (6, given.format("(6.0)") + "index out of range for explicit 6x6 matrix, rows 0 to 5: [6, 6]"),
+            (2.5, given.format("(2.5)") + "points of an explicit semimetric are integer indices"),
+            (np.inf, given.format("(inf)") + "points of an explicit semimetric are integer indices"),
+            ([1, 2], given.format("(1.0;2.0)") + "a point of an explicit semimetric is one integer index"),
+        ):
+            for statistic in (hsic_vstat, mcov_trace):
+                with pytest.raises(InputError) as info:
+                    statistic(x, y, induced_kernel(metric, anchor))
+                assert str(info.value) == message
+
+
+def _route(prepared):
+    if isinstance(prepared, estimators._CenteredInner):
+        return "screened" if prepared._levels else "stored"
+    return type(prepared).__name__
+
+
+@pytest.mark.parametrize(
+    "n,p,kernel,metric,mcov_route,dcov_route",
+    [
+        (40, 2, LIN, E2, "_CrossCov", "_CrossCov"),
+        (6, 3, LIN, E2, "_CrossCov", "stored"),
+        (40, 2, GaussianKernel(1.0), induced_semimetric(MaternKernel(1.5, 1.0)), "_PairedTrace", "stored"),
+        (220, 1, GaussianKernel(1.0), induced_semimetric(GaussianKernel(0.7)), "_PairedTrace", "screened"),
+    ],
+    ids=["feature", "wide", "points-stored", "points-screened"],
+)
+def test_a_spec_of_the_other_kind_runs_as_its_induced_form(n, p, kernel, metric, mcov_route, dcov_route):
+    # mcov and dcov read a kernel through its induced semimetric, and
+    # mcov_trace and hsic a semimetric through its induced kernel, on every
+    # route: mcov is mcov_trace and dcov is 4 hsic, bit for bit
+    x, y = _sample(n, n, p)
+    for spec in (kernel, metric):
+        assert _route(estimators._prepare("mcov", x, y, metric=spec)) == mcov_route
+        assert _route(estimators._prepare("dcov", x, y, metric=spec, permutations=19)) == dcov_route
+        assert mcov_plugin(x, y, spec) == mcov_trace(x, y, spec)
+        assert 4 * hsic_vstat(x, y, spec) == dcov_vstat(x, y, spec)
+        mcov = permutation_test(x, y, "mcov", metric=spec, B=19, seed=n)
+        trace = permutation_test(x, y, "mcov_trace", kernel=spec, B=19, seed=n)
+        assert (mcov.statistic, mcov.p_value) == (trace.statistic, trace.p_value)
+        dcov = permutation_test(x, y, "dcov", metric=spec, B=19, seed=n)
+        hsic = permutation_test(x, y, "hsic", kernel=spec, B=19, seed=n)
+        assert (dcov.statistic, dcov.p_value) == (4 * hsic.statistic, hsic.p_value)
 
 
 class TestFeatureRouteAgainstExplicitFormulas:

@@ -318,14 +318,14 @@ def test_evaluated_rows_are_the_stored_rows(seed, n, d, which, rows, levels, dat
     # do the inner products on them, with their moments and centred rows
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "_BLOCK_BYTES", 8 * n * rows)
-        evaluated, kept = (estimators._Side(obj, x, distance, stored=stored) for stored in (False, True))
+        evaluated, kept = (estimators._Side(obj, x, stored=stored) for stored in (False, True))
         for i in range(0, n, rows):
             j = min(i + rows, n)
             assert np.array_equal(evaluated.rows(i, j), kept.rows(i, j))
             assert np.array_equal(evaluated.rows(i, j, perm), kept.rows(i, j, perm))
         assert np.array_equal(kept.rows(0, n, perm), stored[perm][:, perm])
         inner = [
-            estimators._CenteredInner(*(estimators._Side(obj, x, distance, stored=stored) for _ in "ab"))
+            estimators._CenteredInner(*(estimators._Side(obj, x, stored=stored) for _ in "ab"))
             for stored in (False, True)
         ]
         assert inner[0].observed == inner[1].observed == inner[0].permuted(np.arange(n)[None])[0]
@@ -349,7 +349,7 @@ def test_centred_side_rows_sum_to_zero(kind, text, stored):
     obj = _spec(kind, text)[kind]
     x = _sample(13, n, 2, 0.0)[0]
     distance = kind == "metric"
-    inner = estimators._CenteredInner(*(estimators._Side(obj, x, distance, stored=stored) for _ in "ab"))
+    inner = estimators._CenteredInner(*(estimators._Side(obj, x, stored=stored) for _ in "ab"))
     largest = np.abs((distance_matrix if distance else gram_matrix)(obj, x)).max()
     sums = np.concatenate([inner._hah(i, j).sum(axis=1) for i, j in kernels._row_blocks(n, n)])
     assert np.abs(sums).max() <= 8 * n * np.finfo(float).eps * largest
@@ -371,12 +371,11 @@ def test_the_inner_pass_reads_the_moments_of_its_uncentred_side(seed, n, which, 
     kind, text = ELEMENTWISE[which]
     obj = _spec(kind, text)[kind]
     x, y = _sample(seed, n, 2, 0.5)
-    distance = kind == "metric"
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "_BLOCK_BYTES", 8 * n * rows)
-        a, b = (estimators._Side(obj, pts, distance, stored=stored) for pts in (x, y))
+        a, b = (estimators._Side(obj, pts, stored=stored) for pts in (x, y))
         inner = estimators._CenteredInner(a, b)
-        a, b = (estimators._Side(obj, pts, distance, stored=stored) for pts in (x, y))
+        a, b = (estimators._Side(obj, pts, stored=stored) for pts in (x, y))
         own_pass = estimators._CenteredInner(b, a)._moments[0]
     for ours, theirs in zip(inner._moments[1], own_pass):
         assert np.array_equal(ours, theirs)
