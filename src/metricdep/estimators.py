@@ -30,14 +30,15 @@ through the conversion formulas.
   built on the linear kernel is evaluated from the points in row blocks,
   with the bits of the stored matrix.  A permutation test there runs
   levels of a screen in front of the exact inner product: pivoted-Cholesky
-  factors of both centred sides, through their leading 32 columns, then
-  64, ..., then all, each level taking only the values its predecessor
-  left undecided.  The exact inner product recomputes, from the points,
-  what the last level cannot certify, so counts and p-values are exact and
-  no n x n array is held at any n.  Where a factor's rank passes
-  sqrt(32 n) there are no levels and both matrices are stored; a matrix is
-  stored there or up front (below n = 200, on explicit matrices, and for a
-  side built on the linear kernel).
+  factors of both centred sides, rotated into kernel principal components,
+  through their leading 16 columns, then 32, ..., then all, each level
+  taking only the values its predecessor left undecided.  The exact inner
+  product recomputes, from the points, what the last level cannot
+  certify, so counts and p-values are exact and no n x n array is held at
+  any n.  Where a factor's rank passes sqrt(32 n) there are no levels and
+  both matrices are stored; a matrix is stored there or up front (below
+  n = 200, on explicit matrices, and for a side built on the linear
+  kernel).
 
 Memory is checked only where an array that grows faster than n is
 allocated (see :func:`_check_memory`): a statistic that stores nothing is
@@ -132,12 +133,13 @@ _SCREEN_MIN_N = 200
 # n = 1000.  Declining at the cap cost 0.05 s at n = 2000, d = 5.
 _SCREEN_RANKS = 32
 
-# The screen's first level keeps this many leading columns of each factor,
-# and each later level twice as many (see _CenteredInner).  On the test_n2000
-# sample (gaussian, median bandwidth, d = 2, ranks 103 and 105) rank 32
-# decides every re-pairing; on an independent sample of that shape rank 32
-# decides none and rank 64 all or all but one of 199.
-_SCREEN_FIRST_RANK = 32
+# The screen's first level keeps this many leading columns of each
+# eigen-ordered factor, and each later level twice as many (see
+# _CenteredInner).  On ten samples shaped like test_n2000's (gaussian,
+# median bandwidth, d = 2, correlation 0.5, ranks 105 to 112) rank 16
+# decides all 199 re-pairings; on ten independent ones rank 16 decides
+# none, rank 32 74 to 163 and rank 64 all but 0 or 1 of the rest.
+_SCREEN_FIRST_RANK = 16
 
 
 def double_center(a: np.ndarray) -> np.ndarray:
@@ -270,7 +272,7 @@ class _CrossCov(_Prepared):
         self._scale = scale
 
     def permuted(self, perms):
-        yp = self._yc[perms]
+        yp = self._yc.take(perms, 0)
         if self._trace:
             # einsum sums each row alike wherever it sits in the block; a
             # BLAS product rounds a row by its place, and loses ties
@@ -302,7 +304,8 @@ class _PairedTrace(_Prepared):
 
     def permuted(self, perms):
         b, n = perms.shape
-        xs, ys = self._x.take(np.tile(np.arange(n), b), 0), self._y.take(perms.ravel(), 0)
+        # x stacked b times (an explicit matrix's points are 1-d indices)
+        xs, ys = np.tile(self._x, (b, 1)[: self._x.ndim]), self._y.take(perms.ravel(), 0)
         k = self._obj.paired(xs, ys)
         return self._c * (k.reshape(b, n).mean(axis=1) - self._grand)
 
@@ -389,6 +392,31 @@ def _pivoted_cholesky(row, diag, cap):
         d -= ft[k] ** 2
 
 
+def _eigen_ordered(ft):
+    """Rotate F' (r x n) in place into Q' F', Q the eigenvectors of F'F in
+    descending order of eigenvalue, a block of columns at a time.
+
+    Returns the largest eigenvalue of F'F and delta, the bound on
+    ||F F' - F~ F~'||_* derived in :class:`_CenteredInner`.  Row i of the
+    result has squared norm lambda_i, the i-th largest eigenvalue, in
+    exact arithmetic.
+    """
+    r, n = ft.shape
+    if not r:
+        return 0.0, 0.0
+    ff = ft @ ft.T
+    lam, q = np.linalg.eigh(ff)
+    qt = np.ascontiguousarray(q.T[::-1])
+    eps = np.finfo(float).eps
+    # the computed Q'Q is within r eps ||Q||_F^2 <= 2 r^2 eps of Q'Q
+    dq = float(np.linalg.norm(qt @ qt.T - np.eye(r))) + 2.0 * r * r * eps
+    rho = r**1.5 * eps
+    delta = (dq + (1.0 + dq) * (2.0 * rho + rho**2)) * float(np.trace(ff))
+    for i, j in _row_blocks(n, r):
+        ft[:, i:j] = qt @ ft[:, i:j]
+    return float(lam[-1]), delta
+
+
 class _CenteredInner(_Prepared):
     """f <HAH, B_pipi> / n^2 of the sides A and B, f = ``scale`` c_a c_b,
     which equals f <HAH, HBH> / n^2 because H is a projection: ``permuted``
@@ -432,11 +460,36 @@ class _CenteredInner(_Prepared):
     route's actual roundoff on each.  The margin rests on the bound, not on
     that observation.
 
-    The levels keep the leading k columns of F and of G, for k =
+    Each factor is then rotated in place into F~ = F Q, Q the eigenvectors
+    of F'F in descending order (see :func:`_eigen_ordered`).  In exact
+    arithmetic F~ F~' = F F', and the columns of F~ are the kernel
+    principal components of F F', so its leading k columns give the best
+    rank-k part of F F' (Eckart-Young).  With the unit eigenvectors u_i,
+    v_j of F F' and G G' and their eigenvalues lambda_i, mu_j, the screen
+    value is s sum_ij lambda_i mu_j (u_i' v_j[pi])^2 / n^2, the Mercer
+    double sum of the statistic, and a level of ranks k_x, k_y keeps its
+    leading k_x x k_y block.
+
+    The rotation's roundoff: with the computed eigenvectors Q^ and
+    delta_Q = ||Q^'Q^ - I||_F, ||Q^||_F^2 = tr Q^'Q^ <= r (1 + delta_Q),
+    and the computed F^' = Q^'F' + R has |R| <= gamma_r |Q^'| |F'|, so
+    ||R||_F <= r eps ||Q^||_F ||F||_F <= rho sqrt(1 + delta_Q) ||F||_F,
+    rho = r^(3/2) eps.  As F^ F^' - F F' = F (Q^ Q^' - I) F' + F Q^ R +
+    R' Q^' F' + R' R, ||Q^ Q^' - I||_2 = ||Q^'Q^ - I||_2 <= delta_Q,
+    ||F Q^||_F <= sqrt(1 + delta_Q) ||F||_F and ||X Y||_* <= ||X||_F ||Y||_F,
+    ||F^ F^' - F F'||_* <= (delta_Q + (1 + delta_Q) (2 rho + rho^2))
+    ||F||_F^2 = delta_x.  delta_Q is measured at run time, plus the
+    2 r^2 eps by which the computed Q^'Q^ may miss it.  So c_a HAH =
+    F^ F^' + E_x' with ||E_x'||_* <= e_x + delta_x, and as |<E', M>| <=
+    ||E'||_* lmax(M) for a PSD M, the bound above holds with e_x + delta_x
+    for e_x, an E' not PSD included; lmax(F^'F^) <= lmax(F'F) + delta_x
+    bounds the lmax of every leading block.  Likewise for G.
+
+    The levels keep the leading k columns of F~ and of G~, for k =
     ``_SCREEN_FIRST_RANK``, twice that, ... (each capped at its side's
     rank), and end at the whole factors.  The columns dropped at a level
-    join its residual, which stays PSD: E_x + F[:, k:] F[:, k:]', of trace
-    e_x + ||F[:, k:]||_F^2, so the same bound holds.  ``permuted`` screens
+    join its residual, which adds a PSD part: F~[:, k:] F~[:, k:]', of
+    trace ||F~[:, k:]||_F^2, so the same bound holds.  ``permuted`` screens
     every re-pairing at the first level and takes to the next only the
     values strictly within the level's margin of the observed statistic or
     of its negation; those still within the last level's margin are
@@ -515,7 +568,8 @@ class _CenteredInner(_Prepared):
             factors.append(factor)
         (ft, ex), (gt, ey) = factors
         self._scale = s
-        ff, gg = ft @ ft.T, gt @ gt.T
+        (lam_x, dx), (lam_y, dy) = _eigen_ordered(ft), _eigen_ordered(gt)
+        nf, ng = np.einsum("ij,ij->i", ft, ft), np.einsum("ij,ij->i", gt, gt)
         g = np.ascontiguousarray(gt.T)
         # the exact route pairs HAH with B, not HBH: the two differ by
         # terms in the row sums of HAH, which are zero up to roundoff
@@ -525,12 +579,11 @@ class _CenteredInner(_Prepared):
         exact_roundoff = abs(self._factor) * eps * ((j - i) * n + blocks) * norm_a * norm_b
 
         def level(kx, ky):
-            ffk, ggk = ff[:kx, :kx], gg[:ky, :ky]
-            lam_f = np.linalg.eigvalsh(ffk)[-1] if kx else 0.0
-            lam_g = np.linalg.eigvalsh(ggk)[-1] if ky else 0.0
-            ex_k, ey_k = ex + np.diagonal(ff)[kx:].sum(), ey + np.diagonal(gg)[ky:].sum()
+            lam_f = lam_x + dx if kx else 0.0
+            lam_g = lam_y + dy if ky else 0.0
+            ex_k, ey_k = ex + dx + nf[kx:].sum(), ey + dy + ng[ky:].sum()
             bound = s * (ex_k * (lam_g + ey_k) + ey_k * lam_f)
-            roundoff = exact_roundoff + eps * s * (2 * n + kx * ky) * np.trace(ffk) * np.trace(ggk)
+            roundoff = exact_roundoff + eps * s * (2 * n + kx * ky) * nf[:kx].sum() * ng[:ky].sum()
             margin = 2.0 * (bound + centring + roundoff) / n**2
             # a level's G is a column view of one contiguous G, whose
             # gathers read rows
@@ -547,7 +600,7 @@ class _CenteredInner(_Prepared):
         """The screen values of ``perms`` at level ``level``."""
         ft, g, _ = self._levels[level]
         (rx, n), ry, b = ft.shape, g.shape[1], len(perms)
-        c = (ft @ g[perms.T].reshape(n, b * ry)).reshape(rx, b, ry)
+        c = (ft @ g.take(perms.T, 0).reshape(n, b * ry)).reshape(rx, b, ry)
         return self._scale * np.einsum("abc,abc->b", c, c) / n**2
 
     def _exact(self, perms):

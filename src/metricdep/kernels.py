@@ -504,12 +504,15 @@ def median_heuristic(*samples, max_points: int = 2000) -> float:
         return 1.0
     from scipy.spatial.distance import pdist
 
-    # the distances are a temporary, so one selection may reorder them in
-    # place; this gives np.median's bits (finite points give no NaN)
-    d = pdist(pooled)
+    # the squared distances are a temporary, so one selection may reorder
+    # them in place; sqrt is monotone and correctly rounded, and pdist's
+    # euclidean distance is the sqrt of its squared one, so the sqrt of the
+    # one or two selected values gives np.median(pdist(pooled))'s bits
+    # (finite points give no NaN)
+    d = pdist(pooled, "sqeuclidean")
     k = d.size // 2
     d.partition(k)
-    med = float(d[k] if d.size % 2 else (d[:k].max() + d[k]) / 2)
+    med = float(np.sqrt(d[k]) if d.size % 2 else (np.sqrt(d[:k].max()) + np.sqrt(d[k])) / 2)
     return med if med > 0 else 1.0
 
 

@@ -1,7 +1,7 @@
 """The screened n x n route: hsic and dcov permutations screened through
-nested levels of pivoted-Cholesky factors of both centred sides, with every
-value near the observed statistic recomputed exactly; an unscreened centred
-inner product has no levels.  Each level's screen values must lie within
+nested levels of eigen-ordered pivoted-Cholesky factors of both centred
+sides, with every value near the observed statistic recomputed exactly; an
+unscreened centred inner product has no levels.  Each level's screen values must lie within
 half its margin of the exact ones; the counts, and so the p-values, must be
 the n x n route's; the screen must decline where it cannot pay off.  Its rows are evaluated from the
 points in blocks, with the bits of the stored matrices, each n x n entry
@@ -201,7 +201,10 @@ def test_the_first_levels_decide_a_dependent_n2000_test(monkeypatch):
     for perms in estimators._permutation_batches(7, 2000, 199, 64):
         count += np.count_nonzero(prepared.permuted(perms) >= prepared.observed)
     assert count == 0
-    assert reached[0] == 199 and len(prepared._levels) - 1 not in reached
+    # the leading 16 kernel principal components of each side decide all
+    first, g, _ = prepared._levels[0]
+    assert len(first) == g.shape[1] == estimators._SCREEN_FIRST_RANK == 16
+    assert reached == {0: 199}
 
 
 def test_an_independent_n2000_test_keeps_the_nxn_counts(monkeypatch):
@@ -217,9 +220,59 @@ def test_an_independent_n2000_test_keeps_the_nxn_counts(monkeypatch):
     exact = prepared._exact(perms)
     assert screened == (np.count_nonzero(exact >= prepared.observed),) * 2
     assert 0 < screened[0] < 199
-    # the levels past the first decide what it cannot
-    assert reached[0] == 199 and reached.get(len(prepared._levels) - 1, 0) < 199 // 10
+    # the levels past the first decide what it cannot: the rank-32 level
+    # some, and few values reach the last
+    assert reached[0] == 199 and reached[2] < 199
+    assert reached.get(len(prepared._levels) - 1, 0) < 199 // 10
     _assert_levels_hold(prepared, perms, exact)
+
+
+# permutation_test(x, y, estimator, B=199, seed=7) on the two n = 2000
+# samples, recorded with the screen's levels in pivot order and the
+# re-pairings gathered by fancy indexing: the order of the levels and the
+# gathers change no bit of a statistic or p-value
+GOLDEN = [
+    ((1, 0.5), "hsic", dict(kernel=GaussianKernel()), 0.008424458242434164, 0.005),
+    ((1, 0.5), "dcov", dict(metric=EuclideanSquared()), 2.157445911413293, 0.005),
+    ((1, 0.5), "mcov", dict(metric=EuclideanSquared()), 1.0345014751753754, 0.005),
+    ((2, 0.0), "hsic", dict(kernel=GaussianKernel()), 5.5271734437752856e-05, 0.855),
+    ((2, 0.0), "dcov", dict(metric=EuclideanSquared()), 0.004585186923057645, 0.64),
+    ((2, 0.0), "mcov", dict(metric=EuclideanSquared()), 0.03324088448156132, 0.275),
+]
+
+
+@pytest.mark.parametrize("sample,estimator,spec,statistic,p_value", GOLDEN)
+def test_n2000_tests_keep_their_recorded_bits(sample, estimator, spec, statistic, p_value):
+    result = permutation_test(*_n2000(*sample), estimator, B=199, seed=7, **spec)
+    assert result.statistic == statistic and result.p_value == p_value
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    d=st.sampled_from([1, 2, 5]),
+    levels=st.sampled_from([0, 2, 3]),
+    which=st.sampled_from(range(len(SPECS))),
+)
+def test_eigen_ordering_keeps_the_factor_within_its_bound(seed, n, d, levels, which):
+    # the rotated factor's row norms, the square roots of the eigenvalues
+    # of F'F, do not increase (up to the bound), and F~ F~' is within the
+    # bound delta of F F' in the nuclear norm, measured in extended precision
+    _, kind, text, c = SPECS[which]
+    x = _sample(seed, n, d, 0.0, levels)[0]
+    obj = estimators._reduced(resolve_bandwidth(_spec(kind, text)[kind], x), x, False)
+    m = c * (distance_matrix if c < 0 else gram_matrix)(obj, x)
+    m = m - m.mean(axis=0) - m.mean(axis=1)[:, None] + m.mean()
+    ft = estimators._pivoted_cholesky(lambda j: m[j], np.diagonal(m), n)[0]
+    f = ft.astype(np.longdouble)
+    lam, delta = estimators._eigen_ordered(ft)
+    norms = np.einsum("ij,ij->i", ft, ft)
+    assert np.all(np.diff(norms) <= delta)
+    assert len(ft) == 0 or abs(norms[0] - lam) <= delta
+    rotated = ft.astype(np.longdouble)
+    change = np.linalg.svd((rotated.T @ rotated - f.T @ f).astype(float), compute_uv=False).sum()
+    assert change <= delta
 
 
 class TestRouteChoice:
