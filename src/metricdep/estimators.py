@@ -24,21 +24,23 @@ through the conversion formulas.
   n paired values k(x_i, y_pi(i)) less the grand mean of k, evaluated at
   the points; no n x n array is held.  Only an explicit matrix runs here as
   a semimetric (c = -1/2);
-* n x n route for hsic and dcov otherwise: s c_a c_b <HAH, B_pipi> / n^2 of
-  the sides' Gram or distance matrices, s = 1 for hsic and 4 for dcov, HAH
-  centred by A's row means.  From n = 200 on, on vector data, a side not
-  built on the linear kernel is evaluated from the points in row blocks,
-  with the bits of the stored matrix.  A permutation test there runs
-  levels of a screen in front of the exact inner product: pivoted-Cholesky
-  factors of both centred sides, rotated into kernel principal components,
+* n x n route for hsic and dcov otherwise: s c_a c_b <HAH, HBH_pipi> / n^2
+  of the sides' Gram or distance matrices, s = 1 for hsic and 4 for dcov,
+  from one pass over both sides, shifted near their centred forms, in a
+  three-term form of inner products, row sums and totals.  From n = 200
+  on, on vector data, a side not built on the linear kernel is evaluated
+  from the points in row blocks, with the bits of the stored matrix.  A
+  permutation test there runs levels of a screen in front of the exact
+  inner product: pivoted-Cholesky factors of both centred sides, grown as
+  far as a level needs and rotated into kernel principal components,
   through their leading 16 columns, then 32, ..., then all, each level
   taking only the values its predecessor left undecided.  The exact inner
   product recomputes, from the points, what the last level cannot
   certify, so counts and p-values are exact and no n x n array is held at
-  any n.  Where a factor's rank passes sqrt(32 n) there are no levels and
-  both matrices are stored; a matrix is stored there or up front (below
-  n = 200, on explicit matrices, and for a side built on the linear
-  kernel).
+  any n.  Where a factor's rank passes sqrt(32 n) before it completes the
+  levels are dropped and both matrices are stored; a matrix is stored
+  there or up front (below n = 200, on explicit matrices, and for a side
+  built on the linear kernel).
 
 Memory is checked only where an array that grows faster than n is
 allocated (see :func:`_check_memory`): a statistic that stores nothing is
@@ -94,11 +96,13 @@ _CURTAILED_PIECE = 16
 _NXN_ARRAYS = 2
 
 # The screen's arrays that grow faster than n, in units of cap x n float64s
-# at the rank cap, cap = isqrt(_SCREEN_RANKS n): F' and G', the copy a
-# factor grows into when it doubles, and the last level's gather of a
-# piece.  A piece holds one permutation, or a first-level gather of at most
-# _BATCH_BYTES, so from n = 15888 on that gather is at most cap x n.
-_SCREEN_ARRAYS = 4
+# at the rank cap, cap = isqrt(_SCREEN_RANKS n): F' and G'; the levels
+# built before the factors complete, whose copies of k leading columns, k
+# at most half the rank grown, sum to at most cap columns a side; the copy
+# a factor grows into when it doubles, or the rotated copy of a factor
+# that may grow further; and a level's gather, of at most _BATCH_BYTES or
+# of one permutation, so from n = 15888 on at most cap x n.
+_SCREEN_ARRAYS = 6
 
 # What holds no array that grows faster than n, named when memory is refused
 _MEMORY_HINT = (
@@ -115,7 +119,9 @@ _MEMORY_HINT = (
 _SCREEN_MIN_N = 200
 
 # The screen declines once a factor's rank passes sqrt(_SCREEN_RANKS * n),
-# so that r_x r_y <= _SCREEN_RANKS n.  A re-pairing costs the screen about
+# so that r_x r_y <= _SCREEN_RANKS n.  The factors grow as far as a level
+# needs, so this is found only when a value reaches a level that asks for
+# more pivots than the cap.  A re-pairing costs the screen about
 # n r_x r_y multiply-adds and the gather about n^2 scattered reads.  Whole
 # hsic tests (gaussian, median bandwidth, B = 199, cap lifted; seconds on a
 # 2-core host):
@@ -129,16 +135,20 @@ _SCREEN_MIN_N = 200
 #   1000  3  287, 322     92         0.98      0.95
 #   2000  3  353, 396     70         2.39      3.72
 #
-# The even point grows from about 25 n at n = 200 to about 90 n at
-# n = 1000.  Declining at the cap cost 0.05 s at n = 2000, d = 5.
+# The ranks are those of the full factors.  The even point grows from
+# about 25 n at n = 200 to about 90 n at n = 1000.  Declining at the cap
+# cost 0.05 s at n = 2000, d = 5.
 _SCREEN_RANKS = 32
 
 # The screen's first level keeps this many leading columns of each
-# eigen-ordered factor, and each later level twice as many (see
-# _CenteredInner).  On ten samples shaped like test_n2000's (gaussian,
-# median bandwidth, d = 2, correlation 0.5, ranks 105 to 112) rank 16
-# decides all 199 re-pairings; on ten independent ones rank 16 decides
-# none, rank 32 74 to 163 and rank 64 all but 0 or 1 of the rest.
+# eigen-ordered factor, grown to twice as many pivots, and each later level
+# twice as many (see _CenteredInner).  On ten samples shaped like
+# test_n2000's (gaussian, median bandwidth, d = 2, correlation 0.5, B =
+# 199) rank 16 decides all 199 re-pairings, and no factor grows past 32
+# pivots.  On ten independent ones (full ranks 98 to 110) rank 16 decides
+# none of the first piece of 15, so the later pieces start at rank 32 or
+# 64, whichever has decided more: rank 32 screened 15 to 199 values, rank
+# 64 37 to 195, and one value in all ten tests reached the last level.
 _SCREEN_FIRST_RANK = 16
 
 
@@ -266,8 +276,8 @@ class _CrossCov(_Prepared):
         p, q = fx.shape[1], fy.shape[1]
         # indices, gathered features and, for the norm, C_pi
         self.perm_bytes = 8 * (self.n * (1 + q) + (0 if trace else p * q))
-        self._xc = fx - fx.mean(axis=0)
-        self._yc = fy - fy.mean(axis=0)
+        # a constant side's centred features are 0, as in exact arithmetic
+        self._xc, self._yc = (np.zeros_like(f) if _constant(f) else f - f.mean(axis=0) for f in (fx, fy))
         self._trace = trace
         self._scale = scale
 
@@ -279,6 +289,11 @@ class _CrossCov(_Prepared):
             return np.einsum("bnq,nq->b", yp, self._xc) / self.n
         c = self._xc.T @ yp / self.n
         return self._scale * np.einsum("bpq,bpq->b", c, c)
+
+
+def _constant(pts):
+    """Whether all points of a side are equal."""
+    return bool((pts == pts[0]).all())
 
 
 def _c(obj):
@@ -300,7 +315,9 @@ class _PairedTrace(_Prepared):
         # the n paired values
         self.perm_bytes = 8 * n * (3 + 3 * (self._x.size // n))
         self._grand = sum(obj.pairwise(self._x[i:j], self._y).sum() for i, j in _row_blocks(n, n)) / n**2
-        self._c = _c(obj)
+        # a constant side makes the paired mean of every re-pairing the
+        # grand mean, so every value is 0 in exact arithmetic, and here
+        self._c = 0.0 if _constant(self._x) or _constant(self._y) else _c(obj)
 
     def permuted(self, perms):
         b, n = perms.shape
@@ -310,30 +327,35 @@ class _PairedTrace(_Prepared):
         return self._c * (k.reshape(b, n).mean(axis=1) - self._grand)
 
 
-def _read_moments(mu, diag, i, rows):
-    """Row means and diagonal entries of the rows of M that start at row i."""
-    mu[i : i + len(rows)] = rows.mean(axis=1)
-    diag[i : i + len(rows)] = np.diagonal(rows, i)
+def _dot(u, v):
+    """The sum of u * v over all entries of two row blocks, by one einsum:
+    its bits depend neither on the BLAS thread count nor on where u and v
+    sit in memory."""
+    return np.einsum("ij,ij->", u, v)
 
 
-def _moments(mu, diag):
-    m = mu.mean()
-    return mu, m, diag - 2.0 * mu + m
+def _less_outer_sum(rows, u_rows, u, out=None):
+    """rows - u_rows 1' - 1 u', as rows - (u_i + u_j): each entry's sum is
+    formed first, so that a symmetric matrix stays exactly symmetric."""
+    return np.subtract(rows, u_rows[:, None] + u, out=out)
 
 
 class _Side:
     """One side's n x n matrix M, read in row blocks: the Gram matrix of a
     kernel or the distance matrix of a semimetric, with its :func:`_c`.
 
-    ``rows(i, j)`` gives M[i:j], and ``rows(i, j, perm)`` rows i:j of
-    M_pipi = M[perm][:, perm].  A stored side takes them from M, built once
-    by ``gram_matrix`` or ``distance_matrix`` (with ``stored``, or on a call
-    of ``store``), and gives M[i:j] as a view of M, which the centred inner
-    product centres in place on its fixed side; any other side evaluates
-    them by ``matrix_rows`` at its points, re-paired by ``perm``.  A side
-    not built on the linear kernel computes each entry from its two points
-    alone, so both give the same bits.  Only ``store`` does work when a
-    side is built; an evaluated side's first pass is its first read.
+    Once ``shift`` has set u, its rows are those of the shifted matrix
+    M' = M - u 1' - 1 u' for a vector u, or M' = M - u for a number; either
+    way H M' H = H M H.  ``rows(i, j)`` gives M'[i:j], and
+    ``rows(i, j, perm)`` rows i:j of M'_pipi = M'[perm][:, perm].  A stored
+    side takes them from M, built once by ``gram_matrix`` or
+    ``distance_matrix`` (with ``stored``, or on a call of ``store``) and
+    shifted in place, and gives M'[i:j] as a view; any other side
+    evaluates them by ``matrix_rows`` at its points, re-paired by ``perm``,
+    and shifts them alike.  A side not built on the linear kernel computes
+    each entry from its two points alone, so both give the same bits.  Only
+    ``store`` does work when a side is built; an evaluated side's first
+    pass is its first read.
     """
 
     def __init__(self, obj, pts, stored=False):
@@ -342,7 +364,7 @@ class _Side:
         self._pts = pts
         self._evaluate = partial(matrix_rows, obj, distance=self.c < 0)
         self._build = partial(distance_matrix if self.c < 0 else gram_matrix, obj, pts)
-        self._matrix = None
+        self._matrix = self._u = None
         if stored:
             self.store()
 
@@ -353,43 +375,100 @@ class _Side:
     def rows(self, i, j, perm=None):
         if self._matrix is not None:
             return self._matrix[i:j] if perm is None else self._matrix.take(perm[i:j], 0).take(perm, 1)
-        return self._evaluate(self._pts if perm is None else self._pts[perm], i, j)
+        rows = self._evaluate(self._pts if perm is None else self._pts[perm], i, j)
+        return rows if self._u is None else self._shifted(rows, i, j, perm)
+
+    def _shifted(self, rows, i, j, perm=None):
+        """Rows i:j of M, or of M_pipi, shifted in place into those of M'."""
+        if np.ndim(self._u) == 0:
+            return np.subtract(rows, self._u, out=rows)
+        u = self._u if perm is None else self._u[perm]
+        return _less_outer_sum(rows, u[i:j], u, out=rows)
+
+    def shift(self, first, rows=True):
+        """Set u from ``first``, the rows M[:r] as read, and shift them, or a
+        stored M whole, in place.
+
+        u = s - m/2 for s, approximate row means of M from these rows (M is
+        symmetric, so their column means), and m, the mean of s, so that M'
+        is near H M H; without ``rows``, u = m, the mean of the first row.
+        Each mean is taken as an offset from the first entry it averages: a
+        constant M gives s = m = its constant, and so M' = 0 exactly.
+        """
+        if rows:
+            s = first[0] + (first - first[0]).mean(axis=0)
+            self._u = s - 0.5 * (s[0] + (s - s[0]).mean())
+        else:
+            self._u = first[0, 0] + (first[0] - first[0, 0]).mean()
+        if self._matrix is None:
+            self._shifted(first, 0, len(first))
+        else:
+            self._shift_stored()
+
+    def _shift_stored(self):
+        for i, j in _row_blocks(self.n, self.n):
+            self._shifted(self._matrix[i:j], i, j)
 
     def store(self):
         """Build M, unless it is built, once the two n x n matrices pass
-        :func:`_check_memory`; an allocation that fails all the same is an
-        :class:`InputError` that names n."""
+        :func:`_check_memory`, and shift it if u is set; an allocation that
+        fails all the same is an :class:`InputError` that names n."""
         if self._matrix is None:
             _check_memory(self.n, _NXN_ARRAYS * self.n**2, "n x n matrices")
             try:
                 self._matrix = self._build()
             except MemoryError:
                 raise InputError(f"n = {self.n}: out of memory for the n x n matrices; {_MEMORY_HINT}") from None
+            if self._u is not None:
+                self._shift_stored()
 
 
-def _pivoted_cholesky(row, diag, cap):
-    """Factor a PSD matrix M = F F' + E by pivoted (incomplete) Cholesky.
+class _PivotedCholesky:
+    """Pivoted (incomplete) Cholesky of a PSD matrix M = F F' + E, grown as
+    far as it is asked.
 
-    ``row(j)`` returns row j of M and ``diag`` its diagonal.  Stops once
-    tr E <= 1e-10 tr M and returns F' (r x n) with a bound on tr E, or None
-    when r would pass ``cap``.  F' grows by doubling, so it holds at most
+    ``row(j)`` returns row j of M and ``diag`` its diagonal.  ``grow(k)``
+    continues the factorisation from where it stopped to k pivots, or until
+    tr E <= 1e-10 tr M, when it is ``complete``.  ``ft`` is F' (r x n) and
+    ``residual`` a bound on tr E.  F' grows by doubling, so it holds at most
     about 2 r rows.
     """
-    d = np.array(diag, dtype=float)
-    tol = 1e-10 * d.sum()
-    ft = np.empty((min(cap, 16), d.size))
-    for k in range(cap + 1):
-        if d.sum() <= tol:
-            return ft[:k], float(np.abs(d).sum())
-        if k == cap:
-            return None
-        if k == len(ft):
-            grown = np.empty((min(cap, 2 * k), d.size))
-            grown[:k] = ft
-            ft = grown
-        j = int(np.argmax(d))
-        ft[k] = (row(j) - ft[:k, j] @ ft[:k]) / np.sqrt(d[j])
-        d -= ft[k] ** 2
+
+    def __init__(self, row, diag, cap):
+        self._row, self._cap = row, cap
+        self._d = np.array(diag, dtype=float)
+        self._tol = 1e-10 * self._d.sum()
+        self._ft = np.empty((min(cap, 16), self._d.size))
+        self.rank = 0
+
+    @property
+    def complete(self):
+        return self._d.sum() <= self._tol
+
+    @property
+    def ft(self):
+        return self._ft[: self.rank]
+
+    @property
+    def residual(self):
+        return float(np.abs(self._d).sum())
+
+    def grow(self, rank):
+        """Continue to ``rank`` pivots, or to completion; False where the
+        rank would pass the cap first."""
+        while self.rank < rank and not self.complete:
+            k = self.rank
+            if k == self._cap:
+                return False
+            if k == len(self._ft):
+                grown = np.empty((min(self._cap, 2 * k), self._d.size))
+                grown[:k] = self._ft
+                self._ft = grown
+            j = int(np.argmax(self._d))
+            self._ft[k] = (self._row(j) - self._ft[:k, j] @ self._ft[:k]) / np.sqrt(self._d[j])
+            self._d -= self._ft[k] ** 2
+            self.rank += 1
+        return True
 
 
 def _eigen_ordered(ft):
@@ -418,50 +497,73 @@ def _eigen_ordered(ft):
 
 
 class _CenteredInner(_Prepared):
-    """f <HAH, B_pipi> / n^2 of the sides A and B, f = ``scale`` c_a c_b,
-    which equals f <HAH, HBH> / n^2 because H is a projection: ``permuted``
-    runs the screen's levels, none without ``screen``, then computes the
-    values still undecided exactly, by ``_exact``.
+    """f <HAH, HBH_pipi> / n^2 of the sides A and B, f = ``scale`` c_a c_b:
+    ``permuted`` runs the screen's levels, none without ``screen``, then
+    computes the values still undecided exactly, by ``_exact``.
 
-    A is symmetric, so with its row means mu, HAH = A - mu 1' - 1 mu' +
-    mean(mu).  A pass over A gives mu; a pass over the row blocks of both
-    sides gives the observed statistic, ||HAH||_F, ||B||_F, HAH's row sums
-    and B's moments, with the bits of a pass over B alone.  HAH's rows are
-    centred as they are read, a stored A's in place, once.  ``_exact`` only
-    reads the sides: for each block it reads HAH's rows once and adds their
-    inner product with B_pipi's rows to each permutation's sum, so the
-    identity gives the observed statistic.
+    One pass over the row blocks of both sides reads them shifted (see
+    :class:`_Side`): A' = A - u 1' - 1 u', u from A's first block of rows,
+    which takes out A's approximate row means, and B' = B - m, m B's
+    approximate mean.  H annihilates the shifts, so HA'H = HAH and
+    HB'H = HBH, and since A' and B' are exactly symmetric,
+
+        <HA'H, HB'H> = <A', B'> - (2/n) <r_a, r_b> + S_a S_b / n^2
+
+    with the row sums r and the totals S of A' and B'.  A re-pairing
+    permutes the rows and columns of B', so its row sums are r_b[pi] and
+    its total S_b.  The pass gives <A', B'>, both sides' row sums and
+    diagonals and, for the screen, both Frobenius norms.  ``_exact`` reads
+    A''s rows once per block and adds their inner product with B'_pipi's
+    rows to each permutation's sum, in block order, then forms the three
+    terms alike, so the identity gives the observed statistic.  Every sum
+    is an einsum, so no bit depends on the BLAS thread count.  A' is near
+    HAH, so r_a and S_a are small and the three terms cancel little; the
+    constant shift of B costs one operation an entry where A's costs two.
+    A constant side is shifted to exactly 0, and then every value is
+    exactly 0.
 
     With ``screen``, the levels screen through low-rank factors of both
-    centred sides (Bach & Jordan 2002); where a factor's rank passes
-    sqrt(_SCREEN_RANKS n) there are none, and both sides are stored, since
-    every re-pairing is then gathered.
-
-    With c_a HAH = F F' + E_x and c_b HBH = G G' + E_y (both PSD: -HDH/2
-    is the centred Gram of d's induced kernels), a re-pairing's statistic
-    is T_pi = s <F F' + E_x, (G G' + E_y)_pipi> / n^2, s = ``scale``, and
-    its screen value s ||F' G[pi]||_F^2 / n^2 is below it by at most
+    centred sides.  The factors' rows are those of A' and B' centred by
+    their row sums, C_A = A' - w 1' - 1 w', w = r_a / n - mean(r_a) / 2n,
+    formed as the shift is, and likewise C_B.  With c_a C_A = F F' + E_x
+    and c_b C_B = G G' + E_y by pivoted Cholesky (Bach & Jordan 2002; both
+    near PSD: -HDH/2 is the centred Gram of d's induced kernels), a
+    re-pairing's screen value s ||F' G[pi]||_F^2 / n^2, s = ``scale``, is
+    below s <c_a C_A, (c_b C_B)_pipi> / n^2 by at most
     s (e_x (lmax(G'G) + e_y) + e_y lmax(F'F)) / n^2, e = tr E, for every pi.
-    A level's margin is twice that plus the roundoff of both computations.
+    A level's margin is twice that plus the three roundoff terms below.
 
-    The exact route's roundoff: it sums, for each of its row blocks of at
-    most r rows, one vdot of at most r n products, and adds the block sums
-    in order, so each product passes through at most m = r n + (number of
-    blocks) roundings.  Then, in any order of the sums,
-    |fl(<X, Y>) - <X, Y>| <= gamma_m sum_ij |X_ij Y_ij|
-    <= gamma_m ||X||_F ||Y||_F (Higham 2002, sec. 3.1, and Cauchy-Schwarz),
-    with gamma_m = m u / (1 - m u) <= m eps for the unit roundoff
-    u = eps / 2, and ||B_pipi||_F = ||B||_F for every pi.  So each exact
-    value, observed or permuted, is within |f| eps m ||HAH||_F ||B||_F / n^2
-    of its value in exact arithmetic on the same HAH and B, as f, a power of
-    2, scales exactly; the centring term below carries |f| too.  This term
-    is a certificate only: no input tried needs it, because the centring
-    term, built from the computed row sums of HAH, already exceeds the exact
-    route's actual roundoff on each.  The margin rests on the bound, not on
-    that observation.
+    The exact route's roundoff, against T_pi = f <HA'H, HB'_pipi H> / n^2
+    in exact arithmetic on the floats A' and B'.  Write a = ||A'||_F,
+    b = ||B'||_F and gamma_k = k u / (1 - k u) <= k eps for the unit
+    roundoff u = eps / 2 (Higham 2002, sec. 3.1).  The inner product sums,
+    for each of its row blocks of at most r rows, one einsum of at most r n
+    products, and adds the block sums in order, so each product passes
+    through at most m = r n + (number of blocks) roundings; in any order of
+    the sums |fl(<X, Y>) - <X, Y>| <= gamma_m sum_ij |X_ij Y_ij| <=
+    gamma_m ||X||_F ||Y||_F, and ||B'_pipi||_F = b for every pi.  A
+    computed row sum is within gamma_n sum_j |A'_ij| of its value, so
+    ||r^ - r||_2 <= gamma_n sqrt(n) a, while ||r||_2 <= sqrt(n) a and
+    |S| <= n a.  So (2/n) <r_a, r_b[pi]> is within 6 gamma_n a b, S_a S_b /
+    n^2 within 5 gamma_n a b, and the last few operations on terms of at
+    most 4 a b add at most 8 eps a b.  Each exact value, observed or
+    permuted, is within |f| eps (m + 12 n + 8) a b / n^2 of T_pi, as f, a
+    power of 2, scales exactly.
 
-    Each factor is then rotated in place into F~ = F Q, Q the eigenvectors
-    of F'F in descending order (see :func:`_eigen_ordered`).  In exact
+    The centred rows' roundoff.  C_A is computed from r^ where HA'H would
+    need r: in exact arithmetic X = A' - w^ 1' - 1 w^' has row sums e
+    with ||e||_2 <= (2 n + 5) eps sqrt(n) a, so ||X - HA'H||_F =
+    ||X - HXH||_F <= 3 ||e||_2 / sqrt(n); each computed entry of C_A is
+    within 2 eps (|A'_ij| + |w_i| + |w_j|) of X's, and ||w||_2 <= 1.5 a /
+    sqrt(n), which adds at most 4 eps a.  So ||C_A - HA'H||_F <= d_a =
+    (6 n + 32) eps a, and as ||HB'H||_F <= b, the screen's target
+    s <c_a C_A, (c_b C_B)_pipi> / n^2 is within
+    |f| (d_a b + a d_b + d_a d_b) / n^2 of T_pi.  These two terms replace
+    the centring term an exact route that paired HAH with an uncentred B
+    needed.
+
+    Each factor is rotated in place into F~ = F Q, Q the eigenvectors of
+    F'F in descending order (see :func:`_eigen_ordered`).  In exact
     arithmetic F~ F~' = F F', and the columns of F~ are the kernel
     principal components of F F', so its leading k columns give the best
     rank-k part of F F' (Eckart-Young).  With the unit eigenvectors u_i,
@@ -479,26 +581,36 @@ class _CenteredInner(_Prepared):
     ||F Q^||_F <= sqrt(1 + delta_Q) ||F||_F and ||X Y||_* <= ||X||_F ||Y||_F,
     ||F^ F^' - F F'||_* <= (delta_Q + (1 + delta_Q) (2 rho + rho^2))
     ||F||_F^2 = delta_x.  delta_Q is measured at run time, plus the
-    2 r^2 eps by which the computed Q^'Q^ may miss it.  So c_a HAH =
+    2 r^2 eps by which the computed Q^'Q^ may miss it.  So c_a C_A =
     F^ F^' + E_x' with ||E_x'||_* <= e_x + delta_x, and as |<E', M>| <=
     ||E'||_* lmax(M) for a PSD M, the bound above holds with e_x + delta_x
     for e_x, an E' not PSD included; lmax(F^'F^) <= lmax(F'F) + delta_x
     bounds the lmax of every leading block.  Likewise for G.
 
-    The levels keep the leading k columns of F~ and of G~, for k =
-    ``_SCREEN_FIRST_RANK``, twice that, ... (each capped at its side's
-    rank), and end at the whole factors.  The columns dropped at a level
-    join its residual, which adds a PSD part: F~[:, k:] F~[:, k:]', of
-    trace ||F~[:, k:]||_F^2, so the same bound holds.  ``permuted`` screens
-    every re-pairing at the first level and takes to the next only the
-    values strictly within the level's margin of the observed statistic or
-    of its negation; those still within the last level's margin are
-    recomputed by the exact route, which reads the sides as they are: a
-    taken screen stores nothing, and recomputes from the points.  A value
-    at its margin, twice its error, is decided; a margin of 0 means F or G
-    is 0 and HAH or B is 0, so that both values are exactly 0.  So each
-    comparison with the observed statistic, signed or absolute, is the one
-    the exact route makes.
+    The levels are built as values reach them.  Level i has rank k =
+    ``_SCREEN_FIRST_RANK`` 2^i: it continues both factorisations from where
+    they stopped to 2 k pivots (or to completion), eigen-orders what each
+    has, a copy while it may grow further, and keeps the leading k columns
+    of each (capped at its rank).  The columns dropped at a level join its
+    residual, which adds a PSD part: F~[:, k:] F~[:, k:]', of trace
+    ||F~[:, k:]||_F^2, so the same bound holds on a partial factor, whose
+    E is the Schur complement it leaves.  The last level keeps the whole
+    completed factors, so the full-tolerance factors are built only when a
+    value reaches it.  Where a factor would pass sqrt(_SCREEN_RANKS n)
+    first, the levels are dropped and both sides stored, since every value
+    is then gathered.  ``permuted`` screens every re-pairing at its first
+    level and takes to the next only the values
+    strictly within the level's margin of the observed statistic or of its
+    negation; those still within the last level's margin are recomputed by
+    the exact route, which reads the sides as they are: a taken screen
+    stores nothing, and recomputes from the points.  A value at its margin,
+    twice its error, is decided; a margin of 0 means A' or B' is 0, so that
+    every value is exactly 0.  So each comparison with the observed
+    statistic, signed or absolute, is the one the exact route makes, at
+    whichever level it is decided: a piece of permutations starts at the
+    level that has decided most values so far.  Counted over all pieces,
+    not the last one alone, this follows the majority where a piece holds
+    one permutation, as from n = 15888 on.
     """
 
     def __init__(self, a, b, scale=1.0, screen=False):
@@ -506,122 +618,158 @@ class _CenteredInner(_Prepared):
         self._a, self._b = a, b
         self._factor = scale * a.c * b.c
         self._blocks = _row_blocks(n, n)
-        mu, diag = np.empty(n), np.empty(n)
+        first = [side.rows(*self._blocks[0]) for side in (a, b)]
+        a.shift(first[0])
+        b.shift(first[1], rows=False)
+        self._sums, self._diags, squares = np.empty((2, n)), np.empty((2, n)), np.zeros(2)
+        inner = 0.0
         for i, j in self._blocks:
-            _read_moments(mu, diag, i, a.rows(i, j))
-        self._moments = [_moments(mu, diag)]
-        row_sums, mu, diag = np.empty(n), np.empty(n), np.empty(n)
-        total = square_a = square_b = 0.0
-        for i, j in self._blocks:
-            # a stored A is centred here, in place, once
-            rows_a, rows_b = self._centre(a.rows(i, j), i, j), b.rows(i, j)
-            total += np.vdot(rows_a, rows_b)
-            square_a += np.vdot(rows_a, rows_a)
-            square_b += np.vdot(rows_b, rows_b)
-            row_sums[i:j] = rows_a.sum(axis=1)
-            _read_moments(mu, diag, i, rows_b)
-        self._moments.append(_moments(mu, diag))
-        self.observed = float(self._factor * total / n**2)
-        self._levels = self._screen(scale, row_sums, np.sqrt(square_a), np.sqrt(square_b)) if screen else []
+            rows = first if i == 0 else [a.rows(i, j), b.rows(i, j)]
+            inner += _dot(*rows)
+            for k, side_rows in enumerate(rows):
+                self._sums[k, i:j] = side_rows.sum(axis=1)
+                self._diags[k, i:j] = np.diagonal(side_rows, i)
+                if screen:
+                    squares[k] += _dot(side_rows, side_rows)
+        self._totals = float(self._sums[0].sum() * self._sums[1].sum()) / n**2
+        self.observed = float(self._values(inner, self._sums[1][None])[0])
+        self._levels, self._final, self._start, self._decided = [], True, 0, []
+        if screen:
+            self._screen(scale, np.sqrt(squares))
         # indices, and the gathered factor rows and F' G[pi] of the first
-        # level, the only one that every permutation reaches
+        # level, where every permutation starts until a later one decides
+        # more
         kx, ky = (len(self._levels[0][0]), self._levels[0][1].shape[1]) if self._levels else (0, 0)
         self.perm_bytes = 8 * (n * (1 + ky) + kx * ky)
 
-    def _centre(self, rows, i, j):
-        """Rows i:j of A centred in place into rows of HAH."""
-        mu, m, _ = self._moments[0]
-        rows -= mu[i:j, None]
-        rows -= mu
-        rows += m
-        return rows
+    def _values(self, inner, sums_b):
+        """The statistics from <A', B'_pipi> and the row sums of B'_pipi,
+        one re-pairing a row of ``sums_b``: einsum reduces each row alike
+        wherever it sits in the block."""
+        n = self.n
+        return self._factor * (inner - 2.0 * np.einsum("bi,i->b", sums_b, self._sums[0]) / n + self._totals) / n**2
 
-    def _hah(self, i, j):
-        """Rows i:j of HAH; a stored A is HAH."""
-        rows = self._a.rows(i, j)
-        return rows if self._a.stored else self._centre(rows, i, j)
+    @cached_property
+    def _w(self):
+        """w of C_A and of C_B: r / n - mean(r) / 2n for each side's row
+        sums r."""
+        return [mu - 0.5 * mu.mean() for mu in self._sums / self.n]
 
     def _centred_row(self, k, j):
-        """Row j of HAH (k = 0) or of HBH (k = 1)."""
-        mu, m, _ = self._moments[1]
-        return self._b.rows(j, j + 1)[0] - mu[j] - mu + m if k else self._hah(j, j + 1)[0]
+        """Row j of C_A (k = 0) or of C_B (k = 1)."""
+        w = self._w[k]
+        return _less_outer_sum((self._a, self._b)[k].rows(j, j + 1), w[j : j + 1], w)[0]
 
     def _store(self):
-        """Store both sides, each store checked for memory, and centre A in
-        place, a row block at a time."""
-        if not self._a.stored:
-            self._a.store()
-            for i, j in self._blocks:
-                self._centre(self._a.rows(i, j), i, j)
+        """Store both sides, each store checked for memory."""
+        self._a.store()
         self._b.store()
 
-    def _screen(self, s, row_sums, norm_a, norm_b):
-        """The levels of the screen of scale ``s``, or none, with both sides
-        stored, where a factor's rank passes the cap."""
-        n, cap = self.n, isqrt(_SCREEN_RANKS * self.n)
-        factors = []
-        for k, ((_, _, diag), c) in enumerate(zip(self._moments, (self._a.c, self._b.c))):
-            factor = _pivoted_cholesky(lambda j: c * self._centred_row(k, j), c * diag, cap)
-            if factor is None:
-                self._store()
-                return []
-            factors.append(factor)
-        (ft, ex), (gt, ey) = factors
-        self._scale = s
-        (lam_x, dx), (lam_y, dy) = _eigen_ordered(ft), _eigen_ordered(gt)
-        nf, ng = np.einsum("ij,ij->i", ft, ft), np.einsum("ij,ij->i", gt, gt)
-        g = np.ascontiguousarray(gt.T)
-        # the exact route pairs HAH with B, not HBH: the two differ by
-        # terms in the row sums of HAH, which are zero up to roundoff
-        centring = abs(self._factor) * 3.0 * np.abs(row_sums).sum() * np.abs(self._moments[1][0]).max()
-        eps = np.finfo(float).eps
+    def _screen(self, s, norms):
+        """Set up the screen of scale ``s``: the roundoff of its margins, the
+        factorisations, and its first level."""
+        n, eps = self.n, np.finfo(float).eps
         (i, j), blocks = self._blocks[0], len(self._blocks)
-        exact_roundoff = abs(self._factor) * eps * ((j - i) * n + blocks) * norm_a * norm_b
+        a, b = norms
+        d_a, d_b = (6 * n + 32) * eps * norms
+        self._roundoff = abs(self._factor) * (
+            eps * ((j - i) * n + blocks + 12 * n + 8) * a * b + d_a * b + a * d_b + d_a * d_b
+        )
+        cap = isqrt(_SCREEN_RANKS * n)
+        self._factors = [
+            _PivotedCholesky(partial(lambda k, c, j: c * self._centred_row(k, j), k, side.c),
+                             side.c * (self._diags[k] - (w + w)), cap)
+            for k, (side, w) in enumerate(zip((self._a, self._b), self._w))
+        ]
+        self._scale, self._first, self._rotated, self._final = s, _SCREEN_FIRST_RANK, [None, None], False
+        self._next_level()
 
-        def level(kx, ky):
-            lam_f = lam_x + dx if kx else 0.0
-            lam_g = lam_y + dy if ky else 0.0
-            ex_k, ey_k = ex + dx + nf[kx:].sum(), ey + dy + ng[ky:].sum()
-            bound = s * (ex_k * (lam_g + ey_k) + ey_k * lam_f)
-            roundoff = exact_roundoff + eps * s * (2 * n + kx * ky) * nf[:kx].sum() * ng[:ky].sum()
-            margin = 2.0 * (bound + centring + roundoff) / n**2
-            # a level's G is a column view of one contiguous G, whose
-            # gathers read rows
-            return ft[:kx], g[:, :ky], margin
+    def _next_level(self):
+        """Append the next level; or, where a factor would pass the cap
+        first, drop the levels and store both sides.  False where there is
+        no next level."""
+        if self._final:
+            return False
+        k = self._first << len(self._levels)
+        if not all(factor.grow(2 * k) for factor in self._factors):
+            self._levels, self._factors, self._rotated, self._final = [], None, None, True
+            self._start, self._decided = 0, []
+            self._store()
+            return False
+        self._final = all(factor.complete and factor.rank <= k for factor in self._factors)
+        self._levels.append(self._level(k))
+        if self._final:
+            self._factors = self._rotated = None
+        return True
 
-        rx, ry = len(ft), len(gt)
-        levels, k = [], _SCREEN_FIRST_RANK
-        while k < max(rx, ry):
-            levels.append(level(min(k, rx), min(k, ry)))
-            k *= 2
-        return levels + [level(rx, ry)]
+    def _level(self, k):
+        """The level of rank k: each factor as far as it is grown,
+        eigen-ordered, and its leading k columns, with the level's margin."""
+        parts = []
+        for index, factor in enumerate(self._factors):
+            rotated = self._rotated[index]
+            if rotated is None:
+                # a completed factor grows no further, so it is rotated in place
+                ft = factor.ft if factor.complete else factor.ft.copy()
+                rotated = (ft, *_eigen_ordered(ft), np.einsum("ij,ij->i", ft, ft))
+                if factor.complete:
+                    self._rotated[index] = rotated
+            ft, lam, delta, norms = rotated
+            kept = min(k, len(ft))
+            lead = ft[:kept] if factor.complete else ft[:kept].copy()
+            parts.append((lead, lam + delta if kept else 0.0, factor.residual + delta + norms[kept:].sum(),
+                          norms[:kept].sum()))
+        (ft, lam_f, ex, nf), (gt, lam_g, ey, ng) = parts
+        s, n = self._scale, self.n
+        bound = s * (ex * (lam_g + ey) + ey * lam_f)
+        roundoff = self._roundoff + np.finfo(float).eps * s * (2 * n + len(ft) * len(gt)) * nf * ng
+        # a level's G is contiguous, so its gathers read rows
+        return ft, np.ascontiguousarray(gt.T), 2.0 * (bound + roundoff) / n**2
 
     def screen(self, level, perms):
-        """The screen values of ``perms`` at level ``level``."""
+        """The screen values of ``perms`` at level ``level``, gathered in
+        pieces of about ``_BATCH_BYTES``."""
         ft, g, _ = self._levels[level]
-        (rx, n), ry, b = ft.shape, g.shape[1], len(perms)
-        c = (ft @ g.take(perms.T, 0).reshape(n, b * ry)).reshape(rx, b, ry)
-        return self._scale * np.einsum("abc,abc->b", c, c) / n**2
+        (rx, n), ry = ft.shape, g.shape[1]
+        size = max(1, _BATCH_BYTES // (8 * n * (1 + ry)))
+        out = np.empty(len(perms))
+        for i in range(0, len(perms), size):
+            piece = perms[i : i + size]
+            c = (ft @ g.take(piece.T, 0).reshape(n, len(piece) * ry)).reshape(rx, len(piece), ry)
+            out[i : i + len(piece)] = np.einsum("abc,abc->b", c, c)
+        return self._scale * out / n**2
 
     def _exact(self, perms):
         """The values of ``perms`` on the exact route."""
-        out = np.zeros(len(perms))
+        inner = np.zeros(len(perms))
         for i, j in self._blocks:
-            rows_a = self._hah(i, j)
+            rows_a = self._a.rows(i, j)
             for k, p in enumerate(perms):
-                out[k] += np.vdot(rows_a, self._b.rows(i, j, p))
-        return self._factor * out / self.n**2
+                inner[k] += _dot(rows_a, self._b.rows(i, j, p))
+        return self._values(inner, self._sums[1][perms])
+
+    def _count(self, level, decided):
+        """Add to the values decided at ``level``, and start the next piece
+        at the level that has decided most so far, the lowest of equals;
+        the exact inner product counts as the level after the last."""
+        self._decided += [0] * (level + 1 - len(self._decided))
+        self._decided[level] += decided
+        self._start = int(np.argmax(self._decided))
 
     def permuted(self, perms):
         t = np.empty(len(perms))
         todo = np.arange(len(perms))
         obs = self.observed
-        for level, (_, _, margin) in enumerate(self._levels):
+        level = self._start
+        while todo.size and (level < len(self._levels) or self._next_level()):
             v = t[todo] = self.screen(level, perms[todo])
-            todo = todo[(np.abs(v - obs) < margin) | (np.abs(v + obs) < margin)]
-            if not todo.size:
-                return t
-        t[todo] = self._exact(perms[todo])
+            margin = self._levels[level][2]
+            left = todo[(np.abs(v - obs) < margin) | (np.abs(v + obs) < margin)]
+            self._count(level, todo.size - left.size)
+            todo, level = left, level + 1
+        if todo.size:
+            t[todo] = self._exact(perms[todo])
+            self._count(len(self._levels), todo.size)
         return t
 
 

@@ -219,12 +219,12 @@ def _refused(result, arrays):
 
 class TestMemory:
     """Physical memory read below two n x n arrays at n = 300 (1.44 MB), and
-    above the screen's 4 isqrt(32 n) n floats (0.93 MB) unless a case lowers
+    above the screen's 6 isqrt(32 n) n floats (1.40 MB) unless a case lowers
     it: what is stored is refused with one line, before it is built."""
 
     @pytest.fixture
     def run(self, runner, tmp_path, monkeypatch):
-        def run(args, d, have=12 * 300 * 300):
+        def run(args, d, have=1_420_000):
             monkeypatch.setattr("metricdep.estimators._physical_memory", lambda: have)
             rng = np.random.default_rng(3)
             x = rng.standard_normal((300, d))

@@ -3,6 +3,9 @@ route for kernels and semimetrics with explicit feature maps, and the n x n
 route for the rest.  Each is checked against explicit formulas, against the
 other, and for independence from the batch and block sizes."""
 
+import os
+import subprocess
+import sys
 from math import isqrt
 
 import numpy as np
@@ -326,8 +329,8 @@ class TestBatching:
 
 class TestMemoryBudget:
     def test_what_stores_nothing_is_not_refused(self, monkeypatch):
-        # physical memory read as 1.5 n x n arrays at n = 300: below the two
-        # a store needs, above the screen's 4 isqrt(32 n) n floats
+        # physical memory read as 1.97 n x n arrays at n = 300: below the two
+        # a store needs, above the screen's 6 isqrt(32 n) n floats
         n = 300
         x, y = _sample(12, n, 2)
         gaussian, induced = GaussianKernel(), parse_semimetric("induced_metric:base=(gaussian)")
@@ -339,8 +342,8 @@ class TestMemoryBudget:
         )
         assert estimators._prepare("hsic", x, y, kernel=gaussian, permutations=99)._levels
         expected = [call() for call in calls]
-        monkeypatch.setattr(estimators, "_physical_memory", lambda: 12 * n * n)
-        assert 8 * estimators._SCREEN_ARRAYS * isqrt(estimators._SCREEN_RANKS * n) * n < 12 * n * n
+        monkeypatch.setattr(estimators, "_physical_memory", lambda: 1_420_000)
+        assert 8 * estimators._SCREEN_ARRAYS * isqrt(estimators._SCREEN_RANKS * n) * n < 1_420_000 < 8 * 2 * n * n
         assert [call() for call in calls] == expected
 
     def test_a_stored_side_is_refused_before_any_pass(self, monkeypatch):
@@ -463,3 +466,64 @@ class TestResultTypesAndTies:
             for estimator, kw in (("mcov", dict(metric=E2)), ("mcov_trace", dict(kernel=LIN))):
                 result = permutation_test(x, y, estimator, B=99, seed=seed, **kw)
                 assert result.statistic == 0.0 and result.p_value == 1.0
+
+
+# Statistics of the stored (n = 150), evaluated and screened (n = 300 and
+# 1200) and wide linear (p = q = 30) n x n routes, printed to the last bit
+_BITS_PROBE = """
+import numpy as np
+from metricdep import EuclideanSquared, GaussianKernel, LinearKernel, dcov_vstat, hsic_vstat, parse_semimetric, permutation_test
+induced = parse_semimetric("induced_metric:base=(gaussian)")
+rng = np.random.default_rng(5)
+for n, p in ((150, 2), (300, 2), (1200, 2), (300, 30)):
+    x = rng.standard_normal((n, p))
+    y = 0.2 * x + rng.standard_normal((n, p))
+    if p == 2:
+        cases = (("hsic", hsic_vstat, GaussianKernel()), ("dcov", dcov_vstat, induced))
+    else:
+        cases = (("hsic", hsic_vstat, LinearKernel()), ("dcov", dcov_vstat, EuclideanSquared()))
+    for estimator, statistic, spec in cases:
+        key = "kernel" if estimator == "hsic" else "metric"
+        result = permutation_test(x, y, estimator, B=19, seed=1, **{key: spec})
+        print(n, p, estimator, repr(statistic(x, y, spec)), repr(result.statistic), result.p_value)
+"""
+
+
+def test_nxn_statistics_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a long dot product across its threads, so a vdot's
+    # bits follow the thread count; the n x n route sums by einsum
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _BITS_PROBE], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 8
+    assert outputs[0] == outputs[1]
+
+
+CONSTANT_SIDE_SPECS = [
+    ("mcov", dict(metric=E2)),
+    ("mcov", dict(metric=parse_semimetric("induced_metric:base=(gaussian)"))),
+    ("mcov_trace", dict(kernel=GaussianKernel())),
+    ("mcov_trace", dict(kernel=LIN)),
+    ("mcov", dict(metric=parse_semimetric("induced_metric:base=(matern:nu=1.5,ell=1)"))),
+    ("hsic", dict(kernel=GaussianKernel())),
+    ("hsic", dict(kernel=LIN)),
+    ("dcov", dict(metric=E2)),
+    ("dcov", dict(metric=parse_semimetric("induced_metric:base=(gaussian)"))),
+]
+
+
+@pytest.mark.parametrize("estimator,spec", CONSTANT_SIDE_SPECS)
+@pytest.mark.parametrize("n", [3, 20, 300])
+@pytest.mark.parametrize("value", [0.0, 0.1, 7.3])
+def test_a_constant_side_gives_exactly_zero(estimator, spec, n, value):
+    # every re-pairing's statistic is 0 in exact arithmetic, so the
+    # statistic prints as 0.0 and every permuted value ties with it, in
+    # either argument order, on every route
+    constant = np.full((n, 1), value)
+    varied = np.random.default_rng(6).standard_normal((n, 1))
+    for x, y in ((constant, varied), (varied, constant)):
+        result = permutation_test(x, y, estimator, B=99, seed=3, **spec)
+        assert result.statistic == 0.0 and result.p_value == 1.0

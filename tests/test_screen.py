@@ -1,11 +1,12 @@
 """The screened n x n route: hsic and dcov permutations screened through
 nested levels of eigen-ordered pivoted-Cholesky factors of both centred
-sides, with every value near the observed statistic recomputed exactly; an
-unscreened centred inner product has no levels.  Each level's screen values must lie within
-half its margin of the exact ones; the counts, and so the p-values, must be
-the n x n route's; the screen must decline where it cannot pay off.  Its rows are evaluated from the
-points in blocks, with the bits of the stored matrices, each n x n entry
-three times.  A taken screen holds no n x n array: it recomputes its near
+sides, grown as values reach them, with every value near the observed
+statistic recomputed exactly; an unscreened centred inner product has no
+levels.  Each level's screen values must lie within half its margin of the
+exact ones; the counts, and so the p-values, must be the n x n route's; the
+screen must decline where it cannot pay off.  Its rows are evaluated from
+the points in blocks, with the bits of the stored matrices, each n x n
+entry once.  A taken screen holds no n x n array: it recomputes its near
 ties from the points; a declined one stores both sides once."""
 
 import tracemalloc
@@ -84,10 +85,18 @@ def _screened(x, y, estimator, spec, c, first_rank=None, stored=False):
     return screened
 
 
+def _all_levels(prepared):
+    """Build every level a value could reach, as ``permuted`` would; a
+    screen whose factors pass the cap declines here."""
+    while prepared._next_level():
+        pass
+    return prepared
+
+
 def _assert_levels_hold(screened, perms, exact):
     """Each level's screen value is within half its margin of the exact
     value, for every permutation."""
-    for level, (_, _, margin) in enumerate(screened._levels):
+    for level, (_, _, margin) in enumerate(_all_levels(screened)._levels):
         assert np.all(np.abs(screened.screen(level, perms) - exact) <= margin / 2)
 
 
@@ -112,7 +121,7 @@ def test_screened_counts_are_the_nxn_counts(seed, n, d, dep, levels, which, batc
     assert screened.observed == inner.observed
     assert _counts(screened, perms, batch) == _counts(inner, perms, 40)
     # a first rank of 1 gives levels of rank 1, 2, 4, ... and runs all of them
-    every_level = _screened(x, y, estimator, _spec(kind, text), c, first_rank=1, stored=stored)
+    every_level = _all_levels(_screened(x, y, estimator, _spec(kind, text), c, first_rank=1, stored=stored))
     ranks = [max(len(ft), g.shape[1]) for ft, g, _ in every_level._levels]
     assert ranks[:-1] == [2**i for i in range(len(ranks) - 1)] and ranks == sorted(set(ranks))
     _assert_levels_hold(every_level, perms, inner.permuted(perms))
@@ -144,7 +153,7 @@ def test_near_ties_are_recomputed(estimator, kind, text, c, seed):
     t = inner.permuted(perms)
     assert np.count_nonzero(np.abs(t - inner.observed) <= 1e-12 * abs(inner.observed)) >= 20
     assert _counts(screened, perms, 300) == _counts(inner, perms, 300)
-    every_level = _screened(x, y, estimator, _spec(kind, text), c, first_rank=1)
+    every_level = _all_levels(_screened(x, y, estimator, _spec(kind, text), c, first_rank=1))
     assert len(every_level._levels) > 1
     _assert_levels_hold(every_level, perms, t)
     assert _counts(every_level, perms, 300) == _counts(inner, perms, 300)
@@ -190,7 +199,6 @@ def test_the_first_levels_decide_a_dependent_n2000_test(monkeypatch):
     x, y = _n2000(1, 0.5)
     kernel = resolve_bandwidth(GaussianKernel(), x, y)
     prepared = estimators._prepare("hsic", x, y, kernel=kernel, permutations=199)
-    assert len(prepared._levels) >= 3
     reached = _count_levels(monkeypatch)
 
     def exact(perms):
@@ -201,10 +209,13 @@ def test_the_first_levels_decide_a_dependent_n2000_test(monkeypatch):
     for perms in estimators._permutation_batches(7, 2000, 199, 64):
         count += np.count_nonzero(prepared.permuted(perms) >= prepared.observed)
     assert count == 0
-    # the leading 16 kernel principal components of each side decide all
+    # the leading 16 kernel principal components of each side, from its
+    # factor grown to 32 pivots, decide all; no factor grows further
     first, g, _ = prepared._levels[0]
     assert len(first) == g.shape[1] == estimators._SCREEN_FIRST_RANK == 16
     assert reached == {0: 199}
+    assert len(prepared._levels) == 1 and [factor.rank for factor in prepared._factors] == [32, 32]
+    assert len(_all_levels(prepared)._levels) >= 3
 
 
 def test_an_independent_n2000_test_keeps_the_nxn_counts(monkeypatch):
@@ -215,36 +226,42 @@ def test_an_independent_n2000_test_keeps_the_nxn_counts(monkeypatch):
     perms = np.vstack(list(estimators._permutation_batches(3, 2000, 199, 199)))
     reached = _count_levels(monkeypatch)
     screened = _counts(prepared, perms, 8)
+    # rank 16 decides none of the first piece, so every later piece starts
+    # at rank 32, which decides two thirds of all values, and rank 64 the
+    # rest; no value reaches the last level
+    assert reached == {0: 8, 1: 199, 2: 65}
+    assert prepared._decided == [0, 134, 65] and prepared._start == 1
+    assert len(prepared._levels) == 3 and not prepared._final
     # the stored gather has the evaluated bits and takes a fraction of the time
-    prepared._store()
+    _all_levels(prepared)._store()
     exact = prepared._exact(perms)
     assert screened == (np.count_nonzero(exact >= prepared.observed),) * 2
     assert 0 < screened[0] < 199
-    # the levels past the first decide what it cannot: the rank-32 level
-    # some, and few values reach the last
-    assert reached[0] == 199 and reached[2] < 199
-    assert reached.get(len(prepared._levels) - 1, 0) < 199 // 10
     _assert_levels_hold(prepared, perms, exact)
 
 
 # permutation_test(x, y, estimator, B=199, seed=7) on the two n = 2000
 # samples, recorded with the screen's levels in pivot order and the
 # re-pairings gathered by fancy indexing: the order of the levels and the
-# gathers change no bit of a statistic or p-value
+# gathers change no bit of a statistic or p-value.  The hsic statistics
+# were recorded again once the n x n route read both sides in one pass in
+# the shifted three-term form; ``before`` holds the values recorded before
+# that, which they keep within 1e-10 relative
 GOLDEN = [
-    ((1, 0.5), "hsic", dict(kernel=GaussianKernel()), 0.008424458242434164, 0.005),
-    ((1, 0.5), "dcov", dict(metric=EuclideanSquared()), 2.157445911413293, 0.005),
-    ((1, 0.5), "mcov", dict(metric=EuclideanSquared()), 1.0345014751753754, 0.005),
-    ((2, 0.0), "hsic", dict(kernel=GaussianKernel()), 5.5271734437752856e-05, 0.855),
-    ((2, 0.0), "dcov", dict(metric=EuclideanSquared()), 0.004585186923057645, 0.64),
-    ((2, 0.0), "mcov", dict(metric=EuclideanSquared()), 0.03324088448156132, 0.275),
+    ((1, 0.5), "hsic", dict(kernel=GaussianKernel()), 0.008424458242434124, 0.005, 0.008424458242434164),
+    ((1, 0.5), "dcov", dict(metric=EuclideanSquared()), 2.157445911413293, 0.005, None),
+    ((1, 0.5), "mcov", dict(metric=EuclideanSquared()), 1.0345014751753754, 0.005, None),
+    ((2, 0.0), "hsic", dict(kernel=GaussianKernel()), 5.5271734437789834e-05, 0.855, 5.5271734437752856e-05),
+    ((2, 0.0), "dcov", dict(metric=EuclideanSquared()), 0.004585186923057645, 0.64, None),
+    ((2, 0.0), "mcov", dict(metric=EuclideanSquared()), 0.03324088448156132, 0.275, None),
 ]
 
 
-@pytest.mark.parametrize("sample,estimator,spec,statistic,p_value", GOLDEN)
-def test_n2000_tests_keep_their_recorded_bits(sample, estimator, spec, statistic, p_value):
+@pytest.mark.parametrize("sample,estimator,spec,statistic,p_value,before", GOLDEN)
+def test_n2000_tests_keep_their_recorded_bits(sample, estimator, spec, statistic, p_value, before):
     result = permutation_test(*_n2000(*sample), estimator, B=199, seed=7, **spec)
     assert result.statistic == statistic and result.p_value == p_value
+    assert before is None or abs(result.statistic - before) <= 1e-10 * abs(before)
 
 
 @settings(max_examples=40, deadline=None)
@@ -264,7 +281,14 @@ def test_eigen_ordering_keeps_the_factor_within_its_bound(seed, n, d, levels, wh
     obj = estimators._reduced(resolve_bandwidth(_spec(kind, text)[kind], x), x, False)
     m = c * (distance_matrix if c < 0 else gram_matrix)(obj, x)
     m = m - m.mean(axis=0) - m.mean(axis=1)[:, None] + m.mean()
-    ft = estimators._pivoted_cholesky(lambda j: m[j], np.diagonal(m), n)[0]
+    factor = estimators._PivotedCholesky(lambda j: m[j], np.diagonal(m), n)
+    assert factor.grow(n) and factor.complete
+    # grown in steps, the factor has the bits of one grown at once
+    in_steps = estimators._PivotedCholesky(lambda j: m[j], np.diagonal(m), n)
+    for rank in (1, 2, 5, n):
+        assert in_steps.grow(rank) and in_steps.rank == min(rank, factor.rank)
+    assert np.array_equal(in_steps.ft, factor.ft)
+    ft = factor.ft
     f = ft.astype(np.longdouble)
     lam, delta = estimators._eigen_ordered(ft)
     norms = np.einsum("ij,ij->i", ft, ft)
@@ -275,23 +299,71 @@ def test_eigen_ordering_keeps_the_factor_within_its_bound(seed, n, d, levels, wh
     assert change <= delta
 
 
+def _exact_centred_inner(k, l):
+    """<HKH, HLH> / n^2 of two float matrices in exact integer arithmetic,
+    from their row sums and totals, rounded once."""
+    n = len(k)
+
+    def scaled(m):
+        # each float as an integer multiple of 2^-1100
+        return [[num << (1101 - den.bit_length()) for num, den in map(float.as_integer_ratio, row)]
+                for row in m.tolist()]
+
+    k, l = scaled(k), scaled(l)
+    rows_k, rows_l = [sum(row) for row in k], [sum(row) for row in l]
+    inner = sum(a * b for row_k, row_l in zip(k, l) for a, b in zip(row_k, row_l))
+    value = n * n * inner - 2 * n * sum(a * b for a, b in zip(rows_k, rows_l)) + sum(rows_k) * sum(rows_l)
+    return value / (n**4 << 2200)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 300),
+    d=st.sampled_from([1, 2]),
+    data=st.sampled_from(["null", "dependent", "near_constant", "scaled"]),
+    power=st.integers(-40, 40),
+    which=st.sampled_from(range(len(SPECS))),
+)
+def test_the_three_term_form_is_within_1e_10_of_the_exact_value(seed, n, d, data, power, which):
+    # the shifted three-term form against <HAH, HBH> / n^2 of the same
+    # float matrices, computed exactly: on independent and dependent data,
+    # on data near a constant (a Gram matrix near all ones at a fixed
+    # bandwidth), and on data scaled by a power of 2
+    estimator, kind, text, _ = SPECS[which]
+    x, y = _sample(seed, n, d, 0.5 if data == "dependent" else 0.0)
+    if data == "near_constant":
+        x, y = 3.0 + 2.0**-12 * x, -1.0 + 2.0**-12 * y
+    if data == "scaled":
+        x, y = 2.0**power * x, 2.0**power * y
+    prepared = estimators._prepare(estimator, x, y, **_spec(kind, text))
+    a, b = prepared._a, prepared._b
+    k, l = (matrix_rows(side._evaluate.args[0], side._pts, 0, n, side.c < 0) for side in (a, b))
+    exact = prepared._factor * _exact_centred_inner(k, l)
+    assert abs(prepared.observed - exact) <= 1e-10 * abs(exact)
+
+
 class TestRouteChoice:
     @pytest.fixture
     def no_factorisation(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("a factorisation started")
 
-        monkeypatch.setattr(estimators, "_pivoted_cholesky", fail)
+        monkeypatch.setattr(estimators, "_PivotedCholesky", fail)
 
     def test_taken_for_gaussian_hsic_at_n_2000_in_two_dimensions(self):
         x, y = _sample(1, 2000, 2, 0.5)
-        prepared = estimators._prepare("hsic", x, y, kernel=GaussianKernel(), permutations=199)
+        prepared = _all_levels(estimators._prepare("hsic", x, y, kernel=GaussianKernel(), permutations=199))
         assert prepared._levels
         assert prepared._levels[-1][2] < 1e-6 * prepared.observed
 
     def test_declined_in_five_dimensions(self):
+        # the first level is built, and nothing stored, until a value
+        # reaches a level whose factors pass the rank cap
         x, y = _sample(2, 2000, 5, 0.5)
         prepared = estimators._prepare("hsic", x, y, kernel=GaussianKernel(), permutations=199)
+        assert len(prepared._levels) == 1 and not (prepared._a.stored or prepared._b.stored)
+        _all_levels(prepared)
         assert type(prepared) is estimators._CenteredInner and not prepared._levels
         assert prepared._a.stored and prepared._b.stored
 
@@ -383,13 +455,14 @@ def test_evaluated_rows_are_the_stored_rows(seed, n, d, which, rows, levels, dat
         ]
         assert inner[0].observed == inner[1].observed == inner[0].permuted(np.arange(n)[None])[0]
         assert inner[0].permuted(perm[None]) == inner[1].permuted(perm[None])
-        for ours, theirs in zip(inner[0]._moments, inner[1]._moments):
-            assert all(np.array_equal(u, v) for u, v in zip(ours, theirs))
+        for name in ("_sums", "_diags"):
+            assert np.array_equal(getattr(inner[0], name), getattr(inner[1], name))
         for i in range(0, n, rows):
             j = min(i + rows, n)
-            assert np.array_equal(inner[0]._hah(i, j), inner[1]._hah(i, j))
+            assert np.array_equal(inner[0]._a.rows(i, j), inner[1]._a.rows(i, j))
+            assert np.array_equal(inner[0]._b.rows(i, j, perm), inner[1]._b.rows(i, j, perm))
         for k in (0, 1):
-            for j in (0, n - 1):
+            for j in range(n):
                 assert np.array_equal(inner[0]._centred_row(k, j), inner[1]._centred_row(k, j))
 
 
@@ -404,10 +477,9 @@ def test_centred_side_rows_sum_to_zero(kind, text, stored):
     distance = kind == "metric"
     inner = estimators._CenteredInner(*(estimators._Side(obj, x, stored=stored) for _ in "ab"))
     largest = np.abs((distance_matrix if distance else gram_matrix)(obj, x)).max()
-    sums = np.concatenate([inner._hah(i, j).sum(axis=1) for i, j in kernels._row_blocks(n, n)])
-    assert np.abs(sums).max() <= 8 * n * np.finfo(float).eps * largest
     for k in (0, 1):
-        assert np.abs(inner._centred_row(k, n - 1).sum()) <= 8 * n * np.finfo(float).eps * largest
+        sums = np.array([inner._centred_row(k, j).sum() for j in range(n)])
+        assert np.abs(sums).max() <= 8 * n * np.finfo(float).eps * largest
 
 
 @settings(max_examples=30, deadline=None)
@@ -418,25 +490,29 @@ def test_centred_side_rows_sum_to_zero(kind, text, stored):
     rows=st.integers(1, 9),
     stored=st.booleans(),
 )
-def test_the_inner_pass_reads_the_moments_of_its_uncentred_side(seed, n, which, rows, stored):
-    # B's moments, read in the pass over both sides, have the bits of the
-    # pass over B alone that reads them when B is the centred side
+def test_a_sides_sums_do_not_depend_on_the_other_side(seed, n, which, rows, stored):
+    # the pass reads each side once and shifts it by its own first block,
+    # so its row sums and diagonal have the same bits whatever it is paired
+    # with
     kind, text = ELEMENTWISE[which]
     obj = _spec(kind, text)[kind]
     x, y = _sample(seed, n, 2, 0.5)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "_BLOCK_BYTES", 8 * n * rows)
-        a, b = (estimators._Side(obj, pts, stored=stored) for pts in (x, y))
-        inner = estimators._CenteredInner(a, b)
-        a, b = (estimators._Side(obj, pts, stored=stored) for pts in (x, y))
-        own_pass = estimators._CenteredInner(b, a)._moments[0]
-    for ours, theirs in zip(inner._moments[1], own_pass):
-        assert np.array_equal(ours, theirs)
+        inner, other = (
+            estimators._CenteredInner(*(estimators._Side(obj, pts, stored=stored) for pts in pair))
+            for pair in ((x, y), (-y, x[::-1]))
+        )
+        swapped = estimators._CenteredInner(*(estimators._Side(obj, pts, stored=stored) for pts in (x, x[::-1])))
+    for name in ("_sums", "_diags"):
+        assert np.array_equal(getattr(inner, name)[0], getattr(swapped, name)[0])
+        assert np.array_equal(getattr(other, name)[1], getattr(swapped, name)[1])
 
 
-def test_prepare_evaluates_each_matrix_entry_three_times(monkeypatch):
-    # the centred side's moments and the inner pass over both sides; the
-    # factors' rows are the rest
+def test_prepare_evaluates_each_matrix_entry_once(monkeypatch):
+    # one pass over both sides; the factors' rows are the rest, 32 pivots
+    # each for the first level, and the rest of their ranks once a value
+    # reaches the last level
     n = 400
     x, y = _sample(12, n, 2, 0.5)
     evaluated = []
@@ -449,9 +525,11 @@ def test_prepare_evaluates_each_matrix_entry_three_times(monkeypatch):
     monkeypatch.setattr(estimators, "matrix_rows", counted)
     kernel = resolve_bandwidth(GaussianKernel(), x, y)
     prepared = estimators._prepare("hsic", x, y, kernel=kernel, permutations=99)
-    assert prepared._levels
-    factor_rows = sum(len(ft) for ft in (prepared._levels[-1][0], prepared._levels[-1][1].T))
-    assert sum(evaluated) == 3 * n + factor_rows
+    assert len(prepared._levels) == 1
+    assert sum(evaluated) == 2 * n + 2 * 32
+    ft, g, _ = _all_levels(prepared)._levels[-1]
+    assert len(ft) > 64 and g.shape[1] > 64
+    assert sum(evaluated) == 2 * n + len(ft) + g.shape[1]
 
 
 HSIC_DCOV = [
@@ -466,7 +544,7 @@ def test_compute_and_test_give_the_same_bits(estimator, spec, statistic, d, scre
     n = 300
     monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * n * 16)
     x, y = _sample(9, n, d, 0.3)
-    prepared = estimators._prepare(estimator, x, y, permutations=99, **spec)
+    prepared = _all_levels(estimators._prepare(estimator, x, y, permutations=99, **spec))
     assert bool(prepared._levels) is screened
     result = permutation_test(x, y, estimator, B=99, seed=4, **spec)
     assert statistic(x, y, *spec.values()) == result.statistic == prepared.observed
@@ -476,14 +554,13 @@ def test_compute_and_test_give_the_same_bits(estimator, spec, statistic, d, scre
 
 
 @pytest.mark.parametrize("estimator,spec,sample", [
-    (*HSIC_DCOV[0][:2], lambda n: (_sample(10, n, 1, 0.0)[0], np.zeros((n, 1)))),
+    (*HSIC_DCOV[0][:2], lambda n: _two_and_three_levels(4, n)),
     (*HSIC_DCOV[1][:2], lambda n: _two_and_three_levels(3, n)),
 ])
 def test_a_taken_screen_recomputes_from_the_points(estimator, spec, sample, monkeypatch):
-    # with y constant HBH is 0, so every hsic screen value is 0 and within
-    # the centring term of every exact value; on two- and three-level data
-    # some dcov values tie with the observed one.  Both are recomputed from
-    # the points, with no matrix built, and keep the n x n counts
+    # on two- and three-level data some values tie with the observed one;
+    # they are recomputed from the points, with no matrix built, and keep
+    # the n x n counts
     n = 300
     x, y = sample(n)
     perms = np.vstack(list(estimators._permutation_batches(2, n, 199, 199)))
@@ -504,7 +581,7 @@ def test_a_taken_screen_recomputes_from_the_points(estimator, spec, sample, monk
     prepared = estimators._prepare(estimator, x, y, permutations=199, **spec)
     assert prepared._levels and prepared._levels[-1][2] > 0.0
     assert _counts(prepared, perms, 64) == exact
-    assert (sum(recomputed) == 199) if estimator == "hsic" else (0 < sum(recomputed) < 199)
+    assert 0 < sum(recomputed) < 199
 
 
 @pytest.mark.parametrize("estimator,spec,constant", [
@@ -534,6 +611,23 @@ def test_a_zero_margin_decides_every_value(estimator, spec, constant, monkeypatc
     assert result.statistic == 0.0 and result.p_value == 1.0
 
 
+def test_a_constant_y_under_hsic_has_a_zero_margin(monkeypatch):
+    # a constant y's Gram matrix is shifted to exactly 0, as its distance
+    # matrix is under dcov, so no value reaches the exact route
+    n = 300
+    x, y = _sample(10, n, 1, 0.0)[0], np.zeros((n, 1))
+
+    def exact(*args, **kwargs):
+        raise AssertionError("a value reached the exact route")
+
+    monkeypatch.setattr(estimators._CenteredInner, "_exact", exact)
+    prepared = estimators._prepare("hsic", x, y, kernel=GaussianKernel(), permutations=199)
+    assert prepared._levels[-1][2] == 0.0 and prepared.observed == 0.0
+    for first, second in ((x, y), (y, x)):
+        result = permutation_test(first, second, "hsic", B=199, seed=2, kernel=GaussianKernel())
+        assert result.statistic == 0.0 and result.p_value == 1.0
+
+
 @pytest.mark.parametrize("estimator,spec", [case[:2] for case in HSIC_DCOV])
 def test_a_declined_screen_builds_each_matrix_once(estimator, spec, monkeypatch):
     n = 300
@@ -548,7 +642,8 @@ def test_a_declined_screen_builds_each_matrix_once(estimator, spec, monkeypatch)
 
         monkeypatch.setattr(estimators, name, counted)
     prepared = estimators._prepare(estimator, x, y, permutations=99, **spec)
-    assert not prepared._levels
+    assert prepared._levels and built == []
+    assert not _all_levels(prepared)._levels
     assert built == [n, n]
     prepared.permuted(np.vstack(list(estimators._permutation_batches(1, n, 9, 9))))
     assert built == [n, n]
@@ -569,6 +664,8 @@ def test_stored_route_holds_at_most_the_budgeted_nxn_arrays(estimator, spec, n, 
     tracemalloc.start()
     try:
         prepared = estimators._prepare(estimator, x, y, permutations=99, **spec)
+        if isinstance(prepared, estimators._CenteredInner):
+            _all_levels(prepared)
         prepared.permuted(perms)
         _, peak = tracemalloc.get_traced_memory()
     finally:
