@@ -687,17 +687,23 @@ class _CenteredInner(_Prepared):
     def _next_level(self):
         """Append the next level; or, where a factor would pass the cap
         first, drop the levels and store both sides.  False where there is
-        no next level."""
+        no next level.  An allocation that fails is an :class:`InputError`
+        that names n."""
         if self._final:
             return False
         k = self._first << len(self._levels)
-        if not all(factor.grow(2 * k) for factor in self._factors):
+        try:
+            grown = all(factor.grow(2 * k) for factor in self._factors)
+            level = self._level(k) if grown else None
+        except MemoryError:
+            raise InputError(f"n = {self.n}: out of memory for the screen's factors; {_MEMORY_HINT}") from None
+        if not grown:
             self._levels, self._factors, self._rotated, self._final = [], None, None, True
             self._start, self._decided = 0, []
             self._store()
             return False
         self._final = all(factor.complete and factor.rank <= k for factor in self._factors)
-        self._levels.append(self._level(k))
+        self._levels.append(level)
         if self._final:
             self._factors = self._rotated = None
         return True

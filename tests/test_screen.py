@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from metricdep import (  # noqa: E402
     ExplicitSemimetric,
     GaussianKernel,
+    InputError,
     dcov_vstat,
     distance_matrix,
     estimators,
@@ -626,6 +627,19 @@ def test_a_constant_y_under_hsic_has_a_zero_margin(monkeypatch):
     for first, second in ((x, y), (y, x)):
         result = permutation_test(first, second, "hsic", B=199, seed=2, kernel=GaussianKernel())
         assert result.statistic == 0.0 and result.p_value == 1.0
+
+
+def test_a_screen_out_of_memory_is_refused_with_one_error(monkeypatch):
+    # a level grows the factors while permutations run, so an allocation
+    # that fails there is refused as a store's is
+    x, y = _sample(15, 300, 2, 0.0)
+
+    def fail(self, rank):
+        raise MemoryError
+
+    monkeypatch.setattr(estimators._PivotedCholesky, "grow", fail)
+    with pytest.raises(InputError, match=r"^n = 300: out of memory for the screen's factors; "):
+        permutation_test(x, y, "hsic", B=19, seed=1, kernel=GaussianKernel())
 
 
 @pytest.mark.parametrize("estimator,spec", [case[:2] for case in HSIC_DCOV])
