@@ -441,7 +441,8 @@ def test_evaluated_rows_are_the_stored_rows(seed, n, d, which, rows, levels, dat
     for i in range(0, n, rows):
         assert np.array_equal(matrix_rows(obj, x, i, min(i + rows, n), distance), stored[i : i + rows])
     # the sides agree in blocks of ``rows`` rows, re-paired or not, and so
-    # do the inner products on them, with their moments and centred rows
+    # do the inner products on them, with their row sums, diagonals and
+    # centred rows
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "_BLOCK_BYTES", 8 * n * rows)
         evaluated, kept = (estimators._Side(obj, x, stored=stored) for stored in (False, True))
