@@ -14,7 +14,9 @@ sees an anchor, as a kernel induced from a semimetric d runs as d, and for
 mcov and mcov_trace the semimetric induced from a kernel k runs as k.  The
 object that runs gives its side's c (see :func:`_c`): 1 for a kernel, -1/2
 for a semimetric.  So each estimator takes a spec of either kind, read
-through the conversion formulas.
+through the conversion formulas.  :func:`_read_specs` makes this reading,
+for the estimators and for the exact oracle (:mod:`metricdep.oracle`), and
+:func:`_finished` returns each value of both.
 
 * feature route, when both sides are on the coordinates (linear, euclid2,
   the linear kernel's semimetric): with the centred p- and q-dimensional
@@ -244,7 +246,8 @@ class _Prepared:
     ``permuted(perms)`` maps a (b, n) array of permutations to the b
     statistics (screened ones only up to a margin, see :class:`_CenteredInner`);
     ``perm_bytes`` is the memory one permutation of a batch takes.
-    ``observed`` goes through the same arithmetic with the identity.
+    ``observed`` goes through the same arithmetic with the identity, and is
+    returned through :func:`_finished`.
     """
 
     n: int
@@ -257,12 +260,13 @@ class _Prepared:
     def observed(self) -> float:
         return float(self.permuted(np.arange(self.n)[None])[0])
 
-    @property
-    def statistic(self) -> float:
-        """``observed``, a zero as +0.0; one that is not finite is refused."""
-        if not np.isfinite(self.observed):
-            raise InputError(_NOT_FINITE)
-        return self.observed + 0.0
+
+def _finished(value: float) -> float:
+    """A statistic as it is returned: a zero as +0.0, and one that is not
+    finite refused."""
+    if not np.isfinite(value):
+        raise InputError(_NOT_FINITE)
+    return value + 0.0
 
 
 class _CrossCov(_Prepared):
@@ -819,14 +823,16 @@ def _reduced(obj, pts, trace):
     return obj
 
 
-def _prepare(
-    estimator, x, y, *, metric=None, kernel=None, metric_y=None, kernel_y=None, permutations=0
-) -> _Prepared:
-    """Resolve the specs, build what the statistic needs for itself and
-    ``permutations`` re-pairings, and return it."""
+def _read_specs(estimator, x, y, resolve, *, metric=None, kernel=None, metric_y=None, kernel_y=None):
+    """What runs for ``estimator`` on the points, or support points, x and
+    y: ``(obj, obj_y, trace, scale)``, each side's kernel or semimetric as
+    :func:`_reduced` gives it, whether the statistic is a trace (mcov and
+    mcov_trace, whose one spec serves both sides), and its scale s, 4 for
+    dcov and 1 otherwise.  With ``resolve`` the bandwidths are resolved on
+    x and y (:func:`_resolve_sides`); without it they must be resolved.
+    The estimators and the exact oracle read their specs here."""
     if estimator not in ESTIMATORS:
         raise InputError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
-    x, y = _paired(x, y)
     on_metric = estimator in ("mcov", "dcov")
     obj, obj_y = (metric, metric_y) if on_metric else (kernel, kernel_y)
     if obj is None:
@@ -836,10 +842,18 @@ def _prepare(
     # semimetric or kernel
     if trace and _dim(x) != _dim(y):
         raise InputError(f"dimension mismatch between points: {_dim(x)} vs {_dim(y)}")
-    obj, obj_y = _resolve_sides(obj, None if trace else obj_y, x, y)
-    obj, obj_y = _reduced(obj, x, trace), _reduced(obj_y, y, trace)
+    obj_y = None if trace else obj_y
+    obj, obj_y = _resolve_sides(obj, obj_y, x, y) if resolve else (obj, obj if obj_y is None else obj_y)
+    return _reduced(obj, x, trace), _reduced(obj_y, y, trace), trace, 4.0 if estimator == "dcov" else 1.0
 
-    scale = 4.0 if estimator == "dcov" else 1.0
+
+def _prepare(estimator, x, y, *, permutations=0, **specs) -> _Prepared:
+    """Read the specs (``metric``, ``kernel``, ``metric_y``, ``kernel_y``)
+    by :func:`_read_specs`, resolving bandwidths on the sample, build what
+    the statistic needs for itself and ``permutations`` re-pairings, and
+    return it."""
+    x, y = _paired(x, y)
+    obj, obj_y, trace, scale = _read_specs(estimator, x, y, True, **specs)
     # ||C_pi||^2 costs n p q per re-pairing against about 2 n^2 for the
     # n x n gather, so wide features take the n x n route; the switch is
     # cautious (3x faster here at p q = n)
@@ -882,7 +896,7 @@ def mcov_plugin(x, y, metric) -> float:
     :func:`mcov_trace` under k, bit for bit, as the k(x, x) and k(y, y)
     terms cancel.
     """
-    return _prepare("mcov", x, y, metric=metric).statistic
+    return _finished(_prepare("mcov", x, y, metric=metric).observed)
 
 
 def mcov_trace(x, y, kernel) -> float:
@@ -895,7 +909,7 @@ def mcov_trace(x, y, kernel) -> float:
     anchor, so there bit for bit too.  A semimetric is read through its
     induced kernel, so it gives :func:`mcov_plugin` under it.
     """
-    return _prepare("mcov_trace", x, y, kernel=kernel).statistic
+    return _finished(_prepare("mcov_trace", x, y, kernel=kernel).observed)
 
 
 def hsic_vstat(x, y, kernel, kernel_y=None) -> float:
@@ -908,7 +922,7 @@ def hsic_vstat(x, y, kernel, kernel_y=None) -> float:
     A semimetric d is read through its induced kernel, whose centred Gram
     is -HDH/2, so 4 hsic under d is :func:`dcov_vstat` under d, bit for bit.
     """
-    return _prepare("hsic", x, y, kernel=kernel, kernel_y=kernel_y).statistic
+    return _finished(_prepare("hsic", x, y, kernel=kernel, kernel_y=kernel_y).observed)
 
 
 def dcov_vstat(x, y, metric, metric_y=None) -> float:
@@ -922,7 +936,7 @@ def dcov_vstat(x, y, metric, metric_y=None) -> float:
     kernel is read through its induced semimetric, so dcov under a kernel
     is 4 :func:`hsic_vstat` under it, bit for bit.
     """
-    return _prepare("dcov", x, y, metric=metric, metric_y=metric_y).statistic
+    return _finished(_prepare("dcov", x, y, metric=metric, metric_y=metric_y).observed)
 
 
 @dataclass(frozen=True)
@@ -1021,7 +1035,7 @@ def _permutation_test(x, y, estimator, *, B, seed, alternative=None, alpha=None,
         raise InputError(f"unknown alternative {alternative!r}")
 
     prepared = _prepare(estimator, x, y, permutations=B, **specs)
-    observed = prepared.statistic
+    observed = _finished(prepared.observed)
     size = max(1, _BATCH_BYTES // prepared.perm_bytes)
     if alpha is not None:
         size = min(size, _CURTAILED_PIECE)

@@ -483,7 +483,7 @@ def validate_negative_type(d_matrix, tol: float = 1e-8) -> NegativeTypeResult:
     g = -0.5 * (d - row - row.T + d.mean())
     g = 0.5 * (g + g.T)
     eig = np.linalg.eigvalsh(g)
-    worst = float(eig[0])
+    worst = float(eig[0]) + 0.0  # a zero as +0.0
     largest = float(np.abs(eig).max())
     return NegativeTypeResult(valid=worst >= -tol * largest, worst_eigenvalue=worst)
 

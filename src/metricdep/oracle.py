@@ -5,9 +5,18 @@ A joint law with m x m' support points admits closed finite-sum evaluation
 of every expectation in the dependence measures, so this module is the
 ground truth against which the sample estimators are checked.  Each measure
 is a form in the centred joint W = P - px py' (the population counterpart
-of H/n): metric covariance is the paired trace -<W, D>/2 of the cross
-distance matrix, and HSIC and distance covariance are the centred inner
-product <W' A W, B> of the two sides' Gram or distance matrices.
+of H/n): metric covariance is the paired trace c <W, K> of the cross matrix
+K_ab = k(x_a, y_b), and HSIC and distance covariance are the centred inner
+product s c_a c_b <W' A W, B> of the two sides' Gram or distance matrices,
+with s = 4 for dcov.  Each exact measure takes a kernel or a semimetric,
+read as the sample estimators read it (see :mod:`metricdep.estimators`): an
+induced kernel runs as its semimetric, mcov under an induced semimetric as
+its kernel, c is 1 for a kernel and -1/2 for a semimetric, and the value
+is finished alike, a zero as +0.0.  So metric covariance is -<W, D>/2 under
+a semimetric, dcov = 4 hsic under induced kernels bit for bit, and hsic is
+not clipped at zero, as the estimator's is not.  The products and sums do
+not follow the BLAS thread count; the Mercer eigensystems, from LAPACK,
+may.
 
 The Mercer decompositions make the structural difference between the two
 measures computable.  With C = cov[e_i(X), e_j(Y)] over one eigenbasis,
@@ -29,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import InputError, as_points, distance_matrix, gram_matrix
+from .estimators import _c, _finished, _read_specs
+from .kernels import InputError, as_points, distance_matrix, gram_matrix, induced_kernel
 from .scenarios import _rng
 
 _EIG_CUTOFF = 1e-12  # relative to the largest eigenvalue
@@ -158,10 +168,27 @@ def _weights(joint: DiscreteJoint) -> np.ndarray:
     return joint.probs - np.outer(joint.px, joint.py)
 
 
-def _centered_inner(w, mx, my) -> float:
-    """<W' Mx W, My> for square kernel or distance matrices Mx (on
-    support_x) and My (on support_y)."""
-    return float(((w.T @ mx @ w) * my).sum())
+def _matrix(obj, pts):
+    """The Gram matrix of a kernel on ``pts``, or the distance matrix of a
+    semimetric."""
+    return (distance_matrix if _c(obj) < 0 else gram_matrix)(obj, pts)
+
+
+def _exact(estimator, joint: DiscreteJoint, **specs) -> float:
+    """The exact value of ``estimator`` on ``joint``, its specs read as the
+    sample estimators read them (:func:`metricdep.estimators._read_specs`)
+    and the value finished as theirs is: c <W, K> of the reduced spec's
+    cross matrix K_ab = k(x_a, y_b) for mcov and mcov_trace, and
+    s c_a c_b <W' A W, B> of the sides' Gram or distance matrices for hsic
+    and dcov.  W' A W is formed by einsums and each inner product by a
+    numpy sum, not by BLAS, whose bits follow the thread count."""
+    sx, sy = joint.support_x, joint.support_y
+    obj, obj_y, trace, scale = _read_specs(estimator, sx, sy, False, **specs)
+    w = _weights(joint)
+    if trace:
+        return _finished(_c(obj) * float((w * obj.pairwise(sx, sy)).sum()))
+    waw = np.einsum("bc,cd->bd", np.einsum("ab,ac->bc", w, _matrix(obj, sx)), w)
+    return _finished(scale * _c(obj) * _c(obj_y) * float((waw * _matrix(obj_y, sy)).sum()))
 
 
 def exact_mcov(joint: DiscreteJoint, metric) -> float:
@@ -170,37 +197,37 @@ def exact_mcov(joint: DiscreteJoint, metric) -> float:
         (1/4) sum_{ab, a'b'} P_ab P_a'b' [d2(x_a, y_b') + d2(x_a', y_b) - 2 d2(x_a, y_b)]
 
     which is the paired trace -<W, D>/2 of the cross distance matrix
-    D_ab = d2(x_a, y_b).
+    D_ab = d2(x_a, y_b).  A kernel k is read, as :func:`~metricdep.mcov_plugin`
+    reads it, through its induced semimetric, which, given or read, runs as
+    k: both give <W, K> of the cross Gram matrix K_ab = k(x_a, y_b), bit
+    for bit.
     """
-    d = metric.pairwise(joint.support_x, joint.support_y)
-    return -0.5 * float((_weights(joint) * d).sum())
+    return _exact("mcov", joint, metric=metric)
 
 
 def exact_dcov(joint: DiscreteJoint, metric_x, metric_y=None) -> float:
     """Exact distance covariance, the centred inner product <W' Dx W, Dy>
     of the two sides' distance matrices; expanding W gives the three-term
-    form E E'[dx dy] + E[dx] E[dy] - 2 E[E'dx E''dy]."""
-    if metric_y is None:
-        metric_y = metric_x
-    dx = distance_matrix(metric_x, joint.support_x)
-    dy = distance_matrix(metric_y, joint.support_y)
-    return _centered_inner(_weights(joint), dx, dy)
+    form E E'[dx dy] + E[dx] E[dy] - 2 E[E'dx E''dy].  ``metric_y``
+    defaults to ``metric_x``.  A kernel is read through its induced
+    semimetric, so dcov under kernels is 4 :func:`exact_hsic` under them,
+    bit for bit."""
+    return _exact("dcov", joint, metric=metric_x, metric_y=metric_y)
 
 
 def exact_hsic(joint: DiscreteJoint, kernel, kernel_y=None) -> float:
     """Exact HSIC, the squared Hilbert-Schmidt norm of the population
     cross-covariance operator: <W' K W, L> for the two sides' Gram
-    matrices, clipped at zero.
+    matrices, not clipped at zero (as :func:`~metricdep.hsic_vstat` is
+    not), so roundoff may leave it just below.  ``kernel_y`` defaults to
+    ``kernel``.
 
-    With the induced kernels K = (dx(., w) 1' + 1 dx(., w)' - Dx)/2 the
-    anchor terms vanish against W's zero row and column sums, so
-    W' K W = -W' Dx W / 2 and dcov = 4 hsic.
+    A semimetric d is read through its induced kernels, whose centred Gram
+    is -HDH/2, and a kernel induced from d runs as d at any anchor, since
+    the anchor terms vanish against W's zero row and column sums.  Either
+    way the value is ``exact_dcov`` under d over 4, bit for bit.
     """
-    if kernel_y is None:
-        kernel_y = kernel
-    kx = gram_matrix(kernel, joint.support_x)
-    ly = gram_matrix(kernel_y, joint.support_y)
-    return max(_centered_inner(_weights(joint), kx, ly), 0.0)
+    return _exact("hsic", joint, kernel=kernel, kernel_y=kernel_y)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +342,8 @@ def _basis_cross_covariance(joint, kernel):
         raise InputError(
             "a support point has zero marginal probability; drop it before decomposing"
         )
-    system = mercer_basis(kernel, union, mu)
+    # a semimetric is read through its induced kernel, as resolve_specs reads it for hsic
+    system = mercer_basis(induced_kernel(kernel) if _c(kernel) < 0 else kernel, union, mu)
     e = system.functions
     return system, e[ix].T @ _weights(joint) @ e[iy]
 
@@ -333,7 +361,8 @@ def _decomposition(system, covariances, terms):
 def mercer_mcov_decomposition(joint: DiscreteJoint, kernel) -> McovDecomposition:
     """Decompose metric covariance (with the kernel's induced semimetric)
     into the single sum of terms lambda_j C_jj over the diagonal of the
-    basis cross-covariance C.
+    basis cross-covariance C.  A semimetric is read through its induced
+    kernel, so the total is :func:`exact_mcov` under it.
 
     The reference measure is mu = (px + py)/2 on the union support, which is
     positive wherever the law puts mass, so the decomposition total equals
@@ -346,7 +375,9 @@ def mercer_mcov_decomposition(joint: DiscreteJoint, kernel) -> McovDecomposition
 
 def mercer_hsic_decomposition(joint: DiscreteJoint, kernel) -> HsicDecomposition:
     """Decompose HSIC (same kernel on both sides) into the double sum of
-    terms lambda_i lambda_j C_ij^2 over all basis pairs."""
+    terms lambda_i lambda_j C_ij^2 over all basis pairs.  A semimetric is
+    read through its induced kernel, so the total is :func:`exact_hsic`
+    under it."""
     system, c = _basis_cross_covariance(joint, kernel)
     lam = system.eigenvalues
     return _decomposition(system, c, np.outer(lam, lam) * c**2)

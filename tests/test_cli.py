@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -604,6 +605,40 @@ class TestSignedZero:
         result = runner.invoke(main, [*command, "--input", str(path), *args])
         assert result.exit_code == 0
         assert '"statistic": 0.0' in result.output
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ["--kernel", "gaussian:sigma=1"],
+            ["--metric", "euclid2"],
+            ["--kernel", "linear"],
+            ["--metric", "induced_metric:base=(gaussian:sigma=0.5)"],
+        ],
+    )
+    @pytest.mark.parametrize("joint", ["cancellation", "product"])
+    def test_a_zero_exact_measure_prints_as_plus_zero(self, runner, tmp_path, joint, spec):
+        # the cancellation joint's mcov and every measure of a product joint
+        # whose centred joint is exactly 0 are -1/2 or 1 times an exact 0.0
+        if joint == "cancellation":
+            doc, zeros = cancellation_joint().to_dict(), ["mcov"]
+        else:
+            doc = {"support_x": [[0.0], [1.0]], "support_y": [[0.0], [2.0]], "P": [[0.25, 0.25], [0.25, 0.25]]}
+            zeros = ["mcov", "hsic", "dcov"]
+        path = tmp_path / "joint.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["oracle", "--input", str(path), *spec, "--decompose"])
+        assert result.exit_code == 0
+        assert not re.search(r"-0\.0(?![0-9e])", result.output)
+        out = json.loads(result.output)
+        assert all(str(out[key]) == "0.0" for key in zeros)
+
+    @pytest.mark.parametrize("text", ["0\n", "0,0\n0,0\n"])
+    def test_a_zero_worst_eigenvalue_prints_as_plus_zero(self, runner, tmp_path, text):
+        path = tmp_path / "zeros.csv"
+        path.write_text(text)
+        result = runner.invoke(main, ["validate", "--input", str(path)])
+        assert result.exit_code == 0
+        assert '"worst_eigenvalue": 0.0' in result.output
 
 
 class TestEntryPoint:

@@ -204,6 +204,19 @@ class TestDecompositions:
                 assert abs(dh.total - target) <= 1e-10 * (1.0 + abs(target))
                 assert dh.terms.min() >= 0.0
 
+    def test_a_semimetric_is_read_through_its_induced_kernel(self):
+        # as hsic reads a semimetric; its Gram matrix is no kernel's
+        rng = np.random.default_rng(5)
+        joints = [cancellation_joint()] + [random_joint(rng, dim=2) for _ in range(5)]
+        for j in joints:
+            for metric in (E2, induced_semimetric(GaussianKernel(1.2))):
+                dm = mercer_mcov_decomposition(j, metric)
+                assert abs(dm.total - exact_mcov(j, metric)) <= 1e-10
+                dh = mercer_hsic_decomposition(j, metric)
+                assert abs(dh.total - exact_hsic(j, metric)) <= 1e-10
+                assert dh.terms.min() >= 0.0
+        assert exact_hsic(joints[0], E2) == 1.0
+
     def test_shared_support_points_are_merged(self):
         # X = Y uniform on {0,1}: union support has 2 points, not 4
         j = uniform01_identity()

@@ -191,6 +191,44 @@ def test_empirical_joint_matches_the_estimator_on_both_routes(seed, m, m2, p, n,
     assert _close(nxn.observed, target), estimator
 
 
+# a spec of each kind: a kernel, a semimetric, a semimetric's induced kernel
+# at an anchor, and a kernel's induced semimetric
+SPEC_KINDS = [
+    ("kernel", lambda w: GaussianKernel(0.9)),
+    ("semimetric", lambda w: EuclideanSquared()),
+    ("induced kernel", lambda w: induced_kernel(EuclideanSquared(), w)),
+    ("induced semimetric", lambda w: induced_semimetric(GaussianKernel(0.9))),
+]
+
+# each estimator, and the exact measure of an empirical law it estimates
+ESTIMATES = [
+    ("mcov", mcov_plugin, exact_mcov),
+    ("mcov_trace", mcov_trace, exact_mcov),
+    ("hsic", hsic_vstat, exact_hsic),
+    ("dcov", dcov_vstat, exact_dcov),
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 40), p=st.integers(1, 3), ties=st.booleans(), data=st.data())
+@pytest.mark.parametrize("kind", SPEC_KINDS, ids=lambda kind: kind[0])
+@pytest.mark.parametrize("estimate", ESTIMATES, ids=lambda estimate: estimate[0])
+def test_the_oracle_reads_every_spec_as_the_estimators_do(estimate, kind, seed, n, p, ties, data):
+    # every estimator takes a spec of either kind, read through the
+    # conversion formulas, and so does exact_* on the empirical law: the
+    # same sign and scale, the same reduction of induced specs, no clip
+    _, statistic, exact = estimate
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    y = 0.8 * x + 0.6 * rng.standard_normal((n, p))
+    if ties:
+        x, y = np.round(x), np.round(y)
+    w = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=p, max_size=p).map(np.array), label="anchor")
+    spec = kind[1](w)
+    sample = statistic(x, y, spec)
+    assert abs(exact(empirical_joint(x, y), spec) - sample) <= 1e-10 * abs(sample)
+
+
 # ---------------------------------------------------------------------------
 # the trace identity and dCov = 4 HSIC, bit for bit
 
@@ -257,6 +295,11 @@ def test_induced_kernels_give_the_semimetric_statistics_bit_for_bit(case, seed, 
     hsic = permutation_test(x, y, "hsic", kernel=kx, kernel_y=ky, B=B, seed=seed)
     dcov = permutation_test(x, y, "dcov", metric=dx, metric_y=dy, B=B, seed=seed)
     assert (4 * hsic.statistic, hsic.p_value) == (dcov.statistic, dcov.p_value)
+    # the oracle reads the specs as the estimators do, so on the empirical
+    # law the same identities hold bit for bit
+    j = empirical_joint(x, y)
+    rx, ry = resolve_bandwidth(dx, x, y), resolve_bandwidth(dy, x, y)
+    assert exact_hsic(j, induced_kernel(rx, wx), induced_kernel(ry, wy)) == exact_dcov(j, rx, ry) / 4
 
     if isinstance(dx, KernelInducedSemimetric):
         k = dx.base
@@ -266,6 +309,7 @@ def test_induced_kernels_give_the_semimetric_statistics_bit_for_bit(case, seed, 
         assert mcov_trace(x, y, k) == mcov_plugin(x, y, dx) == mcov_trace(x, y, kx)
         direct = permutation_test(x, y, "mcov_trace", kernel=k, B=B, seed=seed)
         assert (direct.statistic, direct.p_value) == (mcov.statistic, mcov.p_value)
+        assert exact_mcov(j, rx) == exact_mcov(j, rx.base)
 
 
 # ---------------------------------------------------------------------------

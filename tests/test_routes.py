@@ -469,10 +469,11 @@ class TestResultTypesAndTies:
 
 
 # Statistics of the stored (n = 150), evaluated and screened (n = 300 and
-# 1200) and wide linear (p = q = 30) n x n routes, printed to the last bit
+# 1200) and wide linear (p = q = 30) n x n routes, and the exact measures of
+# a 300 x 300 joint, printed to the last bit
 _BITS_PROBE = """
 import numpy as np
-from metricdep import EuclideanSquared, GaussianKernel, LinearKernel, dcov_vstat, hsic_vstat, parse_semimetric, permutation_test
+from metricdep import DiscreteJoint, EuclideanSquared, GaussianKernel, LinearKernel, dcov_vstat, exact_dcov, exact_hsic, exact_mcov, hsic_vstat, parse_semimetric, permutation_test
 induced = parse_semimetric("induced_metric:base=(gaussian)")
 rng = np.random.default_rng(5)
 for n, p in ((150, 2), (300, 2), (1200, 2), (300, 30)):
@@ -486,19 +487,23 @@ for n, p in ((150, 2), (300, 2), (1200, 2), (300, 30)):
         key = "kernel" if estimator == "hsic" else "metric"
         result = permutation_test(x, y, estimator, B=19, seed=1, **{key: spec})
         print(n, p, estimator, repr(statistic(x, y, spec)), repr(result.statistic), result.p_value)
+probs = rng.random((300, 300))
+joint = DiscreteJoint(rng.standard_normal((300, 2)), rng.standard_normal((300, 2)), probs / probs.sum())
+print(*(repr(f(joint, spec)) for f, spec in ((exact_hsic, GaussianKernel(1.0)), (exact_dcov, parse_semimetric("induced_metric:base=(gaussian:sigma=1)")), (exact_mcov, EuclideanSquared()))))
 """
 
 
 def test_nxn_statistics_do_not_depend_on_the_blas_thread_count():
     # OpenBLAS splits a long dot product across its threads, so a vdot's
-    # bits follow the thread count; the n x n route sums by einsum
+    # bits follow the thread count, as a matrix product's may; the n x n
+    # route and the oracle sum by einsum
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         proc = subprocess.run([sys.executable, "-c", _BITS_PROBE], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
-    assert len(outputs[0].splitlines()) == 8
+    assert len(outputs[0].splitlines()) == 9
     assert outputs[0] == outputs[1]
 
 
