@@ -28,10 +28,11 @@ for the estimators and for the exact oracle (:mod:`metricdep.oracle`), and
   a semimetric (c = -1/2);
 * n x n route for hsic and dcov otherwise: s c_a c_b <HAH, HBH_pipi> / n^2
   of the sides' Gram or distance matrices, s = 1 for hsic and 4 for dcov,
-  from one pass over both sides, shifted near their centred forms, in a
-  three-term form of inner products, row sums and totals.  From n = 200
-  on, on vector data, a side not built on the linear kernel is evaluated
-  from the points in row blocks, with the bits of the stored matrix.  A
+  from one pass over both sides that reads each unordered pair of points
+  once, shifted near their centred forms, in a three-term form of inner
+  products, row sums and totals.  From n = 200 on, on vector data, a side
+  not built on the linear kernel is evaluated from the points in row
+  blocks, with the bits of the stored matrix.  A
   permutation test there runs levels of a screen in front of the exact
   inner product: pivoted-Cholesky factors of both centred sides, grown as
   far as a level needs and rotated into kernel principal components,
@@ -124,9 +125,9 @@ _SCREEN_MIN_N = 200
 # so that r_x r_y <= _SCREEN_RANKS n.  The factors grow as far as a level
 # needs, so this is found only when a value reaches a level that asks for
 # more pivots than the cap.  A re-pairing costs the screen about
-# n r_x r_y multiply-adds and the gather about n^2 scattered reads.  Whole
-# hsic tests (gaussian, median bandwidth, B = 199, cap lifted; seconds on a
-# 2-core host):
+# n r_x r_y multiply-adds and the gather about n^2 / 2 scattered reads.
+# Whole hsic tests (gaussian, median bandwidth, B = 199, cap lifted, gathered
+# over whole rows, n^2 scattered reads; seconds on a 2-core host):
 #
 #      n  d  ranks    r_x r_y / n  screened  gathered
 #    200  2  70, 71       25         0.025     0.030
@@ -338,6 +339,17 @@ def _dot(u, v):
     return np.einsum("ij,ij->", u, v)
 
 
+def _upper_dot(u, v, w):
+    """A block's share of <U, V> for two symmetric matrices, from their rows
+    i:j read from column i on, w = j - i: the w x w square on the diagonal
+    once, and the rest twice, for its mirror image below the diagonal
+    (doubling is exact).  Every source gives these rows as one C-contiguous
+    array, so the square and the rest reach the einsums in one layout."""
+    if w == u.shape[1]:
+        return _dot(u, v)
+    return _dot(u[:, :w], v[:, :w]) + 2.0 * _dot(u[:, w:], v[:, w:])
+
+
 def _less_outer_sum(rows, u_rows, u, out=None):
     """rows - u_rows 1' - 1 u', as rows - (u_i + u_j): each entry's sum is
     formed first, so that a symmetric matrix stays exactly symmetric."""
@@ -351,13 +363,14 @@ class _Side:
     Once ``shift`` has set u, its rows are those of the shifted matrix
     M' = M - u 1' - 1 u' for a vector u, or M' = M - u for a number; either
     way H M' H = H M H.  ``rows(i, j)`` gives M'[i:j], and
-    ``rows(i, j, perm)`` rows i:j of M'_pipi = M'[perm][:, perm].  A stored
-    side takes them from M, built once by ``gram_matrix`` or
-    ``distance_matrix`` (with ``stored``, or on a call of ``store``) and
-    shifted in place, and gives M'[i:j] as a view; any other side
-    evaluates them by ``matrix_rows`` at its points, re-paired by ``perm``,
-    and shifts them alike.  A side not built on the linear kernel computes
-    each entry from its two points alone, so both give the same bits.  Only
+    ``rows(i, j, perm)`` rows i:j of M'_pipi = M'[perm][:, perm], each from
+    column ``start`` on, as one C-contiguous array.  A stored side takes
+    them from M, built once by ``gram_matrix`` or ``distance_matrix`` (with
+    ``stored``, or on a call of ``store``) and shifted in place, and gives
+    M'[i:j] as a view and a later start as a copy; any other side evaluates
+    them by ``matrix_rows`` at its points, re-paired by ``perm``, and
+    shifts them alike.  A side not built on the linear kernel computes each
+    entry from its two points alone, so both give the same bits.  Only
     ``store`` does work when a side is built; an evaluated side's first
     pass is its first read.
     """
@@ -376,18 +389,21 @@ class _Side:
     def stored(self):
         return self._matrix is not None
 
-    def rows(self, i, j, perm=None):
+    def rows(self, i, j, perm=None, start=0):
         if self._matrix is not None:
-            return self._matrix[i:j] if perm is None else self._matrix.take(perm[i:j], 0).take(perm, 1)
-        rows = self._evaluate(self._pts if perm is None else self._pts[perm], i, j)
-        return rows if self._u is None else self._shifted(rows, i, j, perm)
+            if perm is None:
+                return np.ascontiguousarray(self._matrix[i:j, start:])
+            return self._matrix.take(perm[i:j], 0).take(perm[start:], 1)
+        rows = self._evaluate(self._pts if perm is None else self._pts[perm], i, j, start=start)
+        return rows if self._u is None else self._shifted(rows, i, j, perm, start)
 
-    def _shifted(self, rows, i, j, perm=None):
-        """Rows i:j of M, or of M_pipi, shifted in place into those of M'."""
+    def _shifted(self, rows, i, j, perm=None, start=0):
+        """Rows i:j of M, or of M_pipi, from column ``start`` on, shifted in
+        place into those of M'."""
         if np.ndim(self._u) == 0:
             return np.subtract(rows, self._u, out=rows)
         u = self._u if perm is None else self._u[perm]
-        return _less_outer_sum(rows, u[i:j], u, out=rows)
+        return _less_outer_sum(rows, u[i:j], u[start:], out=rows)
 
     def shift(self, first, rows=True):
         """Set u from ``first``, the rows M[:r] as read, and shift them, or a
@@ -515,14 +531,22 @@ class _CenteredInner(_Prepared):
 
     with the row sums r and the totals S of A' and B'.  A re-pairing
     permutes the rows and columns of B', so its row sums are r_b[pi] and
-    its total S_b.  The pass gives <A', B'>, both sides' row sums and
-    diagonals and, for the screen, both Frobenius norms.  ``_exact`` reads
-    A''s rows once per block and adds their inner product with B'_pipi's
-    rows to each permutation's sum, in block order, then forms the three
-    terms alike, so the identity gives the observed statistic.  Every sum
-    is an einsum, so no bit depends on the BLAS thread count.  A' is near
-    HAH, so r_a and S_a are small and the three terms cancel little; the
-    constant shift of B costs one operation an entry where A's costs two.
+    its total S_b.  The pass reads each row block i:j from column i on, so
+    it evaluates each unordered pair of points once.  Of a block it adds
+    the inner product of the w x w square on the diagonal, w = j - i, once
+    and that of the rest twice, for the rest's mirror image below the
+    diagonal (see :func:`_upper_dot`); it adds the block's row sums to
+    r[i:j] and the rest's column sums, the row sums of that mirror image,
+    to r[j:n], and takes the diagonals from the square.  So it gives
+    <A', B'>, both sides' row sums and diagonals and, for the screen, both
+    Frobenius norms.  ``_exact`` reads A''s block once and adds its
+    :func:`_upper_dot` with B'_pipi's block to each permutation's sum, in
+    block order, then forms the three terms alike, so the identity gives
+    the observed statistic.  Up to n = 362 one block holds every row, and
+    both run the one inner product of whole rows.  Every sum is an einsum,
+    so no bit depends on the BLAS thread count.  A' is near HAH, so r_a and
+    S_a are small and the three terms cancel little; the constant shift of
+    B costs one operation an entry where A's costs two.
     A constant side is shifted to exactly 0, and then every value is
     exactly 0.
 
@@ -540,27 +564,34 @@ class _CenteredInner(_Prepared):
     The exact route's roundoff, against T_pi = f <HA'H, HB'_pipi H> / n^2
     in exact arithmetic on the floats A' and B'.  Write a = ||A'||_F,
     b = ||B'||_F and gamma_k = k u / (1 - k u) <= k eps for the unit
-    roundoff u = eps / 2 (Higham 2002, sec. 3.1).  The inner product sums,
-    for each of its row blocks of at most r rows, one einsum of at most r n
-    products, and adds the block sums in order, so each product passes
-    through at most m = r n + (number of blocks) roundings; in any order of
-    the sums |fl(<X, Y>) - <X, Y>| <= gamma_m sum_ij |X_ij Y_ij| <=
-    gamma_m ||X||_F ||Y||_F, and ||B'_pipi||_F = b for every pi.  A
-    computed row sum is within gamma_n sum_j |A'_ij| of its value, so
-    ||r^ - r||_2 <= gamma_n sqrt(n) a, while ||r||_2 <= sqrt(n) a and
-    |S| <= n a.  So (2/n) <r_a, r_b[pi]> is within 6 gamma_n a b, S_a S_b /
-    n^2 within 5 gamma_n a b, and the last few operations on terms of at
-    most 4 a b add at most 8 eps a b.  Each exact value, observed or
-    permuted, is within |f| eps (m + 12 n + 8) a b / n^2 of T_pi, as f, a
-    power of 2, scales exactly.
+    roundoff u = eps / 2 (Higham 2002, sec. 3.1).  For each of its row
+    blocks of at most r rows, the first of exactly r, the inner product
+    sums one einsum of at most r^2 products of the square and one of at
+    most r (n - r) of the rest, doubles the second exactly, adds the two
+    and adds the block sums in order, so each product passes through at
+    most m = r max(r, n - r) + (number of blocks) + 1 roundings; in any
+    order of the sums |fl(<X, Y>) - <X, Y>| <= gamma_m sum_ij |X_ij Y_ij|
+    <= gamma_m ||X||_F ||Y||_F, a product of the rest counted for its
+    entry and its mirror image, and ||B'_pipi||_F = b for every pi.  A
+    computed row sum adds the column sums of the rests above its block,
+    each of at most r entries, in order, then its block's row sum of at
+    most n entries, so each entry passes through at most n' = n +
+    (number of blocks) roundings and the row sum is within
+    gamma_n' sum_j |A'_ij| of its value: ||r^ - r||_2 <= gamma_n' sqrt(n) a,
+    while ||r||_2 <= sqrt(n) a and |S| <= n a.  So (2/n) <r_a, r_b[pi]> is
+    within 6 gamma_n' a b, S_a S_b / n^2 within 5 gamma_n' a b, and the
+    last few operations on terms of at most 4 a b add at most 8 eps a b.
+    Each exact value, observed or permuted, is within
+    |f| eps (m + 12 n' + 8) a b / n^2 of T_pi, as f, a power of 2, scales
+    exactly.
 
     The centred rows' roundoff.  C_A is computed from r^ where HA'H would
     need r: in exact arithmetic X = A' - w^ 1' - 1 w^' has row sums e
-    with ||e||_2 <= (2 n + 5) eps sqrt(n) a, so ||X - HA'H||_F =
+    with ||e||_2 <= (2 n' + 5) eps sqrt(n) a, so ||X - HA'H||_F =
     ||X - HXH||_F <= 3 ||e||_2 / sqrt(n); each computed entry of C_A is
     within 2 eps (|A'_ij| + |w_i| + |w_j|) of X's, and ||w||_2 <= 1.5 a /
     sqrt(n), which adds at most 4 eps a.  So ||C_A - HA'H||_F <= d_a =
-    (6 n + 32) eps a, and as ||HB'H||_F <= b, the screen's target
+    (6 n' + 32) eps a, and as ||HB'H||_F <= b, the screen's target
     s <c_a C_A, (c_b C_B)_pipi> / n^2 is within
     |f| (d_a b + a d_b + d_a d_b) / n^2 of T_pi.  These two terms replace
     the centring term an exact route that paired HAH with an uncentred B
@@ -625,16 +656,17 @@ class _CenteredInner(_Prepared):
         first = [side.rows(*self._blocks[0]) for side in (a, b)]
         a.shift(first[0])
         b.shift(first[1], rows=False)
-        self._sums, self._diags, squares = np.empty((2, n)), np.empty((2, n)), np.zeros(2)
+        self._sums, self._diags, squares = np.zeros((2, n)), np.empty((2, n)), np.zeros(2)
         inner = 0.0
         for i, j in self._blocks:
-            rows = first if i == 0 else [a.rows(i, j), b.rows(i, j)]
-            inner += _dot(*rows)
+            rows = first if i == 0 else [a.rows(i, j, start=i), b.rows(i, j, start=i)]
+            inner += _upper_dot(*rows, j - i)
             for k, side_rows in enumerate(rows):
-                self._sums[k, i:j] = side_rows.sum(axis=1)
-                self._diags[k, i:j] = np.diagonal(side_rows, i)
+                self._sums[k, i:j] += side_rows.sum(axis=1)
+                self._sums[k, j:] += side_rows[:, j - i :].sum(axis=0)
+                self._diags[k, i:j] = np.diagonal(side_rows)
                 if screen:
-                    squares[k] += _dot(side_rows, side_rows)
+                    squares[k] += _upper_dot(side_rows, side_rows, j - i)
         self._totals = float(self._sums[0].sum() * self._sums[1].sum()) / n**2
         self.observed = float(self._values(inner, self._sums[1][None])[0])
         self._levels, self._final, self._start, self._decided = [], True, 0, []
@@ -674,10 +706,11 @@ class _CenteredInner(_Prepared):
         factorisations, and its first level."""
         n, eps = self.n, np.finfo(float).eps
         (i, j), blocks = self._blocks[0], len(self._blocks)
+        r, summed = j - i, n + blocks
         a, b = norms
-        d_a, d_b = (6 * n + 32) * eps * norms
+        d_a, d_b = (6 * summed + 32) * eps * norms
         self._roundoff = abs(self._factor) * (
-            eps * ((j - i) * n + blocks + 12 * n + 8) * a * b + d_a * b + a * d_b + d_a * d_b
+            eps * (r * max(r, n - r) + blocks + 1 + 12 * summed + 8) * a * b + d_a * b + a * d_b + d_a * d_b
         )
         cap = isqrt(_SCREEN_RANKS * n)
         self._factors = [
@@ -753,9 +786,11 @@ class _CenteredInner(_Prepared):
         """The values of ``perms`` on the exact route."""
         inner = np.zeros(len(perms))
         for i, j in self._blocks:
-            rows_a = self._a.rows(i, j)
+            rows_a = self._a.rows(i, j, start=i)
+            # the last block, the only one up to n = 362, has no rest
+            dot = _dot if j == self.n else partial(_upper_dot, w=j - i)
             for k, p in enumerate(perms):
-                inner[k] += _dot(rows_a, self._b.rows(i, j, p))
+                inner[k] += dot(rows_a, self._b.rows(i, j, p, i))
         return self._values(inner, self._sums[1][perms])
 
     def _count(self, level, decided):
@@ -854,8 +889,8 @@ def _prepare(estimator, x, y, *, permutations=0, **specs) -> _Prepared:
     return it."""
     x, y = _paired(x, y)
     obj, obj_y, trace, scale = _read_specs(estimator, x, y, True, **specs)
-    # ||C_pi||^2 costs n p q per re-pairing against about 2 n^2 for the
-    # n x n gather, so wide features take the n x n route; the switch is
+    # ||C_pi||^2 costs n p q per re-pairing against about 1.5 n^2 reads for
+    # the n x n gather, so wide features take the n x n route; the switch is
     # cautious (3x faster here at p q = n)
     if _on_coordinates(obj) and _on_coordinates(obj_y) and (trace or _dim(x) * _dim(y) <= len(x)):
         return _CrossCov(obj.coerce(x), obj_y.coerce(y), trace, scale)

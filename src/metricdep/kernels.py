@@ -393,10 +393,12 @@ def _symmetrise(m):
     return m
 
 
-def _as_distances(m, start=0):
-    """Zero the diagonal of rows start.. of a distance matrix, entries
-    (r, start + r), and clip roundoff below zero, in place."""
-    m[np.arange(len(m)), start + np.arange(len(m))] = 0.0
+def _as_distances(m, offset=0):
+    """Zero the diagonal of rows of a distance matrix, the entries
+    (r, offset + r) that are in ``m``, and clip roundoff below zero, in
+    place."""
+    r = np.arange(max(0, -offset), min(len(m), m.shape[1] - offset))
+    m[r, offset + r] = 0.0
     return np.maximum(m, 0.0, out=m)
 
 
@@ -436,9 +438,10 @@ def distance_matrix(metric, pts) -> np.ndarray:
     return _as_distances(_symmetric(metric, pts))
 
 
-def matrix_rows(obj, pts, i, j, distance=False) -> np.ndarray:
+def matrix_rows(obj, pts, i, j, distance=False, start=0) -> np.ndarray:
     """Rows i:j of the Gram matrix of ``obj`` on ``pts``, or of its distance
-    matrix with ``distance``, evaluated by one ``pairwise`` call.
+    matrix with ``distance``, from column ``start`` on, evaluated by one
+    ``pairwise`` call.
 
     Where ``pairwise`` computes each entry from its two points alone and
     symmetrically, as every kernel and semimetric not built on the linear
@@ -446,8 +449,8 @@ def matrix_rows(obj, pts, i, j, distance=False) -> np.ndarray:
     :func:`distance_matrix` bit for bit.  The linear kernel's matrix
     product, and what is induced from it, rounds by the block's shape.
     """
-    rows = obj.pairwise(pts[i:j], pts)
-    return _as_distances(rows, i) if distance else rows
+    rows = obj.pairwise(pts[i:j], pts[start:])
+    return _as_distances(rows, i - start) if distance else rows
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ statistic recomputed exactly; an unscreened centred inner product has no
 levels.  Each level's screen values must lie within half its margin of the
 exact ones; the counts, and so the p-values, must be the n x n route's; the
 screen must decline where it cannot pay off.  Its rows are evaluated from
-the points in blocks, with the bits of the stored matrices, each n x n
-entry once.  A taken screen holds no n x n array: it recomputes its near
+the points in blocks, with the bits of the stored matrices, each unordered
+pair of points once.  A taken screen holds no n x n array: it recomputes its near
 ties from the points; a declined one stores both sides once."""
 
 import tracemalloc
@@ -246,13 +246,16 @@ def test_an_independent_n2000_test_keeps_the_nxn_counts(monkeypatch):
 # re-pairings gathered by fancy indexing: the order of the levels and the
 # gathers change no bit of a statistic or p-value.  The hsic statistics
 # were recorded again once the n x n route read both sides in one pass in
-# the shifted three-term form; ``before`` holds the values recorded before
-# that, which they keep within 1e-10 relative
+# the shifted three-term form, and again once that pass read each unordered
+# pair once; ``before`` holds the values recorded before each, in order,
+# which they keep within 1e-10 relative
 GOLDEN = [
-    ((1, 0.5), "hsic", dict(kernel=GaussianKernel()), 0.008424458242434124, 0.005, 0.008424458242434164),
+    ((1, 0.5), "hsic", dict(kernel=GaussianKernel()), 0.008424458242434126, 0.005,
+     (0.008424458242434164, 0.008424458242434124)),
     ((1, 0.5), "dcov", dict(metric=EuclideanSquared()), 2.157445911413293, 0.005, None),
     ((1, 0.5), "mcov", dict(metric=EuclideanSquared()), 1.0345014751753754, 0.005, None),
-    ((2, 0.0), "hsic", dict(kernel=GaussianKernel()), 5.5271734437789834e-05, 0.855, 5.5271734437752856e-05),
+    ((2, 0.0), "hsic", dict(kernel=GaussianKernel()), 5.52717344377898e-05, 0.855,
+     (5.5271734437752856e-05, 5.5271734437789834e-05)),
     ((2, 0.0), "dcov", dict(metric=EuclideanSquared()), 0.004585186923057645, 0.64, None),
     ((2, 0.0), "mcov", dict(metric=EuclideanSquared()), 0.03324088448156132, 0.275, None),
 ]
@@ -262,7 +265,7 @@ GOLDEN = [
 def test_n2000_tests_keep_their_recorded_bits(sample, estimator, spec, statistic, p_value, before):
     result = permutation_test(*_n2000(*sample), estimator, B=199, seed=7, **spec)
     assert result.statistic == statistic and result.p_value == p_value
-    assert before is None or abs(result.statistic - before) <= 1e-10 * abs(before)
+    assert all(abs(result.statistic - value) <= 1e-10 * abs(value) for value in before or ())
 
 
 @settings(max_examples=40, deadline=None)
@@ -325,23 +328,31 @@ def _exact_centred_inner(k, l):
     data=st.sampled_from(["null", "dependent", "near_constant", "scaled"]),
     power=st.integers(-40, 40),
     which=st.sampled_from(range(len(SPECS))),
+    rows=st.sampled_from([None, 1, 5, 64]),
 )
-def test_the_three_term_form_is_within_1e_10_of_the_exact_value(seed, n, d, data, power, which):
+def test_the_three_term_form_is_within_1e_10_of_the_exact_value(seed, n, d, data, power, which, rows):
     # the shifted three-term form against <HAH, HBH> / n^2 of the same
     # float matrices, computed exactly: on independent and dependent data,
     # on data near a constant (a Gram matrix near all ones at a fixed
-    # bandwidth), and on data scaled by a power of 2
+    # bandwidth), and on data scaled by a power of 2; in one block, or in
+    # blocks of ``rows`` rows read over the upper triangle, whose diagonals
+    # are those of the shifted matrices
     estimator, kind, text, _ = SPECS[which]
     x, y = _sample(seed, n, d, 0.5 if data == "dependent" else 0.0)
     if data == "near_constant":
         x, y = 3.0 + 2.0**-12 * x, -1.0 + 2.0**-12 * y
     if data == "scaled":
         x, y = 2.0**power * x, 2.0**power * y
-    prepared = estimators._prepare(estimator, x, y, **_spec(kind, text))
+    with pytest.MonkeyPatch.context() as patch:
+        if rows is not None:
+            patch.setattr(kernels, "_BLOCK_BYTES", 8 * n * rows)
+        prepared = estimators._prepare(estimator, x, y, **_spec(kind, text))
     a, b = prepared._a, prepared._b
     k, l = (matrix_rows(side._evaluate.args[0], side._pts, 0, n, side.c < 0) for side in (a, b))
     exact = prepared._factor * _exact_centred_inner(k, l)
     assert abs(prepared.observed - exact) <= 1e-10 * abs(exact)
+    assert np.array_equal(prepared._diags[0], np.diagonal(k) - (a._u + a._u))
+    assert np.array_equal(prepared._diags[1], np.diagonal(l) - b._u)
 
 
 class TestRouteChoice:
@@ -468,6 +479,45 @@ def test_evaluated_rows_are_the_stored_rows(seed, n, d, which, rows, levels, dat
                 assert np.array_equal(inner[0]._centred_row(k, j), inner[1]._centred_row(k, j))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    d=st.sampled_from([1, 2, 3]),
+    which=st.sampled_from(range(len(ELEMENTWISE))),
+    levels=st.sampled_from([0, 2]),
+    shift=st.sampled_from([None, "rows", "mean"]),
+    data=st.data(),
+)
+def test_rows_from_a_column_start_are_the_whole_rows_sliced(seed, n, d, which, levels, shift, data):
+    # rows i:j from column c are the whole rows sliced at c, bit for bit: a
+    # distance matrix's diagonal zeroed at the offset i - c, wherever it
+    # falls, and a stored side's rows, re-paired or not and shifted or not,
+    # those of an evaluated side, in one C-contiguous array
+    i = data.draw(st.integers(0, n - 1), label="i")
+    j = data.draw(st.integers(i + 1, n), label="j")
+    c = data.draw(st.integers(0, n - 1), label="start")
+    perm = np.array(data.draw(st.permutations(range(n)), label="perm"), dtype=np.intp)
+    kind, text = ELEMENTWISE[which]
+    obj = _spec(kind, text)[kind]
+    x = _sample(seed, n, d, 0.0, levels)[0]
+    if d == 1:
+        x = x[:, 0]
+    distance = kind == "metric"
+    whole = matrix_rows(obj, x, i, j, distance)
+    assert np.array_equal(matrix_rows(obj, x, i, j, distance, start=c), whole[:, c:])
+    sides = [estimators._Side(obj, x, stored=stored) for stored in (False, True)]
+    if shift is not None:
+        for side in sides:
+            side.shift(side.rows(0, j), rows=shift == "rows")
+    evaluated, kept = sides
+    for p in (None, perm):
+        rows = kept.rows(i, j, p, c)
+        assert rows.flags.c_contiguous and evaluated.rows(i, j, p, c).flags.c_contiguous
+        assert np.array_equal(rows, evaluated.rows(i, j, p, c))
+        assert np.array_equal(rows, kept.rows(i, j, p)[:, c:])
+
+
 @pytest.mark.parametrize("kind,text", ELEMENTWISE + [("kernel", "linear"), ("metric", "euclid2")])
 @pytest.mark.parametrize("stored", [False, True])
 def test_centred_side_rows_sum_to_zero(kind, text, stored):
@@ -512,26 +562,30 @@ def test_a_sides_sums_do_not_depend_on_the_other_side(seed, n, which, rows, stor
 
 
 def test_prepare_evaluates_each_matrix_entry_once(monkeypatch):
-    # one pass over both sides; the factors' rows are the rest, 32 pivots
-    # each for the first level, and the rest of their ranks once a value
-    # reaches the last level
+    # one pass over both sides, each row block i:j from column i on, so each
+    # unordered pair once: the first block of 327 rows whole, then the
+    # 73 x 73 square of the last; the factors' rows are the rest, n entries
+    # for each pivot, 32 pivots each for the first level, and the rest of
+    # their ranks once a value reaches the last level
     n = 400
     x, y = _sample(12, n, 2, 0.5)
     evaluated = []
     rows = estimators.matrix_rows
 
-    def counted(obj, pts, i, j, distance=False):
-        evaluated.append(j - i)
-        return rows(obj, pts, i, j, distance)
+    def counted(obj, pts, i, j, distance=False, start=0):
+        evaluated.append((j - i) * (len(pts) - start))
+        return rows(obj, pts, i, j, distance, start)
 
     monkeypatch.setattr(estimators, "matrix_rows", counted)
     kernel = resolve_bandwidth(GaussianKernel(), x, y)
     prepared = estimators._prepare("hsic", x, y, kernel=kernel, permutations=99)
     assert len(prepared._levels) == 1
-    assert sum(evaluated) == 2 * n + 2 * 32
+    triangle = sum((j - i) * (n - i) for i, j in kernels._row_blocks(n, n))
+    assert triangle == 327 * 400 + 73 * 73 < n * n
+    assert sum(evaluated) == 2 * triangle + 2 * 32 * n
     ft, g, _ = _all_levels(prepared)._levels[-1]
     assert len(ft) > 64 and g.shape[1] > 64
-    assert sum(evaluated) == 2 * n + len(ft) + g.shape[1]
+    assert sum(evaluated) == 2 * triangle + (len(ft) + g.shape[1]) * n
 
 
 HSIC_DCOV = [
