@@ -356,6 +356,22 @@ def _less_outer_sum(rows, u_rows, u, out=None):
     return np.subtract(rows, u_rows[:, None] + u, out=out)
 
 
+def _summable(u):
+    """u moved to the nearest points of t + g Z, with g the spacing of the
+    floats at 2 max|u_i| and t = u_0 rounded to a multiple of g / 2, so
+    that every u_i + u_j is exact: a multiple of g of at most about
+    2 max|u_i|.  A u that straddles a power of 2 otherwise rounds its sums,
+    and H does not annihilate that rounding.  A constant u is kept, the last
+    bit of each entry included; below the normal floats every sum is exact
+    already."""
+    e = int(np.frexp(np.abs(u).max())[1]) - 52
+    if e < -1073:
+        return u
+    g = np.ldexp(1.0, e)
+    t = np.rint(2.0 * u[0] / g) * (g / 2.0)
+    return t + g * np.rint(u / g - t / g)
+
+
 class _Side:
     """One side's n x n matrix M, read in row blocks: the Gram matrix of a
     kernel or the distance matrix of a semimetric, with its :func:`_c`.
@@ -413,11 +429,13 @@ class _Side:
         symmetric, so their column means), and m, the mean of s, so that M'
         is near H M H; without ``rows``, u = m, the mean of the first row.
         Each mean is taken as an offset from the first entry it averages: a
-        constant M gives s = m = its constant, and so M' = 0 exactly.
+        constant M gives s = m = its constant, and so M' = 0 exactly.  A
+        vector u is moved by :func:`_summable` onto a grid on which every
+        u_i + u_j is exact, so that M' rounds only in its subtraction.
         """
         if rows:
             s = first[0] + (first - first[0]).mean(axis=0)
-            self._u = s - 0.5 * (s[0] + (s - s[0]).mean())
+            self._u = _summable(s - 0.5 * (s[0] + (s - s[0]).mean()))
         else:
             self._u = first[0, 0] + (first[0] - first[0, 0]).mean()
         if self._matrix is None:

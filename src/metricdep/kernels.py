@@ -12,15 +12,27 @@ of negative type induces a kernel (up to the choice of anchor).  Negative
 type of a finite distance matrix D is certified by positive semidefiniteness
 of -0.5 * J D J with J the centering projection (Schoenberg's condition).
 
-scipy is imported where it is called, not with this module: the radial
-kernels and semimetrics (gaussian, matern, euclid2) import ``cdist`` in
-``pairwise`` and :func:`median_heuristic` imports ``pdist``, so a process
-that evaluates neither, such as one on the feature route, loads no scipy.
+scipy is loaded where it is called, not with this module, and only its
+compiled distance kernels: the radial kernels and semimetrics (gaussian,
+matern, euclid2) evaluate squared distances by scipy's
+``cdist_sqeuclidean`` in ``pairwise``, and :func:`median_heuristic` by its
+``pdist_sqeuclidean``.  These are the functions ``scipy.spatial.distance``'s
+``cdist`` and ``pdist`` call for ``"sqeuclidean"``, so the bits are
+theirs; :func:`_distance_kernels` loads their extension module from its
+file, so ``scipy.spatial``'s package (kd-trees, qhull, ``scipy.sparse``,
+``scipy.linalg``) is never imported.  A process that evaluates neither,
+such as one on the feature route, loads no scipy.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
+from functools import cache, partial
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,6 +40,38 @@ _MATERN_NUS = (0.5, 1.5, 2.5)
 
 # Bytes of one row block of an n x n matrix built or read block by block.
 _BLOCK_BYTES = 1 << 20
+
+# scipy's compiled distance module, see _distance_kernels.
+_DISTANCES = "scipy.spatial._distance_pybind"
+
+
+@cache
+def _distance_kernels():
+    """scipy's compiled distance module, whose ``cdist_sqeuclidean`` and
+    ``pdist_sqeuclidean`` ``scipy.spatial.distance.cdist`` and ``pdist``
+    call for ``"sqeuclidean"``: the imported module if ``scipy.spatial``
+    is, else the extension loaded from its file in scipy's ``spatial``
+    directory, which runs no ``scipy.spatial/__init__``.  The module is
+    private, so where the file or either function is missing this is
+    ``scipy.spatial.distance``'s ``cdist`` and ``pdist`` for
+    ``"sqeuclidean"`` under the same two names."""
+    module = sys.modules.get(_DISTANCES)
+    if module is None:
+        import scipy
+
+        finder = FileFinder(os.path.join(scipy.__path__[0], "spatial"), (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(_DISTANCES)
+        if spec is not None:
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+    if hasattr(module, "cdist_sqeuclidean") and hasattr(module, "pdist_sqeuclidean"):
+        return module
+    from scipy.spatial import distance
+
+    return SimpleNamespace(
+        cdist_sqeuclidean=partial(distance.cdist, metric="sqeuclidean"),
+        pdist_sqeuclidean=partial(distance.pdist, metric="sqeuclidean"),
+    )
 
 
 class InputError(ValueError):
@@ -81,9 +125,8 @@ class _Radial(_OnVectors):
     ``profile`` f, which may overwrite its argument."""
 
     def pairwise(self, xs, ys):
-        from scipy.spatial.distance import cdist
-
-        return self.profile(cdist(*self._pair(xs, ys), "sqeuclidean"))
+        # the function cdist(xs, ys, "sqeuclidean") calls
+        return self.profile(_distance_kernels().cdist_sqeuclidean(*self._pair(xs, ys)))
 
     def paired(self, xs, ys):
         """The values at the pairs (xs[i], ys[i]), row by row; a single
@@ -505,14 +548,12 @@ def median_heuristic(*samples, max_points: int = 2000) -> float:
         pooled = pooled[(np.arange(max_points) * step).astype(int)]
     if pooled.shape[0] < 2:
         return 1.0
-    from scipy.spatial.distance import pdist
-
-    # the squared distances are a temporary, so one selection may reorder
-    # them in place; sqrt is monotone and correctly rounded, and pdist's
-    # euclidean distance is the sqrt of its squared one, so the sqrt of the
-    # one or two selected values gives np.median(pdist(pooled))'s bits
-    # (finite points give no NaN)
-    d = pdist(pooled, "sqeuclidean")
+    # the squared distances of pdist(pooled, "sqeuclidean") are a
+    # temporary, so one selection may reorder them in place; sqrt is
+    # monotone and correctly rounded, and pdist's euclidean distance is the
+    # sqrt of its squared one, so the sqrt of the one or two selected values
+    # gives np.median(pdist(pooled))'s bits (finite points give no NaN)
+    d = _distance_kernels().pdist_sqeuclidean(pooled)
     k = d.size // 2
     d.partition(k)
     med = float(np.sqrt(d[k]) if d.size % 2 else (np.sqrt(d[:k].max()) + np.sqrt(d[k])) / 2)

@@ -10,17 +10,19 @@ pair of points once.  A taken screen holds no n x n array: it recomputes its nea
 ties from the points; a declined one stores both sides once."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from metricdep import (  # noqa: E402
     ExplicitSemimetric,
     GaussianKernel,
     InputError,
+    LinearKernel,
     dcov_vstat,
     distance_matrix,
     estimators,
@@ -246,16 +248,17 @@ def test_an_independent_n2000_test_keeps_the_nxn_counts(monkeypatch):
 # re-pairings gathered by fancy indexing: the order of the levels and the
 # gathers change no bit of a statistic or p-value.  The hsic statistics
 # were recorded again once the n x n route read both sides in one pass in
-# the shifted three-term form, and again once that pass read each unordered
-# pair once; ``before`` holds the values recorded before each, in order,
-# which they keep within 1e-10 relative
+# the shifted three-term form, again once that pass read each unordered
+# pair once, and again once the shift's u was moved onto a grid on which
+# its sums are exact; ``before`` holds the values recorded before each, in
+# order, which they keep within 1e-10 relative
 GOLDEN = [
     ((1, 0.5), "hsic", dict(kernel=GaussianKernel()), 0.008424458242434126, 0.005,
      (0.008424458242434164, 0.008424458242434124)),
     ((1, 0.5), "dcov", dict(metric=EuclideanSquared()), 2.157445911413293, 0.005, None),
     ((1, 0.5), "mcov", dict(metric=EuclideanSquared()), 1.0345014751753754, 0.005, None),
-    ((2, 0.0), "hsic", dict(kernel=GaussianKernel()), 5.52717344377898e-05, 0.855,
-     (5.5271734437752856e-05, 5.5271734437789834e-05)),
+    ((2, 0.0), "hsic", dict(kernel=GaussianKernel()), 5.527173443778994e-05, 0.855,
+     (5.5271734437752856e-05, 5.5271734437789834e-05, 5.52717344377898e-05)),
     ((2, 0.0), "dcov", dict(metric=EuclideanSquared()), 0.004585186923057645, 0.64, None),
     ((2, 0.0), "mcov", dict(metric=EuclideanSquared()), 0.03324088448156132, 0.275, None),
 ]
@@ -330,6 +333,9 @@ def _exact_centred_inner(k, l):
     which=st.sampled_from(range(len(SPECS))),
     rows=st.sampled_from([None, 1, 5, 64]),
 )
+# a first block of one row gives a u that straddles 0.5, where u_i + u_j
+# rounded before u was moved onto one grid
+@example(seed=0, n=2, d=1, data="near_constant", power=0, which=2, rows=1)
 def test_the_three_term_form_is_within_1e_10_of_the_exact_value(seed, n, d, data, power, which, rows):
     # the shifted three-term form against <HAH, HBH> / n^2 of the same
     # float matrices, computed exactly: on independent and dependent data,
@@ -353,6 +359,51 @@ def test_the_three_term_form_is_within_1e_10_of_the_exact_value(seed, n, d, data
     assert abs(prepared.observed - exact) <= 1e-10 * abs(exact)
     assert np.array_equal(prepared._diags[0], np.diagonal(k) - (a._u + a._u))
     assert np.array_equal(prepared._diags[1], np.diagonal(l) - b._u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    power=st.integers(-1000, 1000),
+    spread=st.sampled_from([0.0, 1e-12, 1e-8, 0.3, 3.0]),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_sum_of_two_shifts_is_exact(power, spread, n, seed):
+    # u near a power of 2, straddling it or not, or spread over several:
+    # once moved onto one grid, every u_i + u_j is the exact sum, u moves
+    # by at most the grid's spacing, and a constant u keeps its bits, an
+    # odd last mantissa bit included
+    rng = np.random.Generator(np.random.Philox(key=[seed, 11]))
+    u = np.ldexp(1.0 + 2.0**-52 + spread * rng.uniform(-1.0, 1.0, n), power)
+    moved = estimators._summable(u)
+    top = np.abs(u).max()
+    assert np.abs(moved - u).max() <= max(np.spacing(2.0 * top), np.spacing(0.0))
+    for a in moved.tolist():
+        for b in moved.tolist():
+            assert Fraction(a) + Fraction(b) == Fraction(a + b)
+    if spread == 0.0:
+        assert np.array_equal(moved, u)
+
+
+def test_a_constant_side_whose_value_has_an_odd_last_bit_is_shifted_to_zero(monkeypatch):
+    # a scalar x against a y wider than n takes the n x n route under the
+    # linear kernel, whose Gram entry 1.1 * 1.1 = 1.2100000000000002 has an
+    # odd last mantissa bit; u is half of it, and u + u gives it back, so
+    # the shifted side is exactly 0, in one block or in blocks of one row
+    value = 1.1 * 1.1
+    assert int(np.ldexp(np.frexp(value)[0], 53)) % 2 == 1
+    n = 12
+    x, y = np.full((n, 1), 1.1), _sample(4, n, n + 1, 0.0)[0]
+    for rows in (None, 1):
+        if rows is not None:
+            monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * n * rows)
+        for a, b in ((x, y), (y, x)):
+            prepared = estimators._prepare("hsic", a, b, kernel=LinearKernel())
+            assert type(prepared) is estimators._CenteredInner
+            side = prepared._a if a is x else prepared._b
+            assert not side.rows(0, n).any()
+            result = permutation_test(a, b, "hsic", B=99, seed=3, kernel=LinearKernel())
+            assert result.statistic == 0.0 and result.p_value == 1.0
 
 
 class TestRouteChoice:
