@@ -388,13 +388,18 @@ class _Side:
     shifts them alike.  A side not built on the linear kernel computes each
     entry from its two points alone, so both give the same bits.  Only
     ``store`` does work when a side is built; an evaluated side's first
-    pass is its first read.
+    pass is its first read.  A constant side's rows are zeros and it
+    stores nothing.
     """
 
     def __init__(self, obj, pts, stored=False):
         self.n = len(pts)
         self.c = _c(obj)
         self._pts = pts
+        # a constant side's M is constant, so its M' is 0 in exact
+        # arithmetic, and here; a matrix product need not give equal rows
+        # equal bits
+        self._constant = _constant(pts)
         self._evaluate = partial(matrix_rows, obj, distance=self.c < 0)
         self._build = partial(distance_matrix if self.c < 0 else gram_matrix, obj, pts)
         self._matrix = self._u = None
@@ -406,6 +411,8 @@ class _Side:
         return self._matrix is not None
 
     def rows(self, i, j, perm=None, start=0):
+        if self._constant:
+            return np.zeros((j - i, self.n - start))
         if self._matrix is not None:
             if perm is None:
                 return np.ascontiguousarray(self._matrix[i:j, start:])
@@ -451,7 +458,7 @@ class _Side:
         """Build M, unless it is built, once the two n x n matrices pass
         :func:`_check_memory`, and shift it if u is set; an allocation that
         fails all the same is an :class:`InputError` that names n."""
-        if self._matrix is None:
+        if self._matrix is None and not self._constant:
             _check_memory(self.n, _NXN_ARRAYS * self.n**2, "n x n matrices")
             try:
                 self._matrix = self._build()
@@ -459,6 +466,14 @@ class _Side:
                 raise InputError(f"n = {self.n}: out of memory for the n x n matrices; {_MEMORY_HINT}") from None
             if self._u is not None:
                 self._shift_stored()
+
+
+def _centred_row(side, w, j):
+    """Row j of c C for a side's c and its centred rows C = M' - w 1' - 1 w'.
+    A function of the side alone, so that a factor holds no reference to
+    the statistic that holds it, and the statistic is freed when its last
+    reference goes."""
+    return side.c * _less_outer_sum(side.rows(j, j + 1), w[j : j + 1], w)[0]
 
 
 class _PivotedCholesky:
@@ -565,8 +580,8 @@ class _CenteredInner(_Prepared):
     so no bit depends on the BLAS thread count.  A' is near HAH, so r_a and
     S_a are small and the three terms cancel little; the constant shift of
     B costs one operation an entry where A's costs two.
-    A constant side is shifted to exactly 0, and then every value is
-    exactly 0.
+    A constant side's M' is exactly 0 (see :class:`_Side`), and then every
+    value is exactly 0.
 
     With ``screen``, the levels screen through low-rank factors of both
     centred sides.  The factors' rows are those of A' and B' centred by
@@ -709,11 +724,6 @@ class _CenteredInner(_Prepared):
         sums r."""
         return [mu - 0.5 * mu.mean() for mu in self._sums / self.n]
 
-    def _centred_row(self, k, j):
-        """Row j of C_A (k = 0) or of C_B (k = 1)."""
-        w = self._w[k]
-        return _less_outer_sum((self._a, self._b)[k].rows(j, j + 1), w[j : j + 1], w)[0]
-
     def _store(self):
         """Store both sides, each store checked for memory."""
         self._a.store()
@@ -732,9 +742,8 @@ class _CenteredInner(_Prepared):
         )
         cap = isqrt(_SCREEN_RANKS * n)
         self._factors = [
-            _PivotedCholesky(partial(lambda k, c, j: c * self._centred_row(k, j), k, side.c),
-                             side.c * (self._diags[k] - (w + w)), cap)
-            for k, (side, w) in enumerate(zip((self._a, self._b), self._w))
+            _PivotedCholesky(partial(_centred_row, side, w), side.c * (diag - (w + w)), cap)
+            for side, w, diag in zip((self._a, self._b), self._w, self._diags)
         ]
         self._scale, self._first, self._rotated, self._final = s, _SCREEN_FIRST_RANK, [None, None], False
         self._next_level()
@@ -1058,11 +1067,13 @@ def _permutation_batches(seed, n, B, size):
     fresh = bitgen.state
     key = fresh["state"]["key"]
     for start in range(1, B + 1, size):
+        # permutation(n) is arange(n) shuffled, so each row is shuffled in place
         piece = np.empty((min(size, B + 1 - start), n), dtype=np.intp)
-        for row in range(len(piece)):
-            key[1] = start + row
+        piece[:] = np.arange(n)
+        for b, row in enumerate(piece, start):
+            key[1] = b
             bitgen.state = fresh
-            piece[row] = gen.permutation(n)
+            gen.shuffle(row)
         yield piece
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
+from io import StringIO
+from itertools import repeat
 
 import numpy as np
 
@@ -18,12 +20,39 @@ from .kernels import InputError
 from .oracle import DiscreteJoint
 
 
-def _read_rows(path):
-    """The csv rows of ``path`` that hold a cell other than whitespace, as
-    (line, row) pairs with ``line`` the row's line in the file."""
+def _read_text(path):
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        return [(reader.line_num, row) for row in reader if "".join(row).strip()]
+        return handle.read()
+
+
+def _plain_lines(text):
+    """The lines of ``text`` that are not empty, where csv reads each as the
+    cells between its commas and skips the empty ones: ``text`` holds no
+    quote, and no carriage return but before a newline.  Else None."""
+    text = text.replace("\r\n", "\n")
+    if '"' in text or "\r" in text:
+        return None
+    return list(filter(None, text.split("\n")))
+
+
+def _plain_rows(lines, width):
+    """``lines`` as an (n, width) float array, in one split and one
+    conversion (NumPy parses each cell as ``float`` does), where every line
+    holds ``width`` cells and every cell parses; else None.  A line of
+    whitespace holds a cell that does not parse."""
+    if not lines or set(map(str.count, lines, repeat(","))) != {width - 1}:
+        return None
+    try:
+        return np.array(",".join(lines).split(","), dtype=float).reshape(len(lines), width)
+    except ValueError:
+        return None
+
+
+def _csv_rows(text):
+    """The csv rows of ``text`` that hold a cell other than whitespace, as
+    (line, row) pairs with ``line`` the row's line in the file."""
+    reader = csv.reader(StringIO(text, newline=""))
+    return [(reader.line_num, row) for row in reader if "".join(row).strip()]
 
 
 def _numeric_rows(path, numbered, width, column, ragged=""):
@@ -55,34 +84,55 @@ def _numeric_rows(path, numbered, width, column, ragged=""):
     return out
 
 
+def _paired_columns(header):
+    """The x and y columns a header names, x_1..x_p then y_1..y_q; else None."""
+    x_cols = [i for i, name in enumerate(header) if name.startswith("x")]
+    y_cols = [i for i, name in enumerate(header) if name.startswith("y")]
+    if not x_cols or not y_cols or x_cols + y_cols != list(range(len(header))):
+        return None
+    return x_cols, y_cols
+
+
 def read_paired_sample(path):
     """Read a paired sample from CSV with header x_1..x_p,y_1..y_q.
 
     Returns (x, y) float arrays of shape (n, p) and (n, q).  Blank lines
-    are skipped.
+    are skipped.  A plain file, one cell per comma on every line after the
+    header, is converted at once (see :func:`_plain_rows`); any other is
+    read by ``csv`` (see :func:`_numeric_rows`).
     """
-    numbered = _read_rows(path)
-    if not numbered:
-        raise InputError(f"{path}: empty file, expected a header row x_1..x_p,y_1..y_q")
-    header = [name.strip() for name in numbered[0][1]]
-    x_cols = [i for i, name in enumerate(header) if name.startswith("x")]
-    y_cols = [i for i, name in enumerate(header) if name.startswith("y")]
-    if not x_cols or not y_cols or x_cols + y_cols != list(range(len(header))):
-        raise InputError(
-            f"{path}: header must name columns x_1..x_p then y_1..y_q, got {header}"
-        )
-    if len(numbered) == 1:
-        raise InputError(f"{path}: no data rows")
-    data = _numeric_rows(path, numbered[1:], len(header), lambda c: repr(header[c]))
-    return data[:, x_cols], data[:, y_cols]
+    text = _read_text(path)
+    lines = _plain_lines(text)
+    header = [name.strip() for name in lines[0].split(",")] if lines else []
+    columns = _paired_columns(header)
+    data = _plain_rows(lines[1:], len(header)) if columns else None
+    if data is None:
+        numbered = _csv_rows(text)
+        if not numbered:
+            raise InputError(f"{path}: empty file, expected a header row x_1..x_p,y_1..y_q")
+        header = [name.strip() for name in numbered[0][1]]
+        columns = _paired_columns(header)
+        if columns is None:
+            raise InputError(
+                f"{path}: header must name columns x_1..x_p then y_1..y_q, got {header}"
+            )
+        if len(numbered) == 1:
+            raise InputError(f"{path}: no data rows")
+        data = _numeric_rows(path, numbered[1:], len(header), lambda c: repr(header[c]))
+    return data[:, columns[0]], data[:, columns[1]]
 
 
 def read_square_matrix(path):
-    """Read a headerless square numeric CSV matrix; blank lines are skipped."""
-    numbered = _read_rows(path)
-    if not numbered:
-        raise InputError(f"{path}: empty file, expected a square numeric matrix")
-    out = _numeric_rows(path, numbered, len(numbered[0][1]), lambda c: c + 1, " (ragged matrix)")
+    """Read a headerless square numeric CSV matrix; blank lines are skipped.
+    A plain file is converted at once, as by :func:`read_paired_sample`."""
+    text = _read_text(path)
+    lines = _plain_lines(text)
+    out = _plain_rows(lines, lines[0].count(",") + 1) if lines else None
+    if out is None:
+        numbered = _csv_rows(text)
+        if not numbered:
+            raise InputError(f"{path}: empty file, expected a square numeric matrix")
+        out = _numeric_rows(path, numbered, len(numbered[0][1]), lambda c: c + 1, " (ragged matrix)")
     if out.shape[0] != out.shape[1]:
         raise InputError(f"{path}: matrix is {out.shape[0]}x{out.shape[1]}, expected square")
     return out

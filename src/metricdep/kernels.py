@@ -16,12 +16,13 @@ scipy is loaded where it is called, not with this module, and only its
 compiled distance kernels: the radial kernels and semimetrics (gaussian,
 matern, euclid2) evaluate squared distances by scipy's
 ``cdist_sqeuclidean`` in ``pairwise``, and :func:`median_heuristic` by its
-``pdist_sqeuclidean``.  These are the functions ``scipy.spatial.distance``'s
-``cdist`` and ``pdist`` call for ``"sqeuclidean"``, so the bits are
-theirs; :func:`_distance_kernels` loads their extension module from its
-file, so ``scipy.spatial``'s package (kd-trees, qhull, ``scipy.sparse``,
-``scipy.linalg``) is never imported.  A process that evaluates neither,
-such as one on the feature route, loads no scipy.
+``pdist_sqeuclidean``, and beyond one row block by both.  These are the
+functions ``scipy.spatial.distance``'s ``cdist`` and ``pdist`` call for
+``"sqeuclidean"``, so the bits are theirs; :func:`_distance_kernels` loads
+their extension module from its file, so ``scipy.spatial``'s package
+(kd-trees, qhull, ``scipy.sparse``, ``scipy.linalg``) is never imported.
+A process that evaluates neither, such as one on the feature route, loads
+no scipy.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ _MATERN_NUS = (0.5, 1.5, 2.5)
 
 # Bytes of one row block of an n x n matrix built or read block by block.
 _BLOCK_BYTES = 1 << 20
+
+# Pairs whose squared distances bracket the median heuristic's, see _bracket.
+_BRACKET_PAIRS = 1 << 14
 
 # scipy's compiled distance module, see _distance_kernels.
 _DISTANCES = "scipy.spatial._distance_pybind"
@@ -534,6 +538,73 @@ def validate_negative_type(d_matrix, tol: float = 1e-8) -> NegativeTypeResult:
     return NegativeTypeResult(valid=worst >= -tol * largest, worst_eigenvalue=worst)
 
 
+def _selected(d, ranks):
+    """The values at ``ranks`` (ascending) of d sorted, reordering d in
+    place: the last by one selection, and each before it from the values
+    before the one after it, the largest of them where it is adjacent."""
+    out, end = [], len(d)
+    for r in reversed(ranks):
+        if r == end - 1:
+            out.append(d[:end].max())
+        else:
+            d[:end].partition(r)
+            out.append(d[r])
+        end = r
+    return out[::-1]
+
+
+def _bracket(pooled):
+    """Squared distances (lo, hi) that bracket the median of the pooled
+    pairs' squared distances: the order statistics 1/64 of the way below
+    and above the middle of those of ``_BRACKET_PAIRS`` pairs, a strided
+    subsample of the pairs in ``pdist``'s order.  The subsample's middle is
+    about 0.5 / sqrt(_BRACKET_PAIRS) = 0.0039 in rank fraction from the
+    whole's, so a bracket 4 times that wide holds about 3% of the pairs.
+    Its values need not be ``pdist``'s bits: only the counts against them
+    decide."""
+    m = len(pooled)
+    rows = np.arange(m)
+    starts = rows * m - rows * (rows + 1) // 2  # pdist's index of the pair (i, i + 1)
+    flat = np.arange(_BRACKET_PAIRS) * (m * (m - 1) // 2) // _BRACKET_PAIRS
+    i = np.repeat(rows, np.diff(np.searchsorted(flat, starts), append=_BRACKET_PAIRS))
+    diff = pooled.take(i, 0) - pooled.take(flat - starts[i] + i + 1, 0)
+    middle, h = _BRACKET_PAIRS // 2, _BRACKET_PAIRS // 64
+    return _selected(np.einsum("ij,ij->i", diff, diff), (middle - h, middle + h))
+
+
+def _blocked_order_statistics(pooled, ranks):
+    """The squared distances at ``ranks`` (ascending) of the sorted pooled
+    pairs, read in row blocks of about ``_BLOCK_BYTES``: ``pdist`` within a
+    block and ``cdist`` from it to the later rows, which give ``pdist``'s
+    bits pair for pair.  Each block counts the values below the bracket of
+    :func:`_bracket` and those at its ends, and keeps only those strictly
+    inside it; a rank the counts place outside takes a second pass with that
+    side of the bracket open, so the value never depends on the bracket."""
+    distances = _distance_kernels()
+    lo, hi = _bracket(pooled)
+    while True:
+        below = at_lo = at_hi = 0
+        inside = []
+        for i, j in _row_blocks(len(pooled), len(pooled)):
+            block = pooled[i:j]
+            for d in (distances.pdist_sqeuclidean(block), distances.cdist_sqeuclidean(block, pooled[j:]).ravel()):
+                up = d >= lo
+                below += d.size - np.count_nonzero(up)
+                d = d[np.flatnonzero(up & (d <= hi))]
+                on_lo, on_hi = d == lo, d == hi
+                at_lo += np.count_nonzero(on_lo)
+                at_hi += np.count_nonzero(on_hi & ~on_lo)
+                inside.append(d[~(on_lo | on_hi)])
+        inside = np.concatenate(inside)
+        first, last = below + at_lo, below + at_lo + inside.size
+        if below <= ranks[0] and ranks[-1] < last + at_hi:
+            break
+        lo = -np.inf if ranks[0] < below else lo
+        hi = np.inf if ranks[-1] >= last + at_hi else hi
+    within = iter(_selected(inside, [r - first for r in ranks if first <= r < last]))
+    return [lo if r < first else next(within) if r < last else hi for r in ranks]
+
+
 def median_heuristic(*samples, max_points: int = 2000) -> float:
     """Median of pairwise Euclidean distances over the pooled sample.
 
@@ -541,22 +612,32 @@ def median_heuristic(*samples, max_points: int = 2000) -> float:
     dimension).  Above ``max_points`` rows an evenly spaced subsample keeps
     the computation cheap while staying deterministic.  Falls back to 1.0
     when the median distance is zero (degenerate data).
+
+    Where one row block of about ``_BLOCK_BYTES`` holds every pair (up to
+    362 pooled points) the squared distances are one ``pdist``; beyond, they
+    are read in row blocks and only those near the median are kept (see
+    :func:`_blocked_order_statistics`), so no array of all the pairs is held.
     """
     pooled = np.vstack([as_points(s) for s in samples])
     if pooled.shape[0] > max_points:
         step = pooled.shape[0] / max_points
         pooled = pooled[(np.arange(max_points) * step).astype(int)]
-    if pooled.shape[0] < 2:
+    m = pooled.shape[0]
+    if m < 2:
         return 1.0
-    # the squared distances of pdist(pooled, "sqeuclidean") are a
-    # temporary, so one selection may reorder them in place; sqrt is
-    # monotone and correctly rounded, and pdist's euclidean distance is the
-    # sqrt of its squared one, so the sqrt of the one or two selected values
-    # gives np.median(pdist(pooled))'s bits (finite points give no NaN)
-    d = _distance_kernels().pdist_sqeuclidean(pooled)
-    k = d.size // 2
-    d.partition(k)
-    med = float(np.sqrt(d[k]) if d.size % 2 else (np.sqrt(d[:k].max()) + np.sqrt(d[k])) / 2)
+    # sqrt is monotone and correctly rounded, and pdist's euclidean distance
+    # is the sqrt of its squared one, so the mean of the sqrt of the one or
+    # two middle squared distances gives np.median(pdist(pooled))'s bits
+    # (finite points give no NaN)
+    pairs = m * (m - 1) // 2
+    ranks = (pairs // 2,) if pairs % 2 else (pairs // 2 - 1, pairs // 2)
+    if len(_row_blocks(m, m)) == 1:
+        # the squared distances are a temporary, so the selection may
+        # reorder them in place
+        middle = _selected(_distance_kernels().pdist_sqeuclidean(pooled), ranks)
+    else:
+        middle = _blocked_order_statistics(pooled, ranks)
+    med = float(np.sqrt(middle).sum() / len(middle))
     return med if med > 0 else 1.0
 
 

@@ -64,6 +64,36 @@ class TestPairedSampleCsv:
         assert np.array_equal(np.signbit(x), np.signbit(expected[:, :2]))
 
 
+    def test_every_layout_of_a_sample_reads_alike(self, tmp_path):
+        # CRLF endings, quoted cells, blank and whitespace rows, a lone
+        # carriage return and no final newline give the plain file's bits
+        values = np.random.default_rng(3).standard_normal((30, 3))
+        cells = [["x_1", "y_1", "y_2"]] + [[repr(v) for v in row] for row in values.tolist()]
+        lines = [",".join(row) for row in cells]
+        quoted = [",".join(f'"{c}"' if k % 2 else c for k, c in enumerate(row)) for row in cells]
+        layouts = [
+            "\n".join(lines) + "\n",
+            "\r\n".join(lines) + "\r\n",
+            "\n".join(quoted) + "\n",
+            "\n\n".join(lines[:10]) + "\n \n , , \n" + "\n".join(lines[10:]) + "\n\n\n",
+            "\r".join(lines),
+            "\n".join(lines),
+        ]
+        path = tmp_path / "s.csv"
+        read = []
+        for text in layouts:
+            path.write_bytes(text.encode())
+            read.append(np.hstack(read_paired_sample(path)))
+        assert all(np.array_equal(a, values) for a in read)
+
+    def test_rows_whose_fields_add_up_to_whole_rows_are_named(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("x_1,y_1\n0,1,2\n3\n")
+        with pytest.raises(InputError) as err:
+            read_paired_sample(path)
+        assert str(err.value) == f"{path}: row 2 has 3 fields, expected 2"
+
+
 class TestSquareMatrixCsv:
     def test_reads_floats(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -94,6 +124,13 @@ class TestSquareMatrixCsv:
         assert str(err.value) == f"{path}: row 3, column 1: could not parse 'x'"
         path.write_text("\n0,1\n , \n1,0\n\n")
         np.testing.assert_array_equal(read_square_matrix(path), [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_rows_whose_fields_add_up_to_whole_rows_are_named(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("0,1\n1,0,2\n3\n")
+        with pytest.raises(InputError) as err:
+            read_square_matrix(path)
+        assert str(err.value) == f"{path}: row 2 has 3 fields, expected 2 (ragged matrix)"
 
     def test_ragged_row_named_before_a_later_bad_cell(self, tmp_path):
         path = tmp_path / "m.csv"

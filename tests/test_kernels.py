@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from metricdep import (
     induced_kernel,
     induced_semimetric,
     kernel_eval,
+    kernels,
     median_heuristic,
     parse_kernel,
     parse_semimetric,
@@ -399,6 +402,63 @@ class TestBandwidth:
             pts = np.round(pts * levels / 2)
         kept = pts[(np.arange(2000) * (m / 2000)).astype(int)]
         assert median_heuristic(pts) == float(np.median(pdist(kept)))
+
+    @staticmethod
+    def _pooled(m, data):
+        pts = np.random.default_rng(m).standard_normal((m, 2)) * 3.0
+        if data == "tied":
+            pts = np.round(pts)
+        elif data == "half_constant":
+            pts[: m // 2] = 0.3
+        elif data == "two_valued":
+            pts = np.sign(pts[:, :1])
+        return pts
+
+    # 363 pooled points take two row blocks, the fewest that are read in
+    # blocks; 363 and 1999 points give an odd number of pairs, 364 and 2000
+    # an even one
+    @pytest.mark.parametrize("m", [363, 364, 1999, 2000])
+    @pytest.mark.parametrize("data", ["scaled", "tied", "half_constant", "two_valued"])
+    def test_median_heuristic_read_in_row_blocks_is_np_median(self, m, data):
+        assert len(kernels._row_blocks(m, m)) > 1 and len(kernels._row_blocks(362, 362)) == 1
+        pts = self._pooled(m, data)
+        assert median_heuristic(pts) == float(np.median(pdist(pts)))
+
+    # brackets by the ranks (of N sorted pairs, middle k = N // 2) of their
+    # ends: below the middle, ending at or starting at a middle pair, above
+    # it, and of one value; all but a few, on odd N or tied data, miss a
+    # middle pair, so that a second pass reads it
+    @pytest.mark.parametrize("m", [363, 2000])
+    @pytest.mark.parametrize("ends", [
+        lambda k, N: (0, k // 2),
+        lambda k, N: (k // 2, k - 1),
+        lambda k, N: (k, k + k // 2),
+        lambda k, N: (k + 1, N - 1),
+        lambda k, N: (N - N // 10, N - N // 10),
+    ])
+    @pytest.mark.parametrize("data", ["scaled", "tied"])
+    def test_a_bracket_that_misses_the_middle_gives_the_same_median(self, m, ends, data, monkeypatch):
+        pts = self._pooled(m, data)
+        d = np.sort(pdist(pts, "sqeuclidean"))
+        lo, hi = d[list(ends(len(d) // 2, len(d)))]
+        monkeypatch.setattr(kernels, "_bracket", lambda pooled: (lo, hi))
+        assert median_heuristic(pts) == float(np.median(pdist(pts)))
+
+    # on two-valued points half the pairs are at one value and half at the
+    # other, which the bracket's ends count rather than keep
+    @pytest.mark.parametrize("data", ["scaled", "two_valued"])
+    def test_median_heuristic_holds_no_array_of_all_the_pairs(self, data):
+        pts = self._pooled(2000, data)
+        median_heuristic(pts[:10])  # loads the distance kernels
+        tracemalloc.start()
+        try:
+            median = median_heuristic(pts[:1000], pts[1000:])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 1999000 pairs of the 2000 pooled points take 16 MB
+        assert peak < 4e6
+        assert median == float(np.median(pdist(pts)))
 
     def test_unresolved_gaussian_refuses_evaluation(self):
         with pytest.raises(InputError, match="unresolved"):

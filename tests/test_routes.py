@@ -532,3 +532,18 @@ def test_a_constant_side_gives_exactly_zero(estimator, spec, n, value):
     for x, y in ((constant, varied), (varied, constant)):
         result = permutation_test(x, y, estimator, B=99, seed=3, **spec)
         assert result.statistic == 0.0 and result.p_value == 1.0
+
+
+@pytest.mark.parametrize("estimator,spec", CONSTANT_SIDE_SPECS)
+@pytest.mark.parametrize("n", [12, 300])
+def test_a_constant_side_of_several_coordinates_gives_exactly_zero(estimator, spec, n):
+    # a matrix product need not give the equal rows of a constant side equal
+    # Gram entries: (1.1, 0.3, 0.2, 0.7) repeated, against a side as wide,
+    # takes the n x n route under the linear kernel (p q > n) and still
+    # gives exactly 0 and p = 1
+    width = isqrt(n) + 1
+    constant = np.tile(np.resize([1.1, 0.3, 0.2, 0.7], width), (n, 1))
+    varied = np.random.default_rng(7).standard_normal((n, width))
+    for x, y in ((constant, varied), (varied, constant)):
+        result = permutation_test(x, y, estimator, B=19, **spec)
+        assert result.statistic == 0.0 and result.p_value == 1.0

@@ -9,7 +9,9 @@ the points in blocks, with the bits of the stored matrices, each unordered
 pair of points once.  A taken screen holds no n x n array: it recomputes its near
 ties from the points; a declined one stores both sides once."""
 
+import gc
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -466,6 +468,24 @@ def test_prepare_holds_no_nxn_array():
     assert peak < 0.25 * 8 * n * n
 
 
+def test_a_screened_statistic_is_freed_with_its_last_reference():
+    # no reference cycle holds the sides, factors and levels, so they go
+    # when the statistic does, with the cyclic collector off
+    x, y = _sample(6, 300, 2, 0.5)
+    perms = np.vstack(list(estimators._permutation_batches(1, 300, 30, 30)))
+    gc.collect()
+    gc.disable()
+    try:
+        prepared = estimators._prepare("hsic", x, y, kernel=GaussianKernel(), permutations=30)
+        prepared.permuted(perms)
+        assert prepared._levels
+        freed = weakref.ref(prepared)
+        del prepared
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
 # Specs whose pairwise computes each entry from its two points alone
 ELEMENTWISE = [
     ("kernel", "gaussian:sigma=0.7"),
@@ -527,7 +547,8 @@ def test_evaluated_rows_are_the_stored_rows(seed, n, d, which, rows, levels, dat
             assert np.array_equal(inner[0]._b.rows(i, j, perm), inner[1]._b.rows(i, j, perm))
         for k in (0, 1):
             for j in range(n):
-                assert np.array_equal(inner[0]._centred_row(k, j), inner[1]._centred_row(k, j))
+                rows = [estimators._centred_row((one._a, one._b)[k], one._w[k], j) for one in inner]
+                assert np.array_equal(*rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -580,8 +601,8 @@ def test_centred_side_rows_sum_to_zero(kind, text, stored):
     distance = kind == "metric"
     inner = estimators._CenteredInner(*(estimators._Side(obj, x, stored=stored) for _ in "ab"))
     largest = np.abs((distance_matrix if distance else gram_matrix)(obj, x)).max()
-    for k in (0, 1):
-        sums = np.array([inner._centred_row(k, j).sum() for j in range(n)])
+    for side, w in zip((inner._a, inner._b), inner._w):
+        sums = np.array([estimators._centred_row(side, w, j).sum() for j in range(n)])
         assert np.abs(sums).max() <= 8 * n * np.finfo(float).eps * largest
 
 
