@@ -42,7 +42,7 @@ _MATERN_NUS = (0.5, 1.5, 2.5)
 # Bytes of one row block of an n x n matrix built or read block by block.
 _BLOCK_BYTES = 1 << 20
 
-# Pairs whose squared distances bracket the median heuristic's, see _bracket.
+# Pairs whose squared distances bracket the median heuristic's, see _pair_sample.
 _BRACKET_PAIRS = 1 << 14
 
 # scipy's compiled distance module, see _distance_kernels.
@@ -553,23 +553,38 @@ def _selected(d, ranks):
     return out[::-1]
 
 
-def _bracket(pooled):
-    """Squared distances (lo, hi) that bracket the median of the pooled
-    pairs' squared distances: the order statistics 1/64 of the way below
-    and above the middle of those of ``_BRACKET_PAIRS`` pairs, a strided
-    subsample of the pairs in ``pdist``'s order.  The subsample's middle is
-    about 0.5 / sqrt(_BRACKET_PAIRS) = 0.0039 in rank fraction from the
-    whole's, so a bracket 4 times that wide holds about 3% of the pairs.
-    Its values need not be ``pdist``'s bits: only the counts against them
-    decide."""
+def _pair_sample(pooled):
+    """Squared distances of ``_BRACKET_PAIRS`` pairs, a strided subsample
+    of the pooled pairs in ``pdist``'s order, evaluated in chunks whose
+    gathered points take about ``_BLOCK_BYTES``, so that wide points hold
+    no more than narrow ones.  Its values need not be ``pdist``'s bits: only
+    the counts against the bracket they give decide."""
     m = len(pooled)
     rows = np.arange(m)
     starts = rows * m - rows * (rows + 1) // 2  # pdist's index of the pair (i, i + 1)
     flat = np.arange(_BRACKET_PAIRS) * (m * (m - 1) // 2) // _BRACKET_PAIRS
     i = np.repeat(rows, np.diff(np.searchsorted(flat, starts), append=_BRACKET_PAIRS))
-    diff = pooled.take(i, 0) - pooled.take(flat - starts[i] + i + 1, 0)
-    middle, h = _BRACKET_PAIRS // 2, _BRACKET_PAIRS // 64
-    return _selected(np.einsum("ij,ij->i", diff, diff), (middle - h, middle + h))
+    j = flat - starts[i] + i + 1
+    out = np.empty(_BRACKET_PAIRS)
+    for a, b in _row_blocks(_BRACKET_PAIRS, pooled.shape[1]):
+        diff = pooled.take(i[a:b], 0)
+        diff -= pooled.take(j[a:b], 0)
+        np.einsum("ij,ij->i", diff, diff, out=out[a:b])
+    return out
+
+
+def _bracket(sample, widths):
+    """Squared distances (lo, hi) that bracket the median of the pooled
+    pairs' squared distances: the order statistics of ``sample``, from
+    :func:`_pair_sample`, ``widths[0]`` / 64 of the way below its middle
+    and ``widths[1]`` / 64 above it, -inf and inf past its ends.  The
+    subsample's middle is about 0.5 / sqrt(_BRACKET_PAIRS) = 0.0039 in rank
+    fraction from the whole's, so the first bracket, of widths (1, 1) and 4
+    times that wide, holds about 3% of the pairs."""
+    middle, h = sample.size // 2, sample.size // 64
+    ranks = (middle - widths[0] * h, middle + widths[1] * h)
+    values = iter(_selected(sample, [r for r in ranks if 0 <= r < sample.size]))
+    return tuple(next(values) if 0 <= r < sample.size else end for r, end in zip(ranks, (-np.inf, np.inf)))
 
 
 def _blocked_order_statistics(pooled, ranks):
@@ -578,11 +593,14 @@ def _blocked_order_statistics(pooled, ranks):
     block and ``cdist`` from it to the later rows, which give ``pdist``'s
     bits pair for pair.  Each block counts the values below the bracket of
     :func:`_bracket` and those at its ends, and keeps only those strictly
-    inside it; a rank the counts place outside takes a second pass with that
-    side of the bracket open, so the value never depends on the bracket."""
+    inside it.  A rank the counts place outside takes another pass with the
+    side it missed widened fourfold, and the other side kept, so the value
+    never depends on the bracket; a side opens only past the subsample's
+    end, after three misses."""
     distances = _distance_kernels()
-    lo, hi = _bracket(pooled)
+    sample, widths = _pair_sample(pooled), (1, 1)
     while True:
+        lo, hi = _bracket(sample, widths)
         below = at_lo = at_hi = 0
         inside = []
         for i, j in _row_blocks(len(pooled), len(pooled)):
@@ -597,10 +615,10 @@ def _blocked_order_statistics(pooled, ranks):
                 inside.append(d[~(on_lo | on_hi)])
         inside = np.concatenate(inside)
         first, last = below + at_lo, below + at_lo + inside.size
-        if below <= ranks[0] and ranks[-1] < last + at_hi:
+        missed = (ranks[0] < below, ranks[-1] >= last + at_hi)
+        if not any(missed):
             break
-        lo = -np.inf if ranks[0] < below else lo
-        hi = np.inf if ranks[-1] >= last + at_hi else hi
+        widths = tuple(4 * w if miss else w for w, miss in zip(widths, missed))
     within = iter(_selected(inside, [r - first for r in ranks if first <= r < last]))
     return [lo if r < first else next(within) if r < last else hi for r in ranks]
 

@@ -424,10 +424,11 @@ class TestBandwidth:
         pts = self._pooled(m, data)
         assert median_heuristic(pts) == float(np.median(pdist(pts)))
 
-    # brackets by the ranks (of N sorted pairs, middle k = N // 2) of their
-    # ends: below the middle, ending at or starting at a middle pair, above
-    # it, and of one value; all but a few, on odd N or tied data, miss a
-    # middle pair, so that a second pass reads it
+    # first brackets by the ranks (of N sorted pairs, middle k = N // 2) of
+    # their ends: below the middle, ending at or starting at a middle pair,
+    # above it, and of one value; all but a few, on odd N or tied data, miss
+    # a middle pair, so that a later pass, with the side that missed
+    # widened, reads it
     @pytest.mark.parametrize("m", [363, 2000])
     @pytest.mark.parametrize("ends", [
         lambda k, N: (0, k // 2),
@@ -440,23 +441,62 @@ class TestBandwidth:
     def test_a_bracket_that_misses_the_middle_gives_the_same_median(self, m, ends, data, monkeypatch):
         pts = self._pooled(m, data)
         d = np.sort(pdist(pts, "sqeuclidean"))
-        lo, hi = d[list(ends(len(d) // 2, len(d)))]
-        monkeypatch.setattr(kernels, "_bracket", lambda pooled: (lo, hi))
+        first = tuple(d[list(ends(len(d) // 2, len(d)))])
+        widths = self._forced_bracket(first, monkeypatch)
         assert median_heuristic(pts) == float(np.median(pdist(pts)))
+        assert len(widths) > 1 or first[0] <= np.median(d) <= first[1]
 
-    # on two-valued points half the pairs are at one value and half at the
-    # other, which the bracket's ends count rather than keep
-    @pytest.mark.parametrize("data", ["scaled", "two_valued"])
-    def test_median_heuristic_holds_no_array_of_all_the_pairs(self, data):
-        pts = self._pooled(2000, data)
+    @staticmethod
+    def _forced_bracket(first, monkeypatch):
+        """Make ``first`` the first bracket, and the subsample's those after
+        it; the widths of each bracket taken are appended to the returned
+        list."""
+        taken, bracket = [], kernels._bracket
+
+        def forced(sample, widths):
+            taken.append(widths)
+            return first if widths == (1, 1) else bracket(sample, widths)
+
+        monkeypatch.setattr(kernels, "_bracket", forced)
+        return taken
+
+    @staticmethod
+    def _traced_median(pts):
+        """The median heuristic of pts, pooled from two halves, and the peak
+        of what it allocates beyond the pooled copy, under tracemalloc."""
         median_heuristic(pts[:10])  # loads the distance kernels
         tracemalloc.start()
         try:
-            median = median_heuristic(pts[:1000], pts[1000:])
+            median = median_heuristic(pts[: len(pts) // 2], pts[len(pts) // 2 :])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return median, peak - pts.nbytes
+
+    # on two-valued points half the pairs are at one value and half at the
+    # other, which the bracket's ends count rather than keep; the wide
+    # points' subsample is gathered in chunks
+    @pytest.mark.parametrize("data", ["scaled", "two_valued", "wide"])
+    def test_median_heuristic_holds_no_array_of_all_the_pairs(self, data):
+        if data == "wide":
+            pts = np.random.default_rng(3).standard_normal((2000, 200))
+        else:
+            pts = self._pooled(2000, data)
+        median, peak = self._traced_median(pts)
         # the 1999000 pairs of the 2000 pooled points take 16 MB
+        assert peak < 4e6
+        assert median == float(np.median(pdist(pts)))
+
+    # a first bracket just above the middle misses it below; only that side
+    # widens, so the second pass keeps about 5/64 of the pairs, not every
+    # pair below its upper end
+    def test_a_missed_bracket_holds_no_array_of_half_the_pairs(self, monkeypatch):
+        pts = self._pooled(2000, "scaled")
+        d = np.sort(pdist(pts, "sqeuclidean"))
+        k = len(d) // 2
+        widths = self._forced_bracket((d[k + 1], d[k + k // 32]), monkeypatch)
+        median, peak = self._traced_median(pts)
+        assert widths == [(1, 1), (4, 1)]
         assert peak < 4e6
         assert median == float(np.median(pdist(pts)))
 

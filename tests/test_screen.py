@@ -594,7 +594,8 @@ def test_rows_from_a_column_start_are_the_whole_rows_sliced(seed, n, d, which, l
 @pytest.mark.parametrize("stored", [False, True])
 def test_centred_side_rows_sum_to_zero(kind, text, stored):
     # HMH 1 = 0: each row of HAH and of HBH, evaluated or stored, sums to
-    # zero up to the roundoff of n terms of the size of M's entries
+    # zero up to the roundoff of n terms of the size of M's entries; c is 1
+    # or -1/2, so dividing c C's sums by it gives C's bits
     n = 250
     obj = _spec(kind, text)[kind]
     x = _sample(13, n, 2, 0.0)[0]
@@ -602,7 +603,7 @@ def test_centred_side_rows_sum_to_zero(kind, text, stored):
     inner = estimators._CenteredInner(*(estimators._Side(obj, x, stored=stored) for _ in "ab"))
     largest = np.abs((distance_matrix if distance else gram_matrix)(obj, x)).max()
     for side, w in zip((inner._a, inner._b), inner._w):
-        sums = np.array([estimators._centred_row(side, w, j).sum() for j in range(n)])
+        sums = np.array([estimators._centred_row(side, w, j).sum() / side.c for j in range(n)])
         assert np.abs(sums).max() <= 8 * n * np.finfo(float).eps * largest
 
 
