@@ -45,6 +45,8 @@ for the estimators and for the exact oracle (:mod:`metricdep.oracle`), and
   there or up front (below n = 200, on explicit matrices, and for a side
   built on the linear kernel).
 
+Before any route, :func:`_prepare` decides a constant side, whose every
+value is exactly 0.0: no kernel entry is evaluated and no memory checked.
 Memory is checked only where an array that grows faster than n is
 allocated (see :func:`_check_memory`): a statistic that stores nothing is
 never refused.
@@ -281,8 +283,7 @@ class _CrossCov(_Prepared):
         p, q = fx.shape[1], fy.shape[1]
         # indices, gathered features and, for the norm, C_pi
         self.perm_bytes = 8 * (self.n * (1 + q) + (0 if trace else p * q))
-        # a constant side's centred features are 0, as in exact arithmetic
-        self._xc, self._yc = (np.zeros_like(f) if _constant(f) else f - f.mean(axis=0) for f in (fx, fy))
+        self._xc, self._yc = fx - fx.mean(axis=0), fy - fy.mean(axis=0)
         self._trace = trace
         self._scale = scale
 
@@ -294,11 +295,6 @@ class _CrossCov(_Prepared):
             return np.einsum("bnq,nq->b", yp, self._xc) / self.n
         c = self._xc.T @ yp / self.n
         return self._scale * np.einsum("bpq,bpq->b", c, c)
-
-
-def _constant(pts):
-    """Whether all points of a side are equal."""
-    return bool((pts == pts[0]).all())
 
 
 def _c(obj):
@@ -314,22 +310,19 @@ class _PairedTrace(_Prepared):
     alone, and the grand mean is read once, in row blocks."""
 
     def __init__(self, obj, x, y):
-        self._obj, self._x, self._y = obj, obj.coerce(x), obj.coerce(y)
-        n = self.n = len(self._x)
+        self._obj, self._x, self._y = obj, x, y
+        n = self.n = len(x)
         # indices of both sides, their gathered points and difference, and
         # the n paired values
-        self.perm_bytes = 8 * n * (3 + 3 * (self._x.size // n))
-        self._grand = sum(obj.pairwise(self._x[i:j], self._y).sum() for i, j in _row_blocks(n, n)) / n**2
-        # a constant side makes the paired mean of every re-pairing the
-        # grand mean, so every value is 0 in exact arithmetic, and here
-        self._c = 0.0 if _constant(self._x) or _constant(self._y) else _c(obj)
+        self.perm_bytes = 8 * n * (3 + 3 * (x.size // n))
+        self._grand = sum(obj.pairwise(x[i:j], y).sum() for i, j in _row_blocks(n, n)) / n**2
 
     def permuted(self, perms):
         b, n = perms.shape
         # x stacked b times (an explicit matrix's points are 1-d indices)
         xs, ys = np.tile(self._x, (b, 1)[: self._x.ndim]), self._y.take(perms.ravel(), 0)
         k = self._obj.paired(xs, ys)
-        return self._c * (k.reshape(b, n).mean(axis=1) - self._grand)
+        return _c(self._obj) * (k.reshape(b, n).mean(axis=1) - self._grand)
 
 
 def _dot(u, v):
@@ -388,18 +381,13 @@ class _Side:
     shifts them alike.  A side not built on the linear kernel computes each
     entry from its two points alone, so both give the same bits.  Only
     ``store`` does work when a side is built; an evaluated side's first
-    pass is its first read.  A constant side's rows are zeros and it
-    stores nothing.
+    pass is its first read.
     """
 
     def __init__(self, obj, pts, stored=False):
         self.n = len(pts)
         self.c = _c(obj)
         self._pts = pts
-        # a constant side's M is constant, so its M' is 0 in exact
-        # arithmetic, and here; a matrix product need not give equal rows
-        # equal bits
-        self._constant = _constant(pts)
         self._evaluate = partial(matrix_rows, obj, distance=self.c < 0)
         self._build = partial(distance_matrix if self.c < 0 else gram_matrix, obj, pts)
         self._matrix = self._u = None
@@ -411,8 +399,6 @@ class _Side:
         return self._matrix is not None
 
     def rows(self, i, j, perm=None, start=0):
-        if self._constant:
-            return np.zeros((j - i, self.n - start))
         if self._matrix is not None:
             if perm is None:
                 return np.ascontiguousarray(self._matrix[i:j, start:])
@@ -458,7 +444,7 @@ class _Side:
         """Build M, unless it is built, once the two n x n matrices pass
         :func:`_check_memory`, and shift it if u is set; an allocation that
         fails all the same is an :class:`InputError` that names n."""
-        if self._matrix is None and not self._constant:
+        if self._matrix is None:
             _check_memory(self.n, _NXN_ARRAYS * self.n**2, "n x n matrices")
             try:
                 self._matrix = self._build()
@@ -580,8 +566,6 @@ class _CenteredInner(_Prepared):
     so no bit depends on the BLAS thread count.  A' is near HAH, so r_a and
     S_a are small and the three terms cancel little; the constant shift of
     B costs one operation an entry where A's costs two.
-    A constant side's M' is exactly 0 (see :class:`_Side`), and then every
-    value is exactly 0.
 
     With ``screen``, the levels screen through low-rank factors of both
     centred sides.  The factors' rows are those of A' and B' centred by
@@ -686,13 +670,15 @@ class _CenteredInner(_Prepared):
         self._a, self._b = a, b
         self._factor = scale * a.c * b.c
         self._blocks = _row_blocks(n, n)
-        first = [side.rows(*self._blocks[0]) for side in (a, b)]
-        a.shift(first[0])
-        b.shift(first[1], rows=False)
+        rows = [side.rows(*self._blocks[0]) for side in (a, b)]
+        a.shift(rows[0])
+        b.shift(rows[1], rows=False)
         self._sums, self._diags, squares = np.zeros((2, n)), np.empty((2, n)), np.zeros(2)
         inner = 0.0
         for i, j in self._blocks:
-            rows = first if i == 0 else [a.rows(i, j, start=i), b.rows(i, j, start=i)]
+            # the first block, read to set the shifts, is released here once
+            # the second is read, not held through the screen's set-up
+            rows = rows if i == 0 else [a.rows(i, j, start=i), b.rows(i, j, start=i)]
             inner += _upper_dot(*rows, j - i)
             for k, side_rows in enumerate(rows):
                 self._sums[k, i:j] += side_rows.sum(axis=1)
@@ -909,18 +895,29 @@ def _read_specs(estimator, x, y, resolve, *, metric=None, kernel=None, metric_y=
     return _reduced(obj, x, trace), _reduced(obj_y, y, trace), trace, 4.0 if estimator == "dcov" else 1.0
 
 
+def _constant(pts):
+    """Whether all points of a side are equal."""
+    return bool((pts == pts[0]).all())
+
+
 def _prepare(estimator, x, y, *, permutations=0, **specs) -> _Prepared:
     """Read the specs (``metric``, ``kernel``, ``metric_y``, ``kernel_y``)
     by :func:`_read_specs`, resolving bandwidths on the sample, build what
-    the statistic needs for itself and ``permutations`` re-pairings, and
-    return it."""
+    the statistic needs for itself and ``permutations`` re-pairings from
+    each side's points, coerced once, and return it.  A constant is
+    independent of anything, so where either side's points are all equal
+    every value is exactly 0.0, from features of width 0, before any route
+    evaluates an entry or checks memory."""
     x, y = _paired(x, y)
     obj, obj_y, trace, scale = _read_specs(estimator, x, y, True, **specs)
+    x, y = obj.coerce(x), obj_y.coerce(y)
+    if _constant(x) or _constant(y):
+        return _CrossCov(np.zeros((len(x), 0)), np.zeros((len(y), 0)), trace, scale)
     # ||C_pi||^2 costs n p q per re-pairing against about 1.5 n^2 reads for
     # the n x n gather, so wide features take the n x n route; the switch is
     # cautious (3x faster here at p q = n)
     if _on_coordinates(obj) and _on_coordinates(obj_y) and (trace or _dim(x) * _dim(y) <= len(x)):
-        return _CrossCov(obj.coerce(x), obj_y.coerce(y), trace, scale)
+        return _CrossCov(x, y, trace, scale)
     if trace:
         return _PairedTrace(obj, x, y)
     n = len(x)

@@ -16,7 +16,7 @@ scipy is loaded where it is called, not with this module, and only its
 compiled distance kernels: the radial kernels and semimetrics (gaussian,
 matern, euclid2) evaluate squared distances by scipy's
 ``cdist_sqeuclidean`` in ``pairwise``, and :func:`median_heuristic` by its
-``pdist_sqeuclidean``, and beyond one row block by both.  These are the
+``pdist_sqeuclidean``, and beyond 724 pooled points by both.  These are the
 functions ``scipy.spatial.distance``'s ``cdist`` and ``pdist`` call for
 ``"sqeuclidean"``, so the bits are theirs; :func:`_distance_kernels` loads
 their extension module from its file, so ``scipy.spatial``'s package
@@ -608,7 +608,7 @@ def _blocked_order_statistics(pooled, ranks):
             for d in (distances.pdist_sqeuclidean(block), distances.cdist_sqeuclidean(block, pooled[j:]).ravel()):
                 up = d >= lo
                 below += d.size - np.count_nonzero(up)
-                d = d[np.flatnonzero(up & (d <= hi))]
+                d = d.compress(np.logical_and(up, d <= hi, out=up))
                 on_lo, on_hi = d == lo, d == hi
                 at_lo += np.count_nonzero(on_lo)
                 at_hi += np.count_nonzero(on_hi & ~on_lo)
@@ -631,10 +631,12 @@ def median_heuristic(*samples, max_points: int = 2000) -> float:
     the computation cheap while staying deterministic.  Falls back to 1.0
     when the median distance is zero (degenerate data).
 
-    Where one row block of about ``_BLOCK_BYTES`` holds every pair (up to
-    362 pooled points) the squared distances are one ``pdist``; beyond, they
-    are read in row blocks and only those near the median are kept (see
-    :func:`_blocked_order_statistics`), so no array of all the pairs is held.
+    Where the pairs' squared distances take at most two row blocks, 2
+    ``_BLOCK_BYTES`` (up to 724 pooled points), they are one ``pdist``;
+    beyond, they are read in row blocks and only those near the median are
+    kept (see :func:`_blocked_order_statistics`), so no array of all the
+    pairs is held.  Below that size the blocked read, with its subsample,
+    holds about as much as one ``pdist``.
     """
     pooled = np.vstack([as_points(s) for s in samples])
     if pooled.shape[0] > max_points:
@@ -649,7 +651,7 @@ def median_heuristic(*samples, max_points: int = 2000) -> float:
     # (finite points give no NaN)
     pairs = m * (m - 1) // 2
     ranks = (pairs // 2,) if pairs % 2 else (pairs // 2 - 1, pairs // 2)
-    if len(_row_blocks(m, m)) == 1:
+    if 8 * pairs <= 2 * _BLOCK_BYTES:
         # the squared distances are a temporary, so the selection may
         # reorder them in place
         middle = _selected(_distance_kernels().pdist_sqeuclidean(pooled), ranks)

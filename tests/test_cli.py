@@ -599,7 +599,8 @@ class TestSignedZero:
         ],
     )
     def test_a_zero_statistic_prints_as_plus_zero(self, runner, tmp_path, command, args):
-        # a constant x makes mcov -1/2 times an exact 0.0
+        # a constant x is decided before any route, and its 0.0 prints
+        # without a sign
         path = tmp_path / "constant_x.csv"
         path.write_text("x_1,y_1\n0,0\n0,1\n")
         result = runner.invoke(main, [*command, "--input", str(path), *args])

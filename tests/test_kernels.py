@@ -414,22 +414,32 @@ class TestBandwidth:
             pts = np.sign(pts[:, :1])
         return pts
 
-    # 363 pooled points take two row blocks, the fewest that are read in
-    # blocks; 363 and 1999 points give an odd number of pairs, 364 and 2000
-    # an even one
-    @pytest.mark.parametrize("m", [363, 364, 1999, 2000])
+    # up to 724 pooled points, whose 261726 pairs fit in two row blocks,
+    # the squared distances are one pdist; from 725 on they are read in row
+    # blocks; 723, 726 and 1999 points give an odd number of pairs, 724,
+    # 725 and 2000 an even one
+    @pytest.mark.parametrize("m", [723, 724, 725, 726, 1999, 2000])
     @pytest.mark.parametrize("data", ["scaled", "tied", "half_constant", "two_valued"])
-    def test_median_heuristic_read_in_row_blocks_is_np_median(self, m, data):
-        assert len(kernels._row_blocks(m, m)) > 1 and len(kernels._row_blocks(362, 362)) == 1
+    def test_median_heuristic_read_in_row_blocks_is_np_median(self, m, data, monkeypatch):
+        blocked, read = [], kernels._blocked_order_statistics
+
+        def counted(pooled, ranks):
+            blocked.append(len(pooled))
+            return read(pooled, ranks)
+
+        monkeypatch.setattr(kernels, "_blocked_order_statistics", counted)
         pts = self._pooled(m, data)
-        assert median_heuristic(pts) == float(np.median(pdist(pts)))
+        med = float(np.median(pdist(pts)))
+        # two-valued points of some sizes have more pairs at 0 than at 2
+        assert median_heuristic(pts) == (med if med > 0 else 1.0)
+        assert blocked == ([m] if m > 724 else [])
 
     # first brackets by the ranks (of N sorted pairs, middle k = N // 2) of
     # their ends: below the middle, ending at or starting at a middle pair,
     # above it, and of one value; all but a few, on odd N or tied data, miss
     # a middle pair, so that a later pass, with the side that missed
     # widened, reads it
-    @pytest.mark.parametrize("m", [363, 2000])
+    @pytest.mark.parametrize("m", [725, 2000])
     @pytest.mark.parametrize("ends", [
         lambda k, N: (0, k // 2),
         lambda k, N: (k // 2, k - 1),

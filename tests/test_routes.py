@@ -547,3 +547,26 @@ def test_a_constant_side_of_several_coordinates_gives_exactly_zero(estimator, sp
     for x, y in ((constant, varied), (varied, constant)):
         result = permutation_test(x, y, estimator, B=19, **spec)
         assert result.statistic == 0.0 and result.p_value == 1.0
+
+
+@pytest.mark.parametrize("estimator,spec", CONSTANT_SIDE_SPECS)
+@pytest.mark.parametrize("n", [12, 300])
+def test_a_constant_side_evaluates_no_entry_and_takes_no_memory_check(estimator, spec, n, monkeypatch):
+    # a constant side is decided before any route, so no kernel or
+    # semimetric is evaluated at the points and nothing is refused for
+    # memory, even with no memory at all
+    calls = []
+    for cls in (kernels._Radial, LinearKernel, kernels.DistanceInducedKernel,
+                kernels.KernelInducedSemimetric, ExplicitSemimetric):
+        def counted(self, xs, ys, pairwise=cls.pairwise):
+            calls.append(len(xs))
+            return pairwise(self, xs, ys)
+
+        monkeypatch.setattr(cls, "pairwise", counted)
+    monkeypatch.setattr(estimators, "_physical_memory", lambda: 0)
+    constant = np.full((n, 2), 0.7)
+    varied = np.random.default_rng(8).standard_normal((n, 2))
+    for x, y in ((constant, varied), (varied, constant)):
+        result = permutation_test(x, y, estimator, B=19, seed=4, **spec)
+        assert result.statistic == 0.0 and result.p_value == 1.0
+    assert calls == []

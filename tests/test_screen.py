@@ -164,17 +164,30 @@ def test_near_ties_are_recomputed(estimator, kind, text, c, seed):
     assert _counts(every_level, perms, 300) == _counts(inner, perms, 300)
 
 
+def _flat(pts, at=0.0):
+    """Points ``at`` plus 1e-10 times ``pts``: not all equal, but a gaussian
+    of bandwidth near 1 or more rounds every entry of their Gram matrix to
+    exactly 1.0, so that the matrix is constant, as a constant side's is;
+    a constant side itself is decided before any route."""
+    flat = at + 1e-10 * pts
+    assert not estimators._constant(flat)
+    return flat
+
+
 @pytest.mark.parametrize("constant", ["x", "y", "both"])
-def test_a_constant_side_has_a_rank_zero_factor(constant):
+def test_a_side_with_a_constant_matrix_has_a_rank_zero_factor(constant):
     n = 40
     x, y = _sample(8, n, 1, 0.5)
     if constant in ("x", "both"):
-        x = np.zeros_like(x)
+        x = _flat(x)
     if constant in ("y", "both"):
-        y = np.ones_like(y)
+        y = _flat(y, 1.0)
+    for pts, side in ((x, "x"), (y, "y")):
+        assert (gram_matrix(GaussianKernel(1.0), pts) == 1.0).all() == (constant in (side, "both"))
     inner = estimators._prepare("hsic", x, y, kernel=GaussianKernel(1.0))
     screened = _screened(x, y, "hsic", dict(kernel=GaussianKernel(1.0)), 1.0)
-    assert screened._levels
+    ft, g, _ = screened._levels[0]
+    assert (len(ft) == 0) == (constant != "y") and (g.shape[1] == 0) == (constant != "x")
     perms = np.vstack(list(estimators._permutation_batches(8, n, 30, 30)))
     assert _counts(screened, perms, 7) == _counts(inner, perms, 30)
 
@@ -387,15 +400,22 @@ def test_every_sum_of_two_shifts_is_exact(power, spread, n, seed):
         assert np.array_equal(moved, u)
 
 
-def test_a_constant_side_whose_value_has_an_odd_last_bit_is_shifted_to_zero(monkeypatch):
-    # a scalar x against a y wider than n takes the n x n route under the
-    # linear kernel, whose Gram entry 1.1 * 1.1 = 1.2100000000000002 has an
-    # odd last mantissa bit; u is half of it, and u + u gives it back, so
-    # the shifted side is exactly 0, in one block or in blocks of one row
+def test_a_constant_matrix_whose_value_has_an_odd_last_bit_is_shifted_to_zero(monkeypatch):
+    # points (1.1, e_i), e_i near 1e-200, differ, but the linear kernel
+    # gives each pair 1.1 * 1.1 = 1.2100000000000002, as e_i e_j underflows
+    # to 0: an entry with an odd last mantissa bit.  u is half of it, which
+    # _summable keeps, and u + u gives it back, so the shifted side is
+    # exactly 0, in one block or in blocks of one row.  Against a y wider
+    # than n the sides take the n x n route.
     value = 1.1 * 1.1
     assert int(np.ldexp(np.frexp(value)[0], 53)) % 2 == 1
     n = 12
-    x, y = np.full((n, 1), 1.1), _sample(4, n, n + 1, 0.0)[0]
+    u = np.full(n, 0.5 * value)
+    assert np.array_equal(estimators._summable(u), u)
+    assert not estimators._less_outer_sum(np.full((n, n), value), u, u).any()
+    x, y = _sample(4, n, n + 1, 0.0)
+    x = np.hstack([np.full((n, 1), 1.1), 1e-200 * x[:, :1]])
+    assert not estimators._constant(x) and (gram_matrix(LinearKernel(), x) == value).all()
     for rows in (None, 1):
         if rows is not None:
             monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * n * rows)
@@ -719,15 +739,16 @@ def test_a_taken_screen_recomputes_from_the_points(estimator, spec, sample, monk
     (*HSIC_DCOV[1][:2], "y"),
 ])
 def test_a_zero_margin_decides_every_value(estimator, spec, constant, monkeypatch):
-    # a constant x makes HAH exactly 0, and a constant y B's distances: the
-    # margin is 0, every screen value and every exact value is exactly 0,
-    # and none reaches the exact route
+    # an x whose Gram matrix is constant makes HAH exactly 0, and a y whose
+    # induced distances are 0 makes B' 0: the margin is 0, every screen
+    # value and every exact value is exactly 0, and none reaches the exact
+    # route
     n = 300
     x, y = _sample(10, n, 1, 0.0)
     if constant == "x":
-        x = np.zeros_like(x)
+        x = _flat(x)
     else:
-        y = np.zeros_like(y)
+        y = _flat(y)
 
     def exact(*args, **kwargs):
         raise AssertionError("a value reached the exact route")
@@ -740,11 +761,11 @@ def test_a_zero_margin_decides_every_value(estimator, spec, constant, monkeypatc
     assert result.statistic == 0.0 and result.p_value == 1.0
 
 
-def test_a_constant_y_under_hsic_has_a_zero_margin(monkeypatch):
-    # a constant y's Gram matrix is shifted to exactly 0, as its distance
-    # matrix is under dcov, so no value reaches the exact route
+def test_a_y_with_a_constant_matrix_under_hsic_has_a_zero_margin(monkeypatch):
+    # a y whose Gram matrix is constant is shifted to exactly 0, as its
+    # distance matrix is under dcov, so no value reaches the exact route
     n = 300
-    x, y = _sample(10, n, 1, 0.0)[0], np.zeros((n, 1))
+    x, y = _sample(10, n, 1, 0.0)[0], _flat(_sample(11, n, 1, 0.0)[0])
 
     def exact(*args, **kwargs):
         raise AssertionError("a value reached the exact route")
