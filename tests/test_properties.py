@@ -187,8 +187,9 @@ def test_empirical_joint_matches_the_estimator_on_both_routes(seed, m, m2, p, n,
     with mock.patch.object(estimators, "_on_coordinates", lambda obj: False):
         nxn = estimators._prepare(estimator, x, y, **spec)
     if any(estimators._constant(side) for side in (x, y)):
-        # a one-point side is decided before any route: the zero statistic,
-        # features of width 0
+        # a constant side (a one-point support, or a sample of one point)
+        # is decided before any route: the zero statistic, on features of
+        # width 0
         assert all(type(p) is estimators._CrossCov and p._xc.shape[1] == 0 for p in (feature, nxn))
     else:
         assert isinstance(feature, estimators._CrossCov)
