@@ -46,10 +46,10 @@ for the estimators and for the exact oracle (:mod:`metricdep.oracle`), and
   built on the linear kernel).
 
 Before any route, :func:`_prepare` decides a constant side, whose every
-value is exactly 0.0: no kernel entry is evaluated and no memory checked.
-Memory is checked only where an array that grows faster than n is
-allocated (see :func:`_check_memory`): a statistic that stores nothing is
-never refused.
+value is exactly 0.0: no kernel entry is evaluated, no memory checked and
+no permutation drawn.  Memory is checked only where an array that grows
+faster than n is allocated (see :func:`_check_memory`): a statistic that
+stores nothing is never refused.
 """
 
 from __future__ import annotations
@@ -250,11 +250,13 @@ class _Prepared:
     statistics (screened ones only up to a margin, see :class:`_CenteredInner`);
     ``perm_bytes`` is the memory one permutation of a batch takes.
     ``observed`` goes through the same arithmetic with the identity, and is
-    returned through :func:`_finished`.
+    returned through :func:`_finished`.  ``decided`` holds where every value
+    is exactly 0.0, so that every re-pairing ties with the identity.
     """
 
     n: int
     perm_bytes: int
+    decided = False
 
     def permuted(self, perms: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -286,6 +288,7 @@ class _CrossCov(_Prepared):
         self._xc, self._yc = fx - fx.mean(axis=0), fy - fy.mean(axis=0)
         self._trace = trace
         self._scale = scale
+        self.decided = p * q == 0
 
     def permuted(self, perms):
         yp = self._yc.take(perms, 0)
@@ -1097,6 +1100,9 @@ def _permutation_test(x, y, estimator, *, B, seed, alternative=None, alpha=None,
 
     prepared = _prepare(estimator, x, y, permutations=B, **specs)
     observed = _finished(prepared.observed)
+    if prepared.decided:
+        # all B permutations tie: p = (1 + B) / (B + 1), drawing none
+        return TestResult(observed, 1.0, B, seed, estimator, alternative)
     size = max(1, _BATCH_BYTES // prepared.perm_bytes)
     if alpha is not None:
         size = min(size, _CURTAILED_PIECE)

@@ -21,15 +21,23 @@ Two dependent constructions are provided:
 Only :func:`norm_distribution_check` uses scipy (``scipy.stats.ks_2samp``),
 and it imports it when called, so the power studies never load
 ``scipy.stats``.
+
+A power study below n = 200 splits its replications into contiguous
+shares, one per usable core, and runs every share but the first in a
+forked process (see :func:`power_study`).  Each replication's decision is
+a function of its own substream, so the report does not depend on the
+split.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _check_integer, _check_seed, _document, _permutation_test, resolve_specs
+from .estimators import _SCREEN_MIN_N, _check_integer, _check_seed, _document, _permutation_test, resolve_specs
 from .kernels import InputError
 
 MIXTURE_MEANS_X = ((-1.0, 1.0), (1.0, -1.0))
@@ -208,6 +216,16 @@ def power_study(
     ``mcov`` with a kernel argument runs on the kernel's induced semimetric,
     which runs as ``mcov_trace`` under the kernel: the same code path, bit
     for bit.
+
+    Below n = 200 (``estimators._SCREEN_MIN_N``) the replications are split
+    into contiguous shares, one per core this process may run on (at most
+    ``reps``); the first share runs here and each other in a forked child.
+    Every share goes through the same per-replication function and the
+    counts are added, so the report is the serial loop's, bit for bit, and
+    so is an error: the earliest failing replication's.  With one core, or
+    where the platform cannot fork, the loop is serial.  From n = 200 on the
+    screen's matrix products run on BLAS threads, which a second process
+    would contend with, so the loop is serial there too.
     """
     reps = _check_integer("reps", reps)
     if reps < 1:
@@ -217,15 +235,22 @@ def power_study(
 
     kernel, metric = resolve_specs(estimator, kernel, metric)
     seed = _check_seed(seed)
-    rejections = 0
-    for rep in range(reps):
-        rng = np.random.Generator(np.random.Philox(key=[seed, rep]))
-        x, y = generate(scenario, n, rng, sigma)
-        result = _permutation_test(
-            x, y, estimator, metric=metric, kernel=kernel, B=B, seed=int(rng.integers(2**63)), alpha=alpha
-        )
-        rejections += result.p_value <= alpha
-    rate = rejections / reps
+
+    def rejections(share):
+        count = 0
+        for rep in share:
+            rng = np.random.Generator(np.random.Philox(key=[seed, rep]))
+            x, y = generate(scenario, n, rng, sigma)
+            result = _permutation_test(
+                x, y, estimator, metric=metric, kernel=kernel, B=B, seed=int(rng.integers(2**63)), alpha=alpha
+            )
+            count += result.p_value <= alpha
+        return count
+
+    # n is checked only where a replication draws, after the scenario's
+    # name, so the split reads it without refusing it
+    split = isinstance(n, (int, np.integer)) and n < _SCREEN_MIN_N
+    rate = _shared(rejections, reps, min(_cores(), reps) if split else 1) / reps
     return PowerReport(
         scenario=scenario,
         estimator=estimator,
@@ -239,3 +264,81 @@ def power_study(
         rejection_rate=rate,
         monte_carlo_se=float(np.sqrt(rate * (1.0 - rate) / reps)),
     )
+
+
+def _cores() -> int:
+    """The cores this process may run on, or 1 where it cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _shared(count, reps, shares: int) -> int:
+    """The sum of ``count(share)`` over ``shares`` contiguous shares of
+    ``range(reps)``, raising what ``count(range(reps))`` would raise.
+
+    The first share runs here and each other in a forked child, which
+    writes its count, or the exception it raised, to a pipe.  A share whose
+    child could not be started or wrote nothing runs here.  Every child is
+    waited for.  Shares are taken in order, so the exception raised is the
+    earliest share's, whose first failing replication is the earliest.
+    """
+    bounds = [reps * k // shares for k in range(shares + 1)]
+    parts = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    children = []
+    try:
+        for part in parts[1:]:
+            children.append(_forked(count, part))
+        total = count(parts[0])
+    finally:
+        results = [_collected(child) for child in children]
+    for part, result in zip(parts[1:], results):
+        if isinstance(result, BaseException):
+            raise result
+        total += count(part) if result is None else result
+    return total
+
+
+def _forked(count, part):
+    """A child's pid and the read end of the pipe it writes
+    ``count(part)`` to, or None where no child could be started."""
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            try:
+                result = count(part)
+            except BaseException as error:  # raised again by the parent
+                result = error
+            data = pickle.dumps(result)
+            # an exception that cannot be read back is left to the parent's rerun
+            pickle.loads(data)
+            with os.fdopen(write, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, read
+
+
+def _collected(child):
+    """What a child of :func:`_forked` wrote, once it has exited: its count,
+    its exception, or None if it wrote nothing whole."""
+    if child is None:
+        return None
+    pid, read = child
+    with os.fdopen(read, "rb") as pipe:
+        data = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    return pickle.loads(data) if os.waitstatus_to_exitcode(status) == 0 else None

@@ -570,3 +570,26 @@ def test_a_constant_side_evaluates_no_entry_and_takes_no_memory_check(estimator,
         result = permutation_test(x, y, estimator, B=19, seed=4, **spec)
         assert result.statistic == 0.0 and result.p_value == 1.0
     assert calls == []
+
+
+@pytest.mark.parametrize("estimator,spec", CONSTANT_SIDE_SPECS)
+@pytest.mark.parametrize("n", [12, 300])
+def test_a_constant_side_draws_no_permutation(estimator, spec, n, monkeypatch):
+    # every re-pairing ties with the observed 0.0, so p = 1 is known before
+    # any draw; a side that is not constant draws all B
+    batches, drawn = estimators._permutation_batches, []
+
+    def recording(*args):
+        for piece in batches(*args):
+            drawn.append(len(piece))
+            yield piece
+
+    monkeypatch.setattr(estimators, "_permutation_batches", recording)
+    constant = np.full((n, 2), 0.7)
+    varied = np.random.default_rng(9).standard_normal((n, 2))
+    for x, y in ((constant, varied), (varied, constant)):
+        result = permutation_test(x, y, estimator, B=19, seed=4, **spec)
+        assert result.statistic == 0.0 and result.p_value == 1.0 and result.permutations == 19
+    assert drawn == []
+    permutation_test(varied, varied[::-1], estimator, B=19, seed=4, **spec)
+    assert sum(drawn) == 19

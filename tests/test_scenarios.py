@@ -1,3 +1,6 @@
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from metricdep import (
     norm_distribution_check,
     permutation_test,
     power_study,
+    scenarios,
 )
 from metricdep.estimators import resolve_specs
 from metricdep.kernels import induced_semimetric
@@ -140,8 +144,8 @@ class TestPowerStudy:
         ]
 
     def test_deterministic_and_schedule_independent(self, monkeypatch):
-        from metricdep import scenarios
-
+        # one core, so that every replication is drawn, and recorded, here
+        monkeypatch.setattr(scenarios, "_cores", lambda: 1)
         kwargs = dict(alpha=0.2, reps=6, B=29, seed=42)
         generate, drawn = scenarios.generate, []
 
@@ -256,7 +260,9 @@ class TestPowerStudy:
 
     def test_replication_stops_once_it_cannot_reject(self, monkeypatch):
         # mcov of orthogonal_linear data under euclid2 is exactly 0 for every
-        # re-pairing, so the first 16 permutations already give p > alpha
+        # re-pairing, so the first 16 permutations already give p > alpha;
+        # one core, so that every replication draws, and records, here
+        monkeypatch.setattr(scenarios, "_cores", lambda: 1)
         batches, drawn = estimators._permutation_batches, []
 
         def recording(*args):
@@ -279,3 +285,115 @@ class TestPowerStudy:
             "coupled_mixture", "hsic", 60, alpha=0.05, reps=40, B=59, seed=5, sigma=50.0
         )
         assert report.rejection_rate <= 0.2
+
+
+def _replication(rng):
+    """The replication r a scenario draw's substream, keyed by (seed, r), is for."""
+    return int(rng.bit_generator.state["state"]["key"][1])
+
+
+class _UnreadableError(Exception):
+    """An error that pickles but cannot be read back: its class needs two arguments."""
+
+    def __init__(self, rep, note):
+        super().__init__(f"replication {rep}: {note}")
+
+
+class TestSharedReplications:
+    """A study below n = 200 shares its replications among the usable cores,
+    which tests set through ``scenarios._cores``."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_is_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def cores(monkeypatch, count):
+        monkeypatch.setattr(scenarios, "_cores", lambda: count)
+
+    @pytest.mark.parametrize("scenario", scenarios.SCENARIOS)
+    @pytest.mark.parametrize("estimator", ["mcov", "mcov_trace", "hsic", "dcov"])
+    def test_every_split_reports_the_serial_study(self, scenario, estimator, monkeypatch):
+        for reps in (1, 2, 3, 37):
+            reports = []
+            for count in (1, 2, 3):
+                self.cores(monkeypatch, count)
+                reports.append(power_study(scenario, estimator, 30, alpha=0.3, reps=reps, B=19, seed=reps))
+            assert reports[1] == reports[0] and reports[2] == reports[0]
+
+    @pytest.mark.parametrize("n, here", [(30, [0, 1]), (199, [0, 1]), (200, [0, 1, 2, 3])])
+    def test_the_first_share_runs_here_below_n_200(self, n, here, monkeypatch):
+        # what a child draws is not recorded here
+        drawn = []
+
+        def recording(scenario, n, rng, sigma):
+            drawn.append(_replication(rng))
+            return generate(scenario, n, rng, sigma)
+
+        self.cores(monkeypatch, 2)
+        monkeypatch.setattr(scenarios, "generate", recording)
+        power_study("independent_normal", "dcov", n, reps=4, B=1)
+        assert drawn == here
+
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("failing", [{5}, {5, 30}, {20, 30}, {30}, {13, 25}, {0, 12, 24}])
+    def test_the_earliest_failing_replication_raises(self, count, failing, monkeypatch):
+        # shares of 37 replications: 0-17 here and 18-36 in a child, or
+        # 0-11 here and 12-23 and 24-36 in children
+        def failing_generate(scenario, n, rng, sigma):
+            rep = _replication(rng)
+            if rep in failing:
+                raise InputError(f"replication {rep} cannot be drawn")
+            return generate(scenario, n, rng, sigma)
+
+        monkeypatch.setattr(scenarios, "generate", failing_generate)
+        errors = []
+        for cores in (1, count):
+            self.cores(monkeypatch, cores)
+            with pytest.raises(InputError) as raised:
+                power_study("coupled_mixture", "hsic", 30, reps=37, B=9)
+            errors.append(raised.value)
+        assert type(errors[1]) is type(errors[0]) and str(errors[1]) == str(errors[0])
+        assert str(errors[0]) == f"replication {min(failing)} cannot be drawn"
+
+    def test_an_error_that_cannot_be_read_back_is_raised_by_the_parent(self, monkeypatch):
+        def failing_generate(scenario, n, rng, sigma):
+            rep = _replication(rng)
+            if rep == 3:
+                raise _UnreadableError(rep, "two arguments")
+            return generate(scenario, n, rng, sigma)
+
+        self.cores(monkeypatch, 2)
+        monkeypatch.setattr(scenarios, "generate", failing_generate)
+        with pytest.raises(_UnreadableError, match="replication 3: two arguments"):
+            power_study("coupled_mixture", "hsic", 30, reps=4, B=9)
+
+    @pytest.mark.parametrize("end", ["exit", "kill", "no fork"])
+    def test_a_share_whose_child_writes_nothing_runs_here(self, end, monkeypatch):
+        parent = os.getpid()
+        test = scenarios._permutation_test
+
+        def ending_in_a_child(*args, **kwargs):
+            if os.getpid() != parent:
+                if end == "exit":
+                    os._exit(1)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return test(*args, **kwargs)
+
+        def no_fork():
+            raise OSError("no process can be started")
+
+        self.cores(monkeypatch, 1)
+        serial = power_study("coupled_mixture", "mcov", 30, alpha=0.3, reps=5, B=19, seed=2)
+        self.cores(monkeypatch, 3)
+        monkeypatch.setattr(scenarios, "_permutation_test", ending_in_a_child)
+        if end == "no fork":
+            monkeypatch.setattr(os, "fork", no_fork)
+        assert power_study("coupled_mixture", "mcov", 30, alpha=0.3, reps=5, B=19, seed=2) == serial
+
+    def test_the_cores_are_those_this_process_may_run_on(self, monkeypatch):
+        assert scenarios._cores() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert scenarios._cores() == 1
