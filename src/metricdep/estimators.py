@@ -1149,7 +1149,8 @@ def permutation_test(
     permuted by index, and permutation b draws from a
     counter-based substream of ``seed``, so the result is deterministic for
     fixed inputs no matter the execution order.  ``B`` and ``seed`` must be
-    Python or NumPy integers, not bools.  All B permutations run; a
+    Python or NumPy integers, not bools.  All B permutations run, unless a
+    constant side gives p = 1 before any draw; a
     :func:`~metricdep.scenarios.power_study` replication stops once its
     decision is fixed.  A screened hsic or dcov test (see the module
     docstring) makes every comparison with the observed statistic as the

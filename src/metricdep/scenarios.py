@@ -206,8 +206,8 @@ def power_study(
     stops after the first piece that already gives p > alpha (its
     exceedance count only grows), so every decision, and the report, is
     the one all B permutations would give, at a fraction of the cost under
-    the null; :func:`~metricdep.estimators.permutation_test` always runs
-    all B.  ``reps``, ``B`` and ``seed`` must be Python or NumPy integers,
+    the null; :func:`~metricdep.estimators.permutation_test` does not
+    curtail.  ``reps``, ``B`` and ``seed`` must be Python or NumPy integers,
     not bools.  Unresolved Gaussian bandwidths are frozen per replication by
     the median heuristic on the pooled draw, before any permutation.
 
