@@ -306,11 +306,18 @@ def _c(obj):
     return -0.5 if isinstance(obj, (EuclideanSquared, KernelInducedSemimetric, ExplicitSemimetric)) else 1.0
 
 
+def _matrix(obj, pts):
+    """The Gram matrix of a kernel on ``pts``, or the distance matrix of a
+    semimetric, as its :func:`_c` tells them apart."""
+    return (distance_matrix if _c(obj) < 0 else gram_matrix)(obj, pts)
+
+
 class _PairedTrace(_Prepared):
     """c (mean_i k(x_i, y_pi(i)) - mean_ij k(x_i, y_j)) for the kernel or
-    semimetric k of ``obj`` and its :func:`_c`, evaluated at the points: a
-    re-pairing costs n ``obj.paired`` values, each computed from its pair
-    alone, and the grand mean is read once, in row blocks."""
+    semimetric k of ``obj`` and its :func:`_c`, evaluated unchecked at the
+    points :func:`_prepare` coerced: a re-pairing costs n ``obj._paired``
+    values, each computed from its pair alone, and the grand mean is read
+    once, in row blocks."""
 
     def __init__(self, obj, x, y):
         self._obj, self._x, self._y = obj, x, y
@@ -318,13 +325,13 @@ class _PairedTrace(_Prepared):
         # indices of both sides, their gathered points and difference, and
         # the n paired values
         self.perm_bytes = 8 * n * (3 + 3 * (x.size // n))
-        self._grand = sum(obj.pairwise(x[i:j], y).sum() for i, j in _row_blocks(n, n)) / n**2
+        self._grand = sum(obj._pairwise(x[i:j], y).sum() for i, j in _row_blocks(n, n)) / n**2
 
     def permuted(self, perms):
         b, n = perms.shape
         # x stacked b times (an explicit matrix's points are 1-d indices)
         xs, ys = np.tile(self._x, (b, 1)[: self._x.ndim]), self._y.take(perms.ravel(), 0)
-        k = self._obj.paired(xs, ys)
+        k = self._obj._paired(xs, ys)
         return _c(self._obj) * (k.reshape(b, n).mean(axis=1) - self._grand)
 
 
@@ -377,14 +384,18 @@ class _Side:
     way H M' H = H M H.  ``rows(i, j)`` gives M'[i:j], and
     ``rows(i, j, perm)`` rows i:j of M'_pipi = M'[perm][:, perm], each from
     column ``start`` on, as one C-contiguous array.  A stored side takes
-    them from M, built once by ``gram_matrix`` or ``distance_matrix`` (with
-    ``stored``, or on a call of ``store``) and shifted in place, and gives
-    M'[i:j] as a view and a later start as a copy; any other side evaluates
-    them by ``matrix_rows`` at its points, re-paired by ``perm``, and
-    shifts them alike.  A side not built on the linear kernel computes each
-    entry from its two points alone, so both give the same bits.  Only
-    ``store`` does work when a side is built; an evaluated side's first
-    pass is its first read.
+    them from M, built once by :func:`_matrix` (with ``stored``, or on a
+    call of ``store``) and shifted in place, and gives M'[i:j] as a view and
+    a later start as a copy; any other side evaluates them by
+    ``matrix_rows`` at its points, re-paired by ``perm``, and shifts them
+    alike.  A side not built on the linear kernel computes each entry from
+    its two points alone, so both give the same bits.  Only ``store`` does
+    work when a side is built; an evaluated side's first pass is its first
+    read.
+
+    ``pts`` are points that ``obj.coerce`` gave, as :func:`_prepare` passes
+    them: they are checked there, once, and ``matrix_rows`` evaluates them
+    unchecked.
     """
 
     def __init__(self, obj, pts, stored=False):
@@ -392,7 +403,7 @@ class _Side:
         self.c = _c(obj)
         self._pts = pts
         self._evaluate = partial(matrix_rows, obj, distance=self.c < 0)
-        self._build = partial(distance_matrix if self.c < 0 else gram_matrix, obj, pts)
+        self._build = partial(_matrix, obj, pts)
         self._matrix = self._u = None
         if stored:
             self.store()
@@ -713,11 +724,6 @@ class _CenteredInner(_Prepared):
         sums r."""
         return [mu - 0.5 * mu.mean() for mu in self._sums / self.n]
 
-    def _store(self):
-        """Store both sides, each store checked for memory."""
-        self._a.store()
-        self._b.store()
-
     def _screen(self, s, norms):
         """Set up the screen of scale ``s``: the roundoff of its margins, the
         factorisations, and its first level."""
@@ -753,7 +759,8 @@ class _CenteredInner(_Prepared):
         if not grown:
             self._levels, self._factors, self._rotated, self._final = [], None, None, True
             self._start, self._decided = 0, []
-            self._store()
+            self._a.store()
+            self._b.store()
             return False
         self._final = all(factor.complete and factor.rank <= k for factor in self._factors)
         self._levels.append(level)

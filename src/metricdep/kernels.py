@@ -23,6 +23,16 @@ their extension module from its file, so ``scipy.spatial``'s package
 (kd-trees, qhull, ``scipy.sparse``, ``scipy.linalg``) is never imported.
 A process that evaluates neither, such as one on the feature route, loads
 no scipy.
+
+Points are checked once, where they enter.  The public ``pairwise`` and
+``paired``, defined once on ``_OnVectors``, coerce both sides by the
+object's ``coerce`` (finite coordinates, or integer indices in range for
+an explicit matrix) and refuse sides of different dimensions;
+:func:`gram_matrix`, :func:`distance_matrix` and :func:`median_heuristic`
+coerce their points once, and the estimators coerce each side once, in
+``estimators._prepare``.  Every evaluation past that point, an induced
+form's call on its base included, runs unchecked by ``_pairwise`` and
+``_paired``.
 """
 
 from __future__ import annotations
@@ -108,8 +118,19 @@ def _as_single(x) -> np.ndarray:
     return a[None, :]
 
 
+def _matching(*point_sets):
+    """Coerced point sets, refused unless they share a dimension; an
+    explicit matrix's indices have none."""
+    for pts in point_sets[1:]:
+        if pts.shape[1:] != point_sets[0].shape[1:]:
+            raise InputError(f"dimension mismatch between points: {point_sets[0].shape[1]} vs {pts.shape[1]}")
+    return point_sets
+
+
 class _OnVectors:
-    """Point handling shared by the kernels and semimetrics on R^p."""
+    """Point handling shared by the kernels and semimetrics: ``pairwise``
+    and ``paired`` check both sides (see the module docstring) and evaluate
+    them by the class's unchecked ``_pairwise`` and ``_paired``."""
 
     def one(self, x):
         return _as_single(x)
@@ -117,26 +138,27 @@ class _OnVectors:
     def coerce(self, pts):
         return as_points(pts)
 
-    def _pair(self, xs, ys):
-        xs, ys = self.coerce(xs), self.coerce(ys)
-        if xs.shape[1] != ys.shape[1]:
-            raise InputError(f"dimension mismatch between points: {xs.shape[1]} vs {ys.shape[1]}")
-        return xs, ys
+    def pairwise(self, xs, ys):
+        """The values at (xs[i], ys[j]), one row per point of xs."""
+        return self._pairwise(*_matching(self.coerce(xs), self.coerce(ys)))
+
+    def paired(self, xs, ys):
+        """The values at the pairs (xs[i], ys[i]), row by row; a single
+        point on either side pairs with every point of the other."""
+        return self._paired(*_matching(self.coerce(xs), self.coerce(ys)))
 
 
 class _Radial(_OnVectors):
     """A kernel or semimetric f(||x - y||^2); each class supplies only its
     ``profile`` f, which may overwrite its argument."""
 
-    def pairwise(self, xs, ys):
+    def _pairwise(self, xs, ys):
         # the function cdist(xs, ys, "sqeuclidean") calls
-        return self.profile(_distance_kernels().cdist_sqeuclidean(*self._pair(xs, ys)))
+        return self.profile(_distance_kernels().cdist_sqeuclidean(xs, ys))
 
-    def paired(self, xs, ys):
-        """The values at the pairs (xs[i], ys[i]), row by row; a single
-        point on either side pairs with every point of the other."""
+    def _paired(self, xs, ys):
         # column-major, the sum runs over the coordinates in order, as cdist's
-        d = np.subtract(*self._pair(xs, ys), order="F")
+        d = np.subtract(xs, ys, order="F")
         return self.profile(np.square(d, out=d).sum(axis=1))
 
 
@@ -148,12 +170,11 @@ class _Radial(_OnVectors):
 class LinearKernel(_OnVectors):
     """k(x, y) = <x, y>."""
 
-    def pairwise(self, xs, ys):
-        xs, ys = self._pair(xs, ys)
+    def _pairwise(self, xs, ys):
         return xs @ ys.T
 
-    def paired(self, xs, ys):
-        return np.einsum("ij,ij->i", *self._pair(xs, ys))
+    def _paired(self, xs, ys):
+        return np.einsum("ij,ij->i", xs, ys)
 
     @property
     def spec(self):
@@ -225,7 +246,7 @@ class MaternKernel(_Radial):
 
 
 @dataclass(frozen=True, eq=False)
-class DistanceInducedKernel:
+class DistanceInducedKernel(_OnVectors):
     """Kernel built from a negative-type semimetric with an anchor point:
 
         k(x, y) = (d2(x, w) + d2(y, w) - d2(x, y)) / 2
@@ -251,17 +272,16 @@ class DistanceInducedKernel:
         return self.base.coerce(pts)
 
     def _to_anchor(self, xs):
-        """d2(x, w) for each point x, which is exactly 0 at x = w."""
-        return self.base.paired(xs, self._anchor_row(xs))
+        """d2(x, w) for each point x, which is exactly 0 at x = w; an anchor
+        of another dimension than the points is refused."""
+        return self.base._paired(*_matching(xs, self._anchor_row(xs)))
 
-    def pairwise(self, xs, ys):
-        xs, ys = self.base.coerce(xs), self.base.coerce(ys)
-        d = self.base.pairwise(xs, ys)
+    def _pairwise(self, xs, ys):
+        d = self.base._pairwise(xs, ys)
         return 0.5 * (self._to_anchor(xs)[:, None] + self._to_anchor(ys)[None, :] - d)
 
-    def paired(self, xs, ys):
-        xs, ys = self.base.coerce(xs), self.base.coerce(ys)
-        d = self.base.paired(xs, ys)
+    def _paired(self, xs, ys):
+        d = self.base._paired(xs, ys)
         return 0.5 * (self._to_anchor(xs) + self._to_anchor(ys) - d)
 
     @property
@@ -300,10 +320,12 @@ class KernelInducedSemimetric(_OnVectors):
     def one(self, x):
         return self.base.one(x)
 
-    def pairwise(self, xs, ys):
-        xs, ys = self._pair(xs, ys)
+    def coerce(self, pts):
+        return self.base.coerce(pts)
+
+    def _pairwise(self, xs, ys):
         k = self.base
-        out = k.paired(xs, xs)[:, None] + k.paired(ys, ys)[None, :] - 2.0 * k.pairwise(xs, ys)
+        out = k._paired(xs, xs)[:, None] + k._paired(ys, ys)[None, :] - 2.0 * k._pairwise(xs, ys)
         # PSD of the kernel makes this >= 0 up to roundoff
         out = np.maximum(out, 0.0)
         # d2(x, x) = 0 holds algebraically; pin it down where the diagonal
@@ -312,11 +334,10 @@ class KernelInducedSemimetric(_OnVectors):
             np.fill_diagonal(out, 0.0)
         return out
 
-    def paired(self, xs, ys):
-        xs, ys = self._pair(xs, ys)
+    def _paired(self, xs, ys):
         k = self.base
         # k(x, x) + k(x, x) - 2 k(x, x) is exactly 0
-        return np.maximum(k.paired(xs, xs) + k.paired(ys, ys) - 2.0 * k.paired(xs, ys), 0.0)
+        return np.maximum(k._paired(xs, xs) + k._paired(ys, ys) - 2.0 * k._paired(xs, ys), 0.0)
 
     @property
     def spec(self):
@@ -324,7 +345,7 @@ class KernelInducedSemimetric(_OnVectors):
 
 
 @dataclass(frozen=True, eq=False)
-class ExplicitSemimetric:
+class ExplicitSemimetric(_OnVectors):
     """A user-supplied square distance matrix; points are row indices.
 
     The matrix must be of negative type.  Unlike the vector semimetrics it
@@ -375,12 +396,11 @@ class ExplicitSemimetric:
             )
         return idx.astype(np.intp)
 
-    def pairwise(self, xs, ys):
-        xs, ys = self.coerce(xs), self.coerce(ys)
+    def _pairwise(self, xs, ys):
         return self.matrix[np.ix_(xs, ys)]
 
-    def paired(self, xs, ys):
-        return self.matrix[self.coerce(xs), self.coerce(ys)]
+    def _paired(self, xs, ys):
+        return self.matrix[xs, ys]
 
     @property
     def spec(self):
@@ -457,7 +477,8 @@ def _innermost(obj):
 
 
 def _symmetric(obj, pts):
-    """``obj.pairwise(pts, pts)`` filled into one array in row blocks of about
+    """``obj.pairwise(pts, pts)``, its points coerced once and evaluated
+    unchecked, filled into one array in row blocks of about
     ``_BLOCK_BYTES``, so that the temporaries of an evaluation are the size
     of a block rather than of the matrix; symmetrised where it is built on
     the linear kernel, whose matrix product rounds by the block's shape.
@@ -466,7 +487,7 @@ def _symmetric(obj, pts):
     pts = obj.coerce(pts)
     m = np.empty((len(pts), len(pts)))
     for i, j in _row_blocks(len(pts), len(pts)):
-        m[i:j] = obj.pairwise(pts[i:j], pts)
+        m[i:j] = obj._pairwise(pts[i:j], pts)
     return _symmetrise(m) if isinstance(_innermost(obj), LinearKernel) else m
 
 
@@ -488,7 +509,7 @@ def distance_matrix(metric, pts) -> np.ndarray:
 def matrix_rows(obj, pts, i, j, distance=False, start=0) -> np.ndarray:
     """Rows i:j of the Gram matrix of ``obj`` on ``pts``, or of its distance
     matrix with ``distance``, from column ``start`` on, evaluated by one
-    ``pairwise`` call.
+    unchecked ``_pairwise`` call: ``pts`` are points ``obj.coerce`` gave.
 
     Where ``pairwise`` computes each entry from its two points alone and
     symmetrically, as every kernel and semimetric not built on the linear
@@ -496,7 +517,7 @@ def matrix_rows(obj, pts, i, j, distance=False, start=0) -> np.ndarray:
     :func:`distance_matrix` bit for bit.  The linear kernel's matrix
     product, and what is induced from it, rounds by the block's shape.
     """
-    rows = obj.pairwise(pts[i:j], pts[start:])
+    rows = obj._pairwise(pts[i:j], pts[start:])
     return _as_distances(rows, i - start) if distance else rows
 
 
@@ -638,7 +659,7 @@ def median_heuristic(*samples, max_points: int = 2000) -> float:
     pairs is held.  Below that size the blocked read, with its subsample,
     holds about as much as one ``pdist``.
     """
-    pooled = np.vstack([as_points(s) for s in samples])
+    pooled = np.vstack(_matching(*(as_points(s) for s in samples)))
     if pooled.shape[0] > max_points:
         step = pooled.shape[0] / max_points
         pooled = pooled[(np.arange(max_points) * step).astype(int)]

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _c, _finished, _read_specs
-from .kernels import InputError, as_points, distance_matrix, gram_matrix, induced_kernel
+from .estimators import _c, _finished, _matrix, _read_specs
+from .kernels import InputError, as_points, gram_matrix, induced_kernel
 from .scenarios import _rng
 
 _EIG_CUTOFF = 1e-12  # relative to the largest eigenvalue
@@ -166,12 +166,6 @@ def product_joint(support_x, px, support_y, py) -> DiscreteJoint:
 def _weights(joint: DiscreteJoint) -> np.ndarray:
     """The centred joint W = P - px py'; its rows and columns sum to zero."""
     return joint.probs - np.outer(joint.px, joint.py)
-
-
-def _matrix(obj, pts):
-    """The Gram matrix of a kernel on ``pts``, or the distance matrix of a
-    semimetric."""
-    return (distance_matrix if _c(obj) < 0 else gram_matrix)(obj, pts)
 
 
 def _exact(estimator, joint: DiscreteJoint, **specs) -> float:

@@ -242,8 +242,9 @@ class TestMemory:
         def fail(*args, **kwargs):
             raise AssertionError("a matrix entry was evaluated")
 
+        # the routes evaluate their coerced points by the unchecked _pairwise
         for cls in (LinearKernel, EuclideanSquared, GaussianKernel):
-            monkeypatch.setattr(cls, "pairwise", fail)
+            monkeypatch.setattr(cls, "_pairwise", fail)
 
     @pytest.mark.usefixtures("no_pairwise")
     @pytest.mark.parametrize("command", [["compute"], ["test", "--B", "9"]])

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -148,8 +149,12 @@ class TestInducedKernel:
 
     def test_anchor_dimension_mismatch(self):
         k = induced_kernel(EuclideanSquared(), [1.0, 2.0, 3.0])
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^dimension mismatch between points: 1 vs 3$"):
             kernel_eval(k, [1.0], [2.0])
+        # the Gram matrix evaluates its points unchecked once coerced, and
+        # still refuses the anchor
+        with pytest.raises(InputError, match="^dimension mismatch between points: 1 vs 3$"):
+            gram_matrix(k, [1.0, 2.0])
 
 
 def _paired_objects(d, rng):
@@ -169,14 +174,19 @@ def _paired_objects(d, rng):
         induced_semimetric(induced_kernel(induced_semimetric(MaternKernel(1.5, 1.0)), anchor)),
         explicit,
         induced_kernel(explicit),
+        induced_semimetric(induced_kernel(explicit)),
     ]
 
 
 PAIRED_CLASSES = len(_paired_objects(1, np.random.default_rng(0)))
 
 
+def _on_indices(obj):
+    return isinstance(kernels._innermost(obj), ExplicitSemimetric)
+
+
 def _paired_points(obj, n, d, rng, scale):
-    if isinstance(getattr(obj, "base", obj), ExplicitSemimetric):
+    if _on_indices(obj):
         return rng.integers(0, 12, n), rng.integers(0, 12, n)
     return scale * rng.standard_normal((n, d)), scale * rng.standard_normal((n, d))
 
@@ -230,6 +240,49 @@ class TestPaired:
         repeated = np.repeat(ys[:1], 10, axis=0)
         assert np.array_equal(obj.paired(xs, ys[:1]), obj.paired(xs, repeated))
         assert np.array_equal(obj.paired(ys[:1], xs), obj.paired(repeated, xs))
+
+
+def _refusals(obj, rng):
+    """Points ``obj`` takes, of dimension 2 or indices of its 12 x 12
+    matrix, and bad ones, each with the messages it is refused with as the
+    first and as the second side."""
+    empty = ("empty point set",) * 2
+    if _on_indices(obj):
+        out_of_range = "index out of range for explicit 12x12 matrix, rows 0 to 11: "
+        return np.array([3, 0, 11]), [
+            ([0, 12], (out_of_range + "[0, 12]",) * 2),
+            (np.array([-1, 5]), (out_of_range + "[-1, 5]",) * 2),
+            ([0.0, 0.5], ("points of an explicit semimetric are integer indices",) * 2),
+            (np.zeros(0, dtype=int), empty),
+        ]
+    good = rng.standard_normal((3, 2))
+    return good, [
+        (np.array([[0.0, np.nan], [1.0, 2.0]]), ("point coordinates must be finite",) * 2),
+        (np.array([[0.0, 1.0], [-np.inf, 2.0]]), ("point coordinates must be finite",) * 2),
+        (rng.standard_normal((3, 3)), ("dimension mismatch between points: 3 vs 2",
+                                       "dimension mismatch between points: 2 vs 3")),
+        (np.zeros((0, 2)), empty),
+        (np.zeros((2, 2, 2)), ("expected points as an (n, p) array, got shape (2, 2, 2)",) * 2),
+    ]
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("method", ["pairwise", "paired"])
+    @pytest.mark.parametrize("which", range(PAIRED_CLASSES))
+    def test_public_evaluations_refuse_bad_points(self, which, method):
+        # the public pairwise and paired of every class check both sides,
+        # an induced semimetric over an explicit matrix's kernel included,
+        # with the messages they always gave
+        rng = np.random.default_rng(300 + which)
+        obj = _paired_objects(2, rng)[which]
+        good, refusals = _refusals(obj, rng)
+        evaluate = getattr(obj, method)
+        assert np.all(np.isfinite(evaluate(good, good)))
+        for bad, (first, second) in refusals:
+            with pytest.raises(InputError, match="^" + re.escape(first) + "$"):
+                evaluate(bad, good)
+            with pytest.raises(InputError, match="^" + re.escape(second) + "$"):
+                evaluate(good, bad)
 
 
 class TestGramMatrix:
@@ -368,6 +421,13 @@ class TestBandwidth:
 
     def test_degenerate_data_falls_back(self):
         assert median_heuristic([[1.0], [1.0], [1.0]]) == 1.0
+
+    def test_samples_of_different_dimensions_are_refused(self):
+        message = "^dimension mismatch between points: 2 vs 3$"
+        with pytest.raises(InputError, match=message):
+            median_heuristic(np.zeros((3, 2)), np.ones((3, 3)))
+        with pytest.raises(InputError, match=message):
+            resolve_bandwidth(GaussianKernel(), np.zeros((3, 2)), np.ones((3, 3)))
 
     @pytest.mark.parametrize("m", [2, 5, 6, 7, 40, 41])
     def test_median_sorted_in_place_is_the_median_of_a_copy(self, m):

@@ -354,7 +354,7 @@ class TestMemoryBudget:
 
         n = 300
         x, y = _sample(13, n, 2)
-        monkeypatch.setattr(GaussianKernel, "pairwise", fail)
+        monkeypatch.setattr(GaussianKernel, "_pairwise", fail)
         monkeypatch.setattr(estimators, "_physical_memory", lambda: 12 * n * n)
         with pytest.raises(InputError, match=r"n = 300 needs about .* for n x n matrices"):
             hsic_vstat(x, y, GaussianKernel(1.0), LIN)
@@ -558,11 +558,11 @@ def test_a_constant_side_evaluates_no_entry_and_takes_no_memory_check(estimator,
     calls = []
     for cls in (kernels._Radial, LinearKernel, kernels.DistanceInducedKernel,
                 kernels.KernelInducedSemimetric, ExplicitSemimetric):
-        def counted(self, xs, ys, pairwise=cls.pairwise):
+        def counted(self, xs, ys, pairwise=cls._pairwise):
             calls.append(len(xs))
             return pairwise(self, xs, ys)
 
-        monkeypatch.setattr(cls, "pairwise", counted)
+        monkeypatch.setattr(cls, "_pairwise", counted)
     monkeypatch.setattr(estimators, "_physical_memory", lambda: 0)
     constant = np.full((n, 2), 0.7)
     varied = np.random.default_rng(8).standard_normal((n, 2))
@@ -593,3 +593,26 @@ def test_a_constant_side_draws_no_permutation(estimator, spec, n, monkeypatch):
     assert drawn == []
     permutation_test(varied, varied[::-1], estimator, B=19, seed=4, **spec)
     assert sum(drawn) == 19
+
+
+@pytest.mark.parametrize("estimator,spec", [("hsic", {"kernel": GaussianKernel()}),
+                                            ("dcov", {"metric": parse_semimetric("induced_metric:base=(gaussian)")})])
+def test_points_are_checked_once_per_side_and_bandwidth(estimator, spec, monkeypatch):
+    # _prepare coerces each side once and the median heuristic each sample
+    # once; every route, pass, screen row and induced form evaluates those
+    # points unchecked, so the count grows with neither n nor B
+    checks = []
+
+    def counted(pts, as_points=kernels.as_points):
+        checks.append(1)
+        return as_points(pts)
+
+    monkeypatch.setattr(kernels, "as_points", counted)
+    counts = []
+    for n, B in ((400, 19), (800, 19), (400, 99)):
+        x, y = _sample(21, n, 2)
+        checks.clear()
+        permutation_test(x, y, estimator, B=B, seed=3, **spec)
+        counts.append(len(checks))
+    assert counts[0] <= 4
+    assert counts == [counts[0]] * 3

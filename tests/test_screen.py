@@ -86,7 +86,8 @@ def _screened(x, y, estimator, spec, c, first_rank=None, stored=False):
     assert screened._a.c == screened._b.c == c
     assert first_rank is None or screened._levels
     if stored:
-        screened._store()
+        screened._a.store()
+        screened._b.store()
     return screened
 
 
@@ -251,7 +252,9 @@ def test_an_independent_n2000_test_keeps_the_nxn_counts(monkeypatch):
     assert prepared._decided == [0, 134, 65] and prepared._start == 1
     assert len(prepared._levels) == 3 and not prepared._final
     # the stored gather has the evaluated bits and takes a fraction of the time
-    _all_levels(prepared)._store()
+    _all_levels(prepared)
+    prepared._a.store()
+    prepared._b.store()
     exact = prepared._exact(perms)
     assert screened == (np.count_nonzero(exact >= prepared.observed),) * 2
     assert 0 < screened[0] < 199
@@ -540,6 +543,8 @@ def test_evaluated_rows_are_the_stored_rows(seed, n, d, which, rows, levels, dat
     distance = kind == "metric"
     stored = (distance_matrix if distance else gram_matrix)(obj, x)
     assert np.array_equal(stored, stored.T)
+    # the rows and sides read points coerced once, as _prepare passes them
+    x = obj.coerce(x)
     for i in range(0, n, rows):
         assert np.array_equal(matrix_rows(obj, x, i, min(i + rows, n), distance), stored[i : i + rows])
     # the sides agree in blocks of ``rows`` rows, re-paired or not, and so
@@ -595,6 +600,8 @@ def test_rows_from_a_column_start_are_the_whole_rows_sliced(seed, n, d, which, l
     x = _sample(seed, n, d, 0.0, levels)[0]
     if d == 1:
         x = x[:, 0]
+    # coerced once, as _prepare passes the points
+    x = obj.coerce(x)
     distance = kind == "metric"
     whole = matrix_rows(obj, x, i, j, distance)
     assert np.array_equal(matrix_rows(obj, x, i, j, distance, start=c), whole[:, c:])
