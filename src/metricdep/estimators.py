@@ -30,20 +30,19 @@ for the estimators and for the exact oracle (:mod:`metricdep.oracle`), and
   of the sides' Gram or distance matrices, s = 1 for hsic and 4 for dcov,
   from one pass over both sides that reads each unordered pair of points
   once, shifted near their centred forms, in a three-term form of inner
-  products, row sums and totals.  From n = 200 on, on vector data, a side
-  not built on the linear kernel is evaluated from the points in row
-  blocks, with the bits of the stored matrix.  A
-  permutation test there runs levels of a screen in front of the exact
-  inner product: pivoted-Cholesky factors of both centred sides, grown as
-  far as a level needs and rotated into kernel principal components,
-  through their leading 16 columns, then 32, ..., then all, each level
-  taking only the values its predecessor left undecided.  The exact inner
+  products, row sums and totals.  From n = 200 on, on vector data, each
+  side is evaluated from the points in row blocks, with the bits of the
+  stored matrix.  A permutation test there runs levels of a screen in
+  front of the exact inner product: pivoted-Cholesky factors of both
+  centred sides, grown as far as a level needs and rotated into kernel
+  principal components, through their leading 16 columns, then 32, ...,
+  then all, each level taking only the values its predecessor left
+  undecided.  The exact inner
   product recomputes, from the points, what the last level cannot
   certify, so counts and p-values are exact and no n x n array is held at
   any n.  Where a factor's rank passes sqrt(32 n) before it completes the
   levels are dropped and both matrices are stored; a matrix is stored
-  there or up front (below n = 200, on explicit matrices, and for a side
-  built on the linear kernel).
+  there or up front (below n = 200, and on explicit matrices).
 
 Before any route, :func:`_prepare` decides a constant side, whose every
 value is exactly 0.0: no kernel entry is evaluated, no memory checked and
@@ -74,7 +73,6 @@ from .kernels import (
     induced_kernel,
     induced_semimetric,
     matrix_rows,
-    _innermost,
     _row_blocks,
     parse_anchor,
     resolve_bandwidth,
@@ -110,11 +108,7 @@ _NXN_ARRAYS = 2
 _SCREEN_ARRAYS = 6
 
 # What holds no array that grows faster than n, named when memory is refused
-_MEMORY_HINT = (
-    "a statistic without permutations on vector data under a spec without a feature map "
-    "(gaussian, matern), or under specs with one (linear, euclid2) on both sides at p q <= n, "
-    "holds none"
-)
+_MEMORY_HINT = "a statistic without permutations on vector data holds no array that grows faster than n"
 
 # The low-rank screen of hsic and dcov permutations starts at this n.  On a
 # 2-core host (gaussian, median bandwidth, d = 2, B = 199, rank cap lifted,
@@ -388,20 +382,19 @@ class _Side:
     call of ``store``) and shifted in place, and gives M'[i:j] as a view and
     a later start as a copy; any other side evaluates them by
     ``matrix_rows`` at its points, re-paired by ``perm``, and shifts them
-    alike.  A side not built on the linear kernel computes each entry from
-    its two points alone, so both give the same bits.  Only ``store`` does
-    work when a side is built; an evaluated side's first pass is its first
-    read.
+    alike.  Every side computes each entry from its two points alone, so
+    both give the same bits.  Only ``store`` does work when a side is
+    built; an evaluated side's first pass is its first read.
 
     ``pts`` are points that ``obj.coerce`` gave, as :func:`_prepare` passes
     them: they are checked there, once, and ``matrix_rows`` evaluates them
-    unchecked.
+    unchecked, in C order, which the side takes once.
     """
 
     def __init__(self, obj, pts, stored=False):
         self.n = len(pts)
         self.c = _c(obj)
-        self._pts = pts
+        self._pts = pts = np.ascontiguousarray(pts)
         self._evaluate = partial(matrix_rows, obj, distance=self.c < 0)
         self._build = partial(_matrix, obj, pts)
         self._matrix = self._u = None
@@ -933,22 +926,16 @@ def _prepare(estimator, x, y, *, permutations=0, **specs) -> _Prepared:
     n = len(x)
     # The sides are stored here or, where the screen declines, by
     # _CenteredInner.  From _SCREEN_MIN_N on, vector data are evaluated in
-    # row blocks.  A side built on the linear kernel is stored, as are
-    # explicit matrices and small n: the linear kernel's matrix product
-    # rounds by the block's shape.  An explicit matrix is of negative type
-    # only up to the validation tolerance, so its centred Gram need not be
-    # PSD, as the screen's bound requires.  Memory is checked
-    # before the first pass for the screen's factors, and in _Side.store.
+    # row blocks; explicit matrices and small n are stored.  An explicit
+    # matrix is of negative type only up to the validation tolerance, so its
+    # centred Gram need not be PSD, as the screen's bound requires.  Memory
+    # is checked before the first pass for the screen's factors, and in
+    # _Side.store.
     vectors = n >= _SCREEN_MIN_N and not any(isinstance(o, ExplicitSemimetric) for o in (obj, obj_y))
     screen = bool(permutations) and vectors
     if screen:
         _check_memory(n, _SCREEN_ARRAYS * isqrt(_SCREEN_RANKS * n) * n, "the screen's factors")
-    return _CenteredInner(
-        _Side(obj, x, stored=not vectors or isinstance(_innermost(obj), LinearKernel)),
-        _Side(obj_y, y, stored=not vectors or isinstance(_innermost(obj_y), LinearKernel)),
-        scale,
-        screen,
-    )
+    return _CenteredInner(_Side(obj, x, stored=not vectors), _Side(obj_y, y, stored=not vectors), scale, screen)
 
 
 def mcov_plugin(x, y, metric) -> float:

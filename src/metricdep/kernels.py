@@ -27,12 +27,19 @@ no scipy.
 Points are checked once, where they enter.  The public ``pairwise`` and
 ``paired``, defined once on ``_OnVectors``, coerce both sides by the
 object's ``coerce`` (finite coordinates, or integer indices in range for
-an explicit matrix) and refuse sides of different dimensions;
+an explicit matrix) and refuse sides of different dimensions, and
+``paired`` sides of different lengths where neither is a single point;
 :func:`gram_matrix`, :func:`distance_matrix` and :func:`median_heuristic`
 coerce their points once, and the estimators coerce each side once, in
 ``estimators._prepare``.  Every evaluation past that point, an induced
 form's call on its base included, runs unchecked by ``_pairwise`` and
 ``_paired``.
+
+Every kernel and semimetric computes each entry from its own two points,
+the linear kernel by einsum rather than a matrix product, which would
+round an entry by the block's shape.  So on C-ordered points the rows of
+a matrix, read in any blocks and re-paired, have the bits of the matrix
+built whole, and the matrix is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -145,7 +152,10 @@ class _OnVectors:
     def paired(self, xs, ys):
         """The values at the pairs (xs[i], ys[i]), row by row; a single
         point on either side pairs with every point of the other."""
-        return self._paired(*_matching(self.coerce(xs), self.coerce(ys)))
+        xs, ys = _matching(self.coerce(xs), self.coerce(ys))
+        if len(xs) != len(ys) and 1 not in (len(xs), len(ys)):
+            raise InputError(f"paired points differ in length: {len(xs)} vs {len(ys)}")
+        return self._paired(xs, ys)
 
 
 class _Radial(_OnVectors):
@@ -171,7 +181,9 @@ class LinearKernel(_OnVectors):
     """k(x, y) = <x, y>."""
 
     def _pairwise(self, xs, ys):
-        return xs @ ys.T
+        # einsum sums each entry's products alike wherever its rows sit; a
+        # BLAS product rounds an entry by the block's shape
+        return np.einsum("ik,jk->ij", xs, ys)
 
     def _paired(self, xs, ys):
         return np.einsum("ij,ij->i", xs, ys)
@@ -451,15 +463,6 @@ def _row_blocks(n, width):
     return [(i, min(i + rows, n)) for i in range(0, n, rows)]
 
 
-def _symmetrise(m):
-    """m <- (m + m') / 2 in place, a row block and its column block at a time."""
-    for i, j in _row_blocks(len(m), len(m)):
-        t = 0.5 * (m[i:j, i:] + m[i:, i:j].T)
-        m[i:j, i:] = t
-        m[i:, i:j] = t.T
-    return m
-
-
 def _as_distances(m, offset=0):
     """Zero the diagonal of rows of a distance matrix, the entries
     (r, offset + r) that are in ``m``, and clip roundoff below zero, in
@@ -469,26 +472,17 @@ def _as_distances(m, offset=0):
     return np.maximum(m, 0.0, out=m)
 
 
-def _innermost(obj):
-    """The kernel or semimetric that ``obj``'s induced forms are built on."""
-    while hasattr(obj, "base"):
-        obj = obj.base
-    return obj
-
-
 def _symmetric(obj, pts):
-    """``obj.pairwise(pts, pts)``, its points coerced once and evaluated
-    unchecked, filled into one array in row blocks of about
+    """``obj.pairwise(pts, pts)``, its points coerced once, in C order, and
+    evaluated unchecked, filled into one array in row blocks of about
     ``_BLOCK_BYTES``, so that the temporaries of an evaluation are the size
-    of a block rather than of the matrix; symmetrised where it is built on
-    the linear kernel, whose matrix product rounds by the block's shape.
-    cdist, the radial profiles, an explicit matrix and the two induced forms
-    compute k(x, y) and k(y, x) alike."""
-    pts = obj.coerce(pts)
+    of a block rather than of the matrix.  Every kernel and semimetric
+    computes k(x, y) and k(y, x) alike, each from its two points alone."""
+    pts = np.ascontiguousarray(obj.coerce(pts))
     m = np.empty((len(pts), len(pts)))
     for i, j in _row_blocks(len(pts), len(pts)):
         m[i:j] = obj._pairwise(pts[i:j], pts)
-    return _symmetrise(m) if isinstance(_innermost(obj), LinearKernel) else m
+    return m
 
 
 def gram_matrix(kernel, pts) -> np.ndarray:
@@ -511,11 +505,9 @@ def matrix_rows(obj, pts, i, j, distance=False, start=0) -> np.ndarray:
     matrix with ``distance``, from column ``start`` on, evaluated by one
     unchecked ``_pairwise`` call: ``pts`` are points ``obj.coerce`` gave.
 
-    Where ``pairwise`` computes each entry from its two points alone and
-    symmetrically, as every kernel and semimetric not built on the linear
-    kernel does, these are the rows of :func:`gram_matrix` or
-    :func:`distance_matrix` bit for bit.  The linear kernel's matrix
-    product, and what is induced from it, rounds by the block's shape.
+    Every kernel and semimetric computes each entry from its two points
+    alone and symmetrically, so on C-ordered points these are the rows of
+    :func:`gram_matrix` or :func:`distance_matrix` bit for bit.
     """
     rows = obj._pairwise(pts[i:j], pts[start:])
     return _as_distances(rows, i - start) if distance else rows

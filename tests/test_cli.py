@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from metricdep import EuclideanSquared, GaussianKernel, LinearKernel, cancellation_joint, distance_matrix
+from metricdep import EuclideanSquared, GaussianKernel, cancellation_joint, distance_matrix
 from metricdep.cli import main
 
 
@@ -215,7 +215,7 @@ def _refused(result, arrays):
     assert "Traceback" not in result.output
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: n = 300 needs about ") and arrays in lines[0]
-    assert "on vector data under a spec without a feature map" in lines[0]
+    assert lines[0].endswith("; a statistic without permutations on vector data holds no array that grows faster than n")
 
 
 class TestMemory:
@@ -237,27 +237,15 @@ class TestMemory:
 
         return run
 
-    @pytest.fixture
-    def no_pairwise(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("a matrix entry was evaluated")
-
-        # the routes evaluate their coerced points by the unchecked _pairwise
-        for cls in (LinearKernel, EuclideanSquared, GaussianKernel):
-            monkeypatch.setattr(cls, "_pairwise", fail)
-
-    @pytest.mark.usefixtures("no_pairwise")
     @pytest.mark.parametrize("command", [["compute"], ["test", "--B", "9"]])
-    @pytest.mark.parametrize("spec", [["--estimator", "hsic", "--kernel", "linear"],
+    @pytest.mark.parametrize("spec", [["--estimator", "dcov", "--metric", "euclid2"],
+                                      ["--estimator", "hsic", "--kernel", "linear"],
                                       ["--estimator", "dcov", "--metric", "induced_metric:base=(linear)"]])
-    def test_a_wide_feature_side_is_refused_before_any_evaluation(self, run, command, spec):
-        _refused(run(command + spec, d=20), "for n x n matrices")
-
-    @pytest.mark.parametrize("command", [["compute"], ["test", "--B", "9"]])
-    def test_a_wide_euclid2_side_is_evaluated_within_the_cap(self, run, command):
-        # cdist computes each entry from its two points, so the sides are
-        # read from the points, with the bits of the stored matrices
-        args = [*command, "--estimator", "dcov", "--metric", "euclid2"]
+    def test_a_wide_side_is_evaluated_within_the_cap(self, run, command, spec):
+        # cdist and the linear kernel's einsum compute each entry from its
+        # two points, so the sides are read from the points, with the bits
+        # of the stored matrices
+        args = [*command, *spec]
         uncapped = run(args, d=20, have=2**40)
         capped = run(args, d=20)
         assert capped.exit_code == 0
@@ -266,8 +254,12 @@ class TestMemory:
     def test_a_declined_screen_is_refused_where_it_stores(self, run):
         _refused(run(["test", "--estimator", "hsic", "--kernel", "gaussian", "--B", "9"], d=5), "for n x n matrices")
 
-    @pytest.mark.usefixtures("no_pairwise")
-    def test_a_screen_over_memory_is_refused_before_any_evaluation(self, run):
+    def test_a_screen_over_memory_is_refused_before_any_evaluation(self, run, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a matrix entry was evaluated")
+
+        # the routes evaluate their coerced points by the unchecked _pairwise
+        monkeypatch.setattr(GaussianKernel, "_pairwise", fail)
         args = ["test", "--estimator", "hsic", "--kernel", "gaussian:sigma=1", "--B", "9"]
         _refused(run(args, d=2, have=500_000), "for the screen's factors")
 

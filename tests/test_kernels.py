@@ -182,7 +182,9 @@ PAIRED_CLASSES = len(_paired_objects(1, np.random.default_rng(0)))
 
 
 def _on_indices(obj):
-    return isinstance(kernels._innermost(obj), ExplicitSemimetric)
+    while hasattr(obj, "base"):
+        obj = obj.base
+    return isinstance(obj, ExplicitSemimetric)
 
 
 def _paired_points(obj, n, d, rng, scale):
@@ -242,28 +244,32 @@ class TestPaired:
         assert np.array_equal(obj.paired(ys[:1], xs), obj.paired(repeated, xs))
 
 
-def _refusals(obj, rng):
+def _refusals(obj, rng, method):
     """Points ``obj`` takes, of dimension 2 or indices of its 12 x 12
     matrix, and bad ones, each with the messages it is refused with as the
-    first and as the second side."""
+    first and as the second side; ``paired`` also refuses two good sides of
+    different lengths, neither a single point."""
     empty = ("empty point set",) * 2
     if _on_indices(obj):
         out_of_range = "index out of range for explicit 12x12 matrix, rows 0 to 11: "
-        return np.array([3, 0, 11]), [
+        good, refusals = np.array([3, 0, 11]), [
             ([0, 12], (out_of_range + "[0, 12]",) * 2),
             (np.array([-1, 5]), (out_of_range + "[-1, 5]",) * 2),
             ([0.0, 0.5], ("points of an explicit semimetric are integer indices",) * 2),
             (np.zeros(0, dtype=int), empty),
         ]
-    good = rng.standard_normal((3, 2))
-    return good, [
-        (np.array([[0.0, np.nan], [1.0, 2.0]]), ("point coordinates must be finite",) * 2),
-        (np.array([[0.0, 1.0], [-np.inf, 2.0]]), ("point coordinates must be finite",) * 2),
-        (rng.standard_normal((3, 3)), ("dimension mismatch between points: 3 vs 2",
-                                       "dimension mismatch between points: 2 vs 3")),
-        (np.zeros((0, 2)), empty),
-        (np.zeros((2, 2, 2)), ("expected points as an (n, p) array, got shape (2, 2, 2)",) * 2),
-    ]
+    else:
+        good, refusals = rng.standard_normal((3, 2)), [
+            (np.array([[0.0, np.nan], [1.0, 2.0]]), ("point coordinates must be finite",) * 2),
+            (np.array([[0.0, 1.0], [-np.inf, 2.0]]), ("point coordinates must be finite",) * 2),
+            (rng.standard_normal((3, 3)), ("dimension mismatch between points: 3 vs 2",
+                                           "dimension mismatch between points: 2 vs 3")),
+            (np.zeros((0, 2)), empty),
+            (np.zeros((2, 2, 2)), ("expected points as an (n, p) array, got shape (2, 2, 2)",) * 2),
+        ]
+    if method == "paired":
+        refusals.append((good[:2], ("paired points differ in length: 2 vs 3", "paired points differ in length: 3 vs 2")))
+    return good, refusals
 
 
 class TestRefusals:
@@ -272,10 +278,10 @@ class TestRefusals:
     def test_public_evaluations_refuse_bad_points(self, which, method):
         # the public pairwise and paired of every class check both sides,
         # an induced semimetric over an explicit matrix's kernel included,
-        # with the messages they always gave
+        # with the messages they always gave, and paired their lengths
         rng = np.random.default_rng(300 + which)
         obj = _paired_objects(2, rng)[which]
-        good, refusals = _refusals(obj, rng)
+        good, refusals = _refusals(obj, rng, method)
         evaluate = getattr(obj, method)
         assert np.all(np.isfinite(evaluate(good, good)))
         for bad, (first, second) in refusals:

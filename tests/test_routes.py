@@ -347,17 +347,19 @@ class TestMemoryBudget:
         assert [call() for call in calls] == expected
 
     def test_a_stored_side_is_refused_before_any_pass(self, monkeypatch):
-        # the linear side is stored; the gaussian side, evaluated, is not
-        # read before the store's check
+        # a side on an explicit matrix stores both sides; neither is read
+        # before the store's check
         def fail(*args, **kwargs):
             raise AssertionError("a matrix entry was evaluated")
 
         n = 300
         x, y = _sample(13, n, 2)
-        monkeypatch.setattr(GaussianKernel, "_pairwise", fail)
+        explicit = induced_kernel(ExplicitSemimetric(distance_matrix(E2, y)))
+        for cls in (GaussianKernel, ExplicitSemimetric):
+            monkeypatch.setattr(cls, "_pairwise", fail)
         monkeypatch.setattr(estimators, "_physical_memory", lambda: 12 * n * n)
         with pytest.raises(InputError, match=r"n = 300 needs about .* for n x n matrices"):
-            hsic_vstat(x, y, GaussianKernel(1.0), LIN)
+            hsic_vstat(x, np.arange(n), GaussianKernel(1.0), explicit)
 
     def test_feature_route_takes_the_same_sample(self):
         n = 200_000
@@ -537,10 +539,9 @@ def test_a_constant_side_gives_exactly_zero(estimator, spec, n, value):
 @pytest.mark.parametrize("estimator,spec", CONSTANT_SIDE_SPECS)
 @pytest.mark.parametrize("n", [12, 300])
 def test_a_constant_side_of_several_coordinates_gives_exactly_zero(estimator, spec, n):
-    # a matrix product need not give the equal rows of a constant side equal
-    # Gram entries: (1.1, 0.3, 0.2, 0.7) repeated, against a side as wide,
-    # takes the n x n route under the linear kernel (p q > n) and still
-    # gives exactly 0 and p = 1
+    # a constant side is decided on its points: (1.1, 0.3, 0.2, 0.7)
+    # repeated, against a side as wide, would take the n x n route under
+    # the linear kernel (p q > n), and gives exactly 0 and p = 1
     width = isqrt(n) + 1
     constant = np.tile(np.resize([1.1, 0.3, 0.2, 0.7], width), (n, 1))
     varied = np.random.default_rng(7).standard_normal((n, width))

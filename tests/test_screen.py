@@ -509,7 +509,8 @@ def test_a_screened_statistic_is_freed_with_its_last_reference():
         gc.enable()
 
 
-# Specs whose pairwise computes each entry from its two points alone
+# Specs whose pairwise computes each entry from its two points alone, the
+# linear kernel by einsum; ANCHOR is an anchor in the points' dimension
 ELEMENTWISE = [
     ("kernel", "gaussian:sigma=0.7"),
     ("kernel", "matern:nu=0.5,ell=1.3"),
@@ -520,7 +521,15 @@ ELEMENTWISE = [
     ("metric", "induced_metric:base=(gaussian:sigma=0.4)"),
     ("metric", "induced_metric:base=(matern:nu=0.5,ell=1)"),
     ("metric", "induced_metric:base=(matern:nu=2.5,ell=3)"),
+    ("kernel", "linear"),
+    ("metric", "induced_metric:base=(linear)"),
+    ("kernel", "induced_kernel:base=(induced_metric:base=(linear)),anchor=ANCHOR"),
 ]
+
+
+def _elementwise(kind, text, d):
+    """The kernel or semimetric of an ``ELEMENTWISE`` spec on points of dimension d."""
+    return _spec(kind, text.replace("ANCHOR", "(" + ";".join(["0.5", "-1.5", "2"][:d]) + ")"))[kind]
 
 
 @settings(max_examples=40, deadline=None)
@@ -536,7 +545,7 @@ ELEMENTWISE = [
 def test_evaluated_rows_are_the_stored_rows(seed, n, d, which, rows, levels, data):
     perm = np.array(data.draw(st.permutations(range(n)), label="perm"), dtype=np.intp)
     kind, text = ELEMENTWISE[which]
-    obj = _spec(kind, text)[kind]
+    obj = _elementwise(kind, text, d)
     x = _sample(seed, n, d, 0.0, levels)[0]
     if d == 1:
         x = x[:, 0]
@@ -545,6 +554,11 @@ def test_evaluated_rows_are_the_stored_rows(seed, n, d, which, rows, levels, dat
     assert np.array_equal(stored, stored.T)
     # the rows and sides read points coerced once, as _prepare passes them
     x = obj.coerce(x)
+    # each entry has the bits of its two points evaluated alone, off a
+    # distance matrix's zeroed diagonal
+    for i, j in enumerate(perm):
+        if i != j or not distance:
+            assert obj._pairwise(x[i : i + 1], x[j : j + 1])[0, 0] == stored[i, j]
     for i in range(0, n, rows):
         assert np.array_equal(matrix_rows(obj, x, i, min(i + rows, n), distance), stored[i : i + rows])
     # the sides agree in blocks of ``rows`` rows, re-paired or not, and so
@@ -576,6 +590,19 @@ def test_evaluated_rows_are_the_stored_rows(seed, n, d, which, rows, levels, dat
                 assert np.array_equal(*rows)
 
 
+def test_fortran_ordered_points_give_the_c_ordered_result():
+    # the linear kernel's einsum sums an entry's products by the layout of
+    # the coordinates, so each side takes its points in C order, once: wide
+    # linear sides on the n x n route, evaluated and screened, give the
+    # same results from Fortran-ordered points
+    x, y = _sample(14, 300, 20, 0.3)
+    for estimator, kind, text in (("hsic", "kernel", "linear"), ("dcov", "metric", "induced_metric:base=(linear)")):
+        c_ordered = permutation_test(x, y, estimator, B=49, seed=5, **_spec(kind, text))
+        fortran = permutation_test(np.asfortranarray(x), np.asfortranarray(y), estimator, B=49, seed=5,
+                                   **_spec(kind, text))
+        assert fortran == c_ordered
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -596,7 +623,7 @@ def test_rows_from_a_column_start_are_the_whole_rows_sliced(seed, n, d, which, l
     c = data.draw(st.integers(0, n - 1), label="start")
     perm = np.array(data.draw(st.permutations(range(n)), label="perm"), dtype=np.intp)
     kind, text = ELEMENTWISE[which]
-    obj = _spec(kind, text)[kind]
+    obj = _elementwise(kind, text, d)
     x = _sample(seed, n, d, 0.0, levels)[0]
     if d == 1:
         x = x[:, 0]
@@ -617,14 +644,14 @@ def test_rows_from_a_column_start_are_the_whole_rows_sliced(seed, n, d, which, l
         assert np.array_equal(rows, kept.rows(i, j, p)[:, c:])
 
 
-@pytest.mark.parametrize("kind,text", ELEMENTWISE + [("kernel", "linear"), ("metric", "euclid2")])
+@pytest.mark.parametrize("kind,text", ELEMENTWISE + [("metric", "euclid2")])
 @pytest.mark.parametrize("stored", [False, True])
 def test_centred_side_rows_sum_to_zero(kind, text, stored):
     # HMH 1 = 0: each row of HAH and of HBH, evaluated or stored, sums to
     # zero up to the roundoff of n terms of the size of M's entries; c is 1
     # or -1/2, so dividing c C's sums by it gives C's bits
     n = 250
-    obj = _spec(kind, text)[kind]
+    obj = _elementwise(kind, text, 2)
     x = _sample(13, n, 2, 0.0)[0]
     distance = kind == "metric"
     inner = estimators._CenteredInner(*(estimators._Side(obj, x, stored=stored) for _ in "ab"))
@@ -647,7 +674,7 @@ def test_a_sides_sums_do_not_depend_on_the_other_side(seed, n, which, rows, stor
     # so its row sums and diagonal have the same bits whatever it is paired
     # with
     kind, text = ELEMENTWISE[which]
-    obj = _spec(kind, text)[kind]
+    obj = _elementwise(kind, text, 2)
     x, y = _sample(seed, n, 2, 0.5)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "_BLOCK_BYTES", 8 * n * rows)
